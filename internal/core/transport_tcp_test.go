@@ -109,5 +109,14 @@ func TestTCPReconnectMidCallbackRound(t *testing.T) {
 			t.Errorf("b reads %q after completed round, want post-blip", got)
 		}
 		mustCommit(t, check)
+
+		// Every redialled socket started a fresh codec stream on both ends:
+		// its first message carried its own type descriptors (the round
+		// above completed over such sockets), and no decoder was shown a
+		// frame of a severed stream — either failure kills a socket with
+		// ErrBadStream and is counted here.
+		if got := tcp.StreamErrors(); got != 0 {
+			t.Errorf("stream errors = %d, want 0 (codec state must die with its socket)", got)
+		}
 	})
 }

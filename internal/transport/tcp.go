@@ -6,7 +6,9 @@
 //     (wire.go). A single writer goroutine per path drains its queue in
 //     order, so per-path FIFO holds across the wire; the prefix that was
 //     written before a socket died is exactly the prefix that can arrive,
-//     so FIFO survives reconnects too.
+//     so FIFO survives reconnects too. The gob stream those frames carry
+//     belongs to the socket (tcpConn), never to the path: a new socket is
+//     a new stream on both ends.
 //   - Connections are established by whichever side knows an address: a
 //     path whose destination appears in Remotes (or is registered locally,
 //     in which case the fabric dials its own listener — the single-process
@@ -112,10 +114,24 @@ type TCP struct {
 	mu     sync.Mutex
 	nodes  map[string]*node
 	links  map[linkKey][]*tcpPath
-	conns  map[net.Conn]linkKey // every live socket end and the link it serves
+	conns  map[*tcpConn]linkKey // every live socket end and the link it serves
 	obsSet *obs.Set             // nil until AttachObs; guarded by mu
 	closed bool
+
+	streamErrors atomic.Int64 // sockets killed by ErrBadStream
 }
+
+// tcpConn is one socket end plus the write half of its codec. The encoder
+// hangs off the socket so that whatever replaces the socket on a path — a
+// redial, an accepted socket offered to a reply path — starts a fresh gob
+// stream. At most one path holds a conn, and only that path's writer
+// touches enc. The read half lives in the conn's readLoop.
+type tcpConn struct {
+	net.Conn
+	enc *StreamEncoder
+}
+
+func newTCPConn(c net.Conn) *tcpConn { return &tcpConn{Conn: c, enc: NewStreamEncoder()} }
 
 // tcpPath is one logical FIFO path of an ordered link: a message queue, a
 // single writer goroutine, and at most one live socket at a time.
@@ -128,7 +144,7 @@ type tcpPath struct {
 	reg     atomic.Pointer[obs.Registry]
 
 	connMu sync.Mutex
-	conn   net.Conn
+	conn   *tcpConn
 	ever   bool          // some conn has been attached before (reconnect accounting)
 	connCh chan struct{} // cap 1: pulsed when a conn is attached
 	downCh chan struct{} // cap 1: pulsed when the conn is lost (wakes the keeper)
@@ -158,7 +174,7 @@ func NewTCP(costs sim.CostTable, stats *sim.Stats, numPaths int, seed int64, opt
 		stopCh:   make(chan struct{}),
 		nodes:    make(map[string]*node),
 		links:    make(map[linkKey][]*tcpPath),
-		conns:    make(map[net.Conn]linkKey),
+		conns:    make(map[*tcpConn]linkKey),
 	}
 	t.loopWG.Add(1)
 	go t.acceptLoop()
@@ -450,7 +466,7 @@ func (t *TCP) deliver(msg Message) {
 
 // trackConn records a live socket end; false means the fabric is closed
 // and the caller must close the conn itself.
-func (t *TCP) trackConn(c net.Conn, key linkKey) bool {
+func (t *TCP) trackConn(c *tcpConn, key linkKey) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -462,7 +478,7 @@ func (t *TCP) trackConn(c net.Conn, key linkKey) bool {
 
 // dropConn closes a socket and detaches it from whichever path holds it,
 // pulsing that path's keeper to redial.
-func (t *TCP) dropConn(c net.Conn) {
+func (t *TCP) dropConn(c *tcpConn) {
 	c.Close()
 	t.mu.Lock()
 	delete(t.conns, c)
@@ -492,8 +508,9 @@ func (t *TCP) acceptLoop() {
 // handshake validates an inbound connection's hello, starts its reader,
 // and offers the socket to the reverse path so replies can ride it when
 // that path has no dialed connection of its own.
-func (t *TCP) handshake(c net.Conn) {
+func (t *TCP) handshake(nc net.Conn) {
 	defer t.loopWG.Done()
+	c := newTCPConn(nc)
 	_ = c.SetReadDeadline(time.Now().Add(t.opts.DialTimeout))
 	payload, err := readFrame(c)
 	if err != nil {
@@ -526,23 +543,30 @@ func (t *TCP) handshake(c net.Conn) {
 }
 
 // readLoop decodes frames off one socket end and delivers them until the
-// socket dies or a framing error poisons the stream.
-func (t *TCP) readLoop(c net.Conn) {
+// socket dies or a bad frame poisons the stream. The decoder is the read
+// half of the socket's codec: created here, just past the hello, and gone
+// when the loop drops the socket.
+func (t *TCP) readLoop(c *tcpConn) {
 	defer t.loopWG.Done()
 	defer t.dropConn(c)
-	br := bufio.NewReader(c)
+	dec := NewStreamDecoder(bufio.NewReader(c))
 	for {
-		payload, err := readFrame(br)
+		msg, err := dec.Decode()
 		if err != nil {
-			return
-		}
-		msg, err := decodeMessage(payload)
-		if err != nil {
+			if errors.Is(err, ErrBadStream) {
+				t.streamErrors.Add(1)
+			}
 			return
 		}
 		t.deliver(msg)
 	}
 }
+
+// StreamErrors reports how many sockets this fabric has killed because a
+// frame that passed the length, version and CRC checks was not the next
+// message of its connection's stream. It stays zero between well-behaved
+// peers, socket loss included: a stream never continues on another socket.
+func (t *TCP) StreamErrors() int64 { return t.streamErrors.Load() }
 
 // keep maintains one path's dialed connection: dial, hand the socket to
 // the writer, sleep until it dies, redial with exponential backoff.
@@ -593,12 +617,13 @@ func (t *TCP) keep(p *tcpPath, addr string) {
 
 // dialPath opens and tracks one socket for a path: dial, send the hello,
 // start the reader.
-func (t *TCP) dialPath(p *tcpPath, addr string) (net.Conn, error) {
+func (t *TCP) dialPath(p *tcpPath, addr string) (*tcpConn, error) {
 	d := net.Dialer{Timeout: t.opts.DialTimeout, KeepAlive: t.opts.KeepAlive}
-	c, err := d.Dial("tcp", addr)
+	nc, err := d.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	c := newTCPConn(nc)
 	hello, err := encodeHello(wireHello{From: p.key.from, To: p.key.to, Path: p.idx})
 	if err != nil {
 		c.Close()
@@ -640,7 +665,7 @@ func (t *TCP) DropConnections(peer string) int {
 
 func (t *TCP) severConns(peer string) int {
 	t.mu.Lock()
-	var dead []net.Conn
+	var dead []*tcpConn
 	for c, k := range t.conns {
 		if k.from == peer || k.to == peer {
 			dead = append(dead, c)
@@ -676,7 +701,7 @@ func (t *TCP) Close() {
 		<-p.drained
 	}
 	t.mu.Lock()
-	conns := make([]net.Conn, 0, len(t.conns))
+	conns := make([]*tcpConn, 0, len(t.conns))
 	for c := range t.conns {
 		conns = append(conns, c)
 	}
@@ -714,7 +739,7 @@ func (p *tcpPath) hasConn() bool {
 // when it already died (the keeper redials only after clearConn), and an
 // accepted socket that raced in via offerConn stays open because its
 // reader — and the dialing side's path — still depend on it.
-func (p *tcpPath) setConn(c net.Conn) {
+func (p *tcpPath) setConn(c *tcpConn) {
 	p.connMu.Lock()
 	p.conn = c
 	if p.ever {
@@ -731,7 +756,7 @@ func (p *tcpPath) setConn(c net.Conn) {
 // offerConn attaches an accepted socket only if the path has none — a
 // dialed connection always wins, and an extra offer is simply ignored
 // (the socket still serves its reader on the other side).
-func (p *tcpPath) offerConn(c net.Conn) {
+func (p *tcpPath) offerConn(c *tcpConn) {
 	p.connMu.Lock()
 	if p.conn != nil {
 		p.connMu.Unlock()
@@ -750,7 +775,7 @@ func (p *tcpPath) offerConn(c net.Conn) {
 }
 
 // clearConn detaches a dead socket and wakes the keeper.
-func (p *tcpPath) clearConn(c net.Conn) {
+func (p *tcpPath) clearConn(c *tcpConn) {
 	p.connMu.Lock()
 	if p.conn == c {
 		p.conn = nil
@@ -764,7 +789,7 @@ func (p *tcpPath) clearConn(c net.Conn) {
 
 // waitConn blocks until the path has a socket. During shutdown it returns
 // whatever is attached — possibly nil — so the drain can finish.
-func (p *tcpPath) waitConn() net.Conn {
+func (p *tcpPath) waitConn() *tcpConn {
 	for {
 		p.connMu.Lock()
 		c := p.conn
@@ -805,25 +830,18 @@ func (p *tcpPath) writeLoop() {
 	}
 }
 
-// ship writes one message to the path's current socket. A write error
-// poisons the socket (the frame may be half-written): the connection is
-// dropped and the message is lost in flight — real-wire loss that the
-// retry/dedup layer above recovers. It is deliberately NOT counted as a
-// CtrNetDrops: the fabric accepted the message; the wire ate it.
+// ship writes one message to the path's current socket, encoded by that
+// socket's own encoder. A write error poisons the socket (the frame may be
+// half-written): the connection is dropped and the message is lost in
+// flight — real-wire loss that the retry/dedup layer above recovers. It is
+// deliberately NOT counted as a CtrNetDrops: the fabric accepted the
+// message; the wire ate it.
 func (p *tcpPath) ship(msg Message) {
 	t := p.t
 	if fs := t.faults.Load(); fs != nil && fs.isCrashed(msg.To) {
 		// Destination died after the message was queued: a dead peer
 		// processes nothing, as at the simulated pump.
 		t.stats.Inc(sim.CtrCrashDrops)
-		return
-	}
-	payload, err := encodeMessage(msg)
-	if err != nil {
-		// Unregistered payload type: a programming error. The message was
-		// counted as sent and can never travel; account it as refused.
-		t.stats.Inc(sim.CtrNetDrops)
-		t.stats.Add(sim.CtrMessages, -1)
 		return
 	}
 	conn := p.waitConn()
@@ -834,18 +852,31 @@ func (p *tcpPath) ship(msg Message) {
 		t.stats.Add(sim.CtrMessages, -1)
 		return
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	if reg := p.reg.Load(); reg.Active() {
-		reg.ObserveValue(obs.HistTCPFrameSize, int64(len(payload)))
-		start := time.Now()
-		err := writeFrame(conn, payload)
-		reg.Observe(obs.HistTCPFrameWrite, time.Since(start))
-		if err != nil {
-			t.dropConn(conn)
-		}
+	frame, err := conn.enc.Encode(msg)
+	if err != nil {
+		// Unregistered payload type: a programming error. The message was
+		// counted as sent and can never travel; account it as refused. The
+		// failed Encode may have marked type descriptors as sent that the
+		// peer never saw, so the stream is out of step: drop the socket
+		// and let the path's next one start a fresh stream.
+		t.stats.Inc(sim.CtrNetDrops)
+		t.stats.Add(sim.CtrMessages, -1)
+		t.dropConn(conn)
 		return
 	}
-	if err := writeFrame(conn, payload); err != nil {
+	_ = conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+	reg := p.reg.Load()
+	timed := reg.Active()
+	var start time.Time
+	if timed {
+		reg.ObserveValue(obs.HistTCPFrameSize, int64(len(frame)-wireHeaderSize))
+		start = time.Now()
+	}
+	_, err = conn.Write(frame)
+	if timed {
+		reg.Observe(obs.HistTCPFrameWrite, time.Since(start))
+	}
+	if err != nil {
 		t.dropConn(conn)
 	}
 }

@@ -220,6 +220,72 @@ func TestTCPReconnectAfterDrop(t *testing.T) {
 	if got := stats.Get(sim.CtrNetDrops); got != 0 {
 		t.Errorf("net drops = %d, want 0 (socket loss is not a refused send)", got)
 	}
+	// The redialled socket is a new stream on both ends: its first message
+	// carried its own type descriptors (or V=1 could not have decoded), and
+	// no decoder was ever shown a frame of the severed stream — either
+	// would have killed a socket with ErrBadStream.
+	if got := tc.StreamErrors(); got != 0 {
+		t.Errorf("stream errors = %d, want 0 (codec state must die with its socket)", got)
+	}
+}
+
+// TestTCPEncodeErrorResetsStream sends a payload type gob has never heard
+// of, then a registered one, down the same path. The first can never
+// travel and is accounted as refused; its failed Encode leaves the
+// socket's encoder out of step with the peer's decoder, so the writer
+// must drop the socket — the second message then arrives on a fresh
+// stream instead of dying at the peer as an undecodable frame. Client and
+// server are separate fabrics (only the client dials), so the client's
+// counters show exactly the one redial.
+func TestTCPEncodeErrorResetsStream(t *testing.T) {
+	type unregistered struct{ V int }
+	srv, _ := newTestTCP(t, 1)
+	got := make(chan Message, 4)
+	registerTCP(t, srv, "b", func(m Message) { got <- m })
+
+	stats := sim.NewStats()
+	cli, err := NewTCP(sim.DefaultCosts(0), stats, 1, 1, TCPOptions{
+		Remotes:      map[string]string{"b": srv.Addr()},
+		ReconnectMin: 2 * time.Millisecond,
+		ReconnectMax: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cli.Close)
+	registerTCP(t, cli, "a", func(Message) {})
+
+	// V=0 establishes the stream, so the failure hits a live encoder.
+	for _, payload := range []any{tcpTestPayload{V: 0}, unregistered{V: 1}, tcpTestPayload{V: 2}} {
+		if err := cli.Send(Message{From: "a", To: "b", Payload: payload}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := make(map[int]bool) // handlers run one goroutine per message: any order
+	for len(seen) < 2 {
+		select {
+		case m := <-got:
+			p, ok := m.Payload.(tcpTestPayload)
+			if !ok || (p.V != 0 && p.V != 2) {
+				t.Fatalf("delivered %+v, want the two registered messages", m)
+			}
+			seen[p.V] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("registered messages delivered = %v, want V=0 and V=2", seen)
+		}
+	}
+	if got := stats.Get(sim.CtrNetDrops); got != 1 {
+		t.Errorf("net drops = %d, want 1 (the unencodable message, refused)", got)
+	}
+	if got := stats.Get(sim.CtrMessages); got != 2 {
+		t.Errorf("messages = %d, want 2 (the unencodable one is uncounted)", got)
+	}
+	if got := stats.Get(sim.CtrTCPReconnects); got != 1 {
+		t.Errorf("tcp reconnects = %d, want 1 (the one real redial)", got)
+	}
+	if got := srv.StreamErrors(); got != 0 {
+		t.Errorf("stream errors at the receiver = %d, want 0", got)
+	}
 }
 
 // TestTCPFaultDecisionsMatchNetwork feeds the same seeded FaultPlan to both
@@ -291,9 +357,11 @@ func TestTCPObsInstrumentation(t *testing.T) {
 	if fs.Sum <= 0 {
 		t.Errorf("frame-size sum = %d, want > 0 (raw bytes)", fs.Sum)
 	}
-	if fw := set.Merged(obs.HistTCPFrameWrite); fw.Count != 4 {
-		t.Errorf("frame-write observations = %d, want 4", fw.Count)
-	}
+	// The writer records a frame's write latency after the write returns,
+	// which the receiver's delivery of that frame can overtake.
+	waitUntil(t, 5*time.Second, "4 frame-write observations", func() bool {
+		return set.Merged(obs.HistTCPFrameWrite).Count == 4
+	})
 
 	depth := 0
 	for _, gv := range set.GaugeValues() {

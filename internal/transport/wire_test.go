@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -86,30 +87,168 @@ type fuzzPayload struct {
 	B []byte
 }
 
-func TestMessageCodecRoundTrip(t *testing.T) {
+// latePayload is a wire type no test sends until a stream is well under
+// way, so its descriptor first crosses mid-stream.
+type latePayload struct {
+	Tag  string
+	Vals []uint64
+}
+
+func init() {
 	RegisterWireType(fuzzPayload{})
-	in := Message{
-		From: "c1", To: "srv", Kind: "req", CarriesPage: true, BatchItems: 3,
-		Payload: fuzzPayload{N: 42, S: "hello", B: []byte{1, 2, 3}},
+	RegisterWireType(latePayload{})
+}
+
+// TestFrameVersionPinned pins the wire version: a frame stamped with the
+// previous version is refused by the header check alone, before a single
+// payload byte is read — let alone shown to a decoder.
+func TestFrameVersionPinned(t *testing.T) {
+	if wireVersion != 2 {
+		t.Fatalf("wireVersion = %d, want 2 (bump deliberately, with the peers)", wireVersion)
 	}
-	raw, err := encodeMessage(in)
+	v1 := appendFrame(nil, []byte("self-contained v1 gob stream"))
+	v1[4] = 1
+	src := bytes.NewReader(v1)
+	msg, err := NewStreamDecoder(src).Decode()
+	if !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v1 frame: msg = %+v, err = %v, want ErrBadVersion", msg, err)
+	}
+	if got, want := src.Len(), len(v1)-wireHeaderSize; got != want {
+		t.Fatalf("decoder left %d bytes unread, want %d (the whole payload)", got, want)
+	}
+}
+
+func sameMessage(t *testing.T, got, want Message) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+}
+
+// TestStreamCodecRoundTrip sends a run of messages down one connection's
+// codec. Every Encode is exactly one frame; the type descriptors ride in
+// the first frame that needs them and never again; and a payload type
+// that first appears on the 100th message of the live stream round-trips
+// like any other.
+func TestStreamCodecRoundTrip(t *testing.T) {
+	var wire bytes.Buffer
+	enc := NewStreamEncoder()
+	dec := NewStreamDecoder(&wire)
+	var first, steady int
+	for i := 1; i <= 120; i++ {
+		in := Message{
+			From: "c1", To: "srv", Kind: "req", CarriesPage: i%2 == 0, BatchItems: i,
+			Payload: fuzzPayload{N: i, S: "hello", B: []byte{1, 2, 3}},
+		}
+		if i >= 100 {
+			in.Payload = latePayload{Tag: "late", Vals: []uint64{uint64(i), 7}}
+		}
+		frame, err := enc.Encode(in)
+		if err != nil {
+			t.Fatalf("encode #%d: %v", i, err)
+		}
+		switch i {
+		case 1:
+			first = len(frame)
+		case 2:
+			steady = len(frame)
+		}
+		wire.Write(frame)
+		out, err := dec.Decode()
+		if err != nil {
+			t.Fatalf("decode #%d: %v", i, err)
+		}
+		sameMessage(t, out, in)
+		if wire.Len() != 0 {
+			t.Fatalf("message #%d left %d bytes on the wire: one Encode must be one frame", i, wire.Len())
+		}
+	}
+	if steady*2 > first {
+		t.Errorf("steady-state frame is %d bytes against %d for the first: descriptors are being re-sent", steady, first)
+	}
+}
+
+// TestStreamsDoNotMix pins the lifetime rule: a stream's frames mean
+// something only to the decoder that has read that stream from its
+// start. A steady-state frame of an old connection shown to a new
+// connection's decoder is refused (its descriptors never crossed the new
+// socket), the refusal is final, and a fresh encoder/decoder pair works.
+func TestStreamsDoNotMix(t *testing.T) {
+	msg := Message{From: "a", To: "b", Kind: "req", Payload: fuzzPayload{N: 1}}
+	old := NewStreamEncoder()
+	if _, err := old.Encode(msg); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := old.Encode(msg) // descriptors already sent: value only
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := decodeMessage(raw)
+	fresh, err := NewStreamEncoder().Encode(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.From != in.From || out.To != in.To || out.Kind != in.Kind ||
-		out.CarriesPage != in.CarriesPage || out.BatchItems != in.BatchItems {
-		t.Fatalf("header mismatch: %+v vs %+v", out, in)
+
+	var wire bytes.Buffer
+	wire.Write(stale)
+	wire.Write(fresh)
+	dec := NewStreamDecoder(&wire)
+	if _, err := dec.Decode(); !errors.Is(err, ErrBadStream) {
+		t.Fatalf("stale frame on a new stream: err = %v, want ErrBadStream", err)
 	}
-	p, ok := out.Payload.(fuzzPayload)
-	if !ok {
-		t.Fatalf("payload decoded as %T", out.Payload)
+	if _, err := dec.Decode(); !errors.Is(err, ErrBadStream) {
+		t.Fatalf("decode after a stream error: err = %v, want the same error (the stream is dead)", err)
 	}
-	if p.N != 42 || p.S != "hello" || !bytes.Equal(p.B, []byte{1, 2, 3}) {
-		t.Fatalf("payload mismatch: %+v", p)
+
+	out, err := NewStreamDecoder(bytes.NewReader(fresh)).Decode()
+	if err != nil {
+		t.Fatalf("first frame of a fresh stream: %v", err)
+	}
+	sameMessage(t, out, msg)
+}
+
+// TestStreamFrameBoundaries pins the one-frame-per-Decode rule on both
+// sides: a message cut across two CRC-valid frames is refused rather
+// than completed from the next frame, and so is a frame with bytes left
+// over after its message.
+func TestStreamFrameBoundaries(t *testing.T) {
+	frame, err := NewStreamEncoder().Encode(Message{From: "a", To: "b", Payload: fuzzPayload{N: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := frame[wireHeaderSize:]
+
+	half := len(payload) / 2
+	split := appendFrame(appendFrame(nil, payload[:half]), payload[half:])
+	src := bytes.NewReader(split)
+	if _, err := NewStreamDecoder(src).Decode(); !errors.Is(err, ErrBadStream) {
+		t.Fatalf("message split across frames: err = %v, want ErrBadStream", err)
+	}
+	if got, want := src.Len(), wireHeaderSize+len(payload)-half; got != want {
+		t.Fatalf("decoder left %d bytes unread, want %d: it read past the current frame", got, want)
+	}
+
+	padded := appendFrame(nil, append(append([]byte(nil), payload...), 0))
+	if _, err := NewStreamDecoder(bytes.NewReader(padded)).Decode(); !errors.Is(err, ErrBadStream) {
+		t.Fatalf("trailing byte after message: err = %v, want ErrBadStream", err)
+	}
+}
+
+// TestStreamEncodeErrorIsFatal documents why the TCP writer drops the
+// socket when Encode fails: the failed call has already recorded type
+// descriptors as sent, so the next frame from the same encoder is
+// undecodable by a peer that never saw them.
+func TestStreamEncodeErrorIsFatal(t *testing.T) {
+	type unregistered struct{ X int }
+	enc := NewStreamEncoder()
+	if _, err := enc.Encode(Message{From: "a", To: "b", Payload: unregistered{1}}); err == nil {
+		t.Fatal("encoding an unregistered payload type succeeded")
+	}
+	frame, err := enc.Encode(Message{From: "a", To: "b", Payload: fuzzPayload{N: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewStreamDecoder(bytes.NewReader(frame)).Decode(); !errors.Is(err, ErrBadStream) {
+		t.Fatalf("frame after a failed Encode: err = %v, want ErrBadStream", err)
 	}
 }
 
@@ -145,15 +284,82 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMessage ensures a hostile gob payload cannot panic the
-// message decoder (it may only error).
-func FuzzDecodeMessage(f *testing.F) {
-	RegisterWireType(fuzzPayload{})
-	good, _ := encodeMessage(Message{From: "a", To: "b", Kind: "req", Payload: fuzzPayload{N: 1}})
-	f.Add(good)
-	f.Add([]byte("not gob at all"))
+// chunks lays payloads out the way FuzzDecodeStream cuts its input: each
+// chunk is a two-byte big-endian length followed by that many bytes.
+func chunks(payloads ...[]byte) []byte {
+	var b []byte
+	for _, p := range payloads {
+		b = binary.BigEndian.AppendUint16(b, uint16(len(p)))
+		b = append(b, p...)
+	}
+	return b
+}
+
+// FuzzDecodeStream feeds one connection's decoder a hostile stream: the
+// input is cut into chunks, every chunk is wrapped in a CRC-valid frame
+// (so the framing checks pass and the bytes reach gob), and the frames
+// are decoded in order. The decoder may refuse, never panic; it must
+// consume exactly one frame per Decode, never reading past the current
+// one; and once it has refused a frame it delivers nothing more.
+func FuzzDecodeStream(f *testing.F) {
+	enc := NewStreamEncoder()
+	var good [][]byte
+	for _, m := range []Message{
+		{From: "a", To: "b", Kind: "req", Payload: fuzzPayload{N: 1, S: "x", B: []byte{9}}},
+		{From: "a", To: "b", Kind: "req", CarriesPage: true, Payload: fuzzPayload{N: 2}},
+		{From: "b", To: "a", Kind: "late", Payload: latePayload{Tag: "t", Vals: []uint64{1, 2}}},
+	} {
+		frame, err := enc.Encode(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		good = append(good, append([]byte(nil), frame[wireHeaderSize:]...))
+	}
+	f.Add(chunks(good...))
+	f.Add(chunks(good[1], good[0]))                  // value before its descriptors
+	f.Add(chunks(good[0], good[0]))                  // descriptors defined twice
+	f.Add(chunks(good[0][:len(good[0])/2], good[1])) // message cut short by its frame
+	f.Add(chunks([]byte("not gob at all")))
+	f.Add(chunks(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		_, _ = decodeMessage(raw)
+		var wire []byte
+		var ends []int // wire offset at the end of each frame
+		for len(raw) >= 2 {
+			n := int(binary.BigEndian.Uint16(raw))
+			raw = raw[2:]
+			if n > len(raw) {
+				n = len(raw)
+			}
+			wire = appendFrame(wire, raw[:n])
+			ends = append(ends, len(wire))
+			raw = raw[n:]
+		}
+		src := bytes.NewReader(wire)
+		dec := NewStreamDecoder(src)
+		for _, end := range ends {
+			_, err := dec.Decode()
+			if consumed := len(wire) - src.Len(); consumed != end {
+				t.Fatalf("after a Decode the reader stands at byte %d, want the frame boundary %d", consumed, end)
+			}
+			if err == nil {
+				continue
+			}
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("refusal does not wrap ErrBadFrame: %v", err)
+			}
+			for i := 0; i < 3; i++ {
+				if msg, again := dec.Decode(); again == nil {
+					t.Fatalf("decoder delivered %+v after refusing a frame (%v)", msg, err)
+				}
+			}
+			if consumed := len(wire) - src.Len(); consumed != end {
+				t.Fatalf("dead decoder kept reading: at byte %d, refused at %d", consumed, end)
+			}
+			return
+		}
+		if _, err := dec.Decode(); !errors.Is(err, io.EOF) {
+			t.Fatalf("decode past the last frame: %v, want EOF", err)
+		}
 	})
 }
