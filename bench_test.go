@@ -79,9 +79,7 @@ func BenchmarkFig06HotColdCSLowLocality(b *testing.B)    { benchmarkFigure(b, 6)
 
 // BenchmarkFig06Observed reruns Figure 6 with the observability subsystem
 // on, reporting lock-wait and callback-round latency percentiles (in paper
-// milliseconds) alongside throughput. bench.sh picks it up via the
-// 'BenchmarkFig06' pattern, so BENCH reports carry the percentile metrics
-// that cmd/benchdiff renders informationally.
+// milliseconds) alongside throughput.
 func BenchmarkFig06Observed(b *testing.B) {
 	fig, ok := harness.FigureByNumber(6)
 	if !ok {

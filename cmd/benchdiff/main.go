@@ -1,8 +1,8 @@
-// Command benchdiff compares two bench.sh JSON reports and fails when a
-// benchmark regressed. It is the CI bench-regression gate: the repo keeps
-// the previous report checked in (BENCH_N.json), CI produces a fresh one,
-// and benchdiff refuses the change if any lock microbenchmark slowed down
-// by more than the threshold.
+// Command benchdiff compares two JSON reports of `go test -bench` results
+// and fails when a benchmark regressed. Its producer (bench.sh), the
+// checked-in BENCH_N.json baselines and the CI bench-regression job that
+// ran it are retired in favour of benchmark/ + BENCHMARK.json; the command
+// itself is next (ROADMAP item 3e).
 //
 // Usage:
 //

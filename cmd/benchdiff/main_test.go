@@ -88,23 +88,6 @@ func TestThresholdFlag(t *testing.T) {
 	}
 }
 
-func TestRealReportParses(t *testing.T) {
-	// The checked-in baseline must stay loadable, including its custom
-	// tps:* metrics.
-	rep, err := load("../../BENCH_1.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Benchmarks) == 0 {
-		t.Fatal("baseline has no benchmarks")
-	}
-	for _, b := range rep.Benchmarks {
-		if b.Metrics["ns/op"] == 0 {
-			t.Errorf("%s: no ns/op metric", b.Name)
-		}
-	}
-}
-
 // runCaptured runs benchdiff with output captured to a temp file.
 func runCaptured(t *testing.T, args []string) (string, error) {
 	t.Helper()

@@ -100,6 +100,9 @@ func run(args []string) error {
 	if *addr == "" {
 		return fmt.Errorf("-addr is required")
 	}
+	if *rpcTimeout <= 0 {
+		return fmt.Errorf("bad -rpc-timeout %v: must be positive (retry, dedup and callback timeouts all derive from it)", *rpcTimeout)
+	}
 	if *metricsAt != "" || *snapOut != "" {
 		*obsOn = true
 	}

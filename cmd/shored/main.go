@@ -89,6 +89,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *rpcTimeout <= 0 {
+		return fmt.Errorf("bad -rpc-timeout %v: must be positive (retry, dedup and callback timeouts all derive from it)", *rpcTimeout)
+	}
 	proto, ok := consistency.Parse(*protoStr)
 	if !ok {
 		return fmt.Errorf("unknown protocol %q (PS, PS-OO, PS-OA, PS-AA, PS-AH, OS)", *protoStr)

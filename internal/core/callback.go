@@ -80,15 +80,14 @@ type blockedKey struct {
 var errStaleTx = fmt.Errorf("core: transaction finished during lock wait: %w", lock.ErrCanceled)
 
 // lockGuarded acquires item for txid and neutralizes the grant if the
-// transaction finished meanwhile. The race exists only under the
-// resilience discipline, where a requester can abandon an in-flight
+// transaction finished meanwhile. A requester can abandon an in-flight
 // request (RPC timeout) or die (crash): its finish/reclaim releases the
 // transaction's locks, and a still-queued waiter granted afterwards would
 // be a zombie lock nobody ever releases. markFinished happens before the
 // release, so checking the tombstone after the grant closes the race.
 func (p *Peer) lockGuarded(txid lock.TxID, item storage.ItemID, mode lock.Mode, opt lock.Options) error {
 	err := p.locks.Lock(txid, item, mode, opt)
-	if err == nil && p.cfg.resilient() && !isCallbackThread(txid) && p.isFinished(txid) {
+	if err == nil && !isCallbackThread(txid) && p.isFinished(txid) {
 		p.locks.ReleaseAll(txid)
 		return errStaleTx
 	}
@@ -166,6 +165,12 @@ func (p *Peer) runFileCallbackOp(txid lock.TxID, file storage.ItemID, requester 
 	}
 }
 
+// callbackTimeoutFactor is how long, in units of Config.RPCTimeout, a
+// callback round may go without an ack, a blocked report or a finished
+// conversion before the blocking write request aborts with a timeout
+// instead of hanging.
+const callbackTimeoutFactor = 4
+
 // callbackRound sends one round of callbacks for item to clients and
 // collects their acknowledgments, running the lock-replication dance for
 // every "callback-blocked" reply. scope is the copy-table key invalidated
@@ -211,11 +216,9 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 		if p.obs.Active() {
 			p.obs.EmitSpan(obs.EvCallbackSent, rsc.Under(), item.String(), 0, c, "")
 		}
-		req := getCbReq()
-		*req = callbackReq{OpID: op.id, Server: p.name, Tx: txid, Item: item, Page: pageID, ObjectGrain: objGrain, Span: rsc}
 		_ = p.sendFF(transport.Message{
 			From: p.name, To: c, Kind: kindCallback,
-			Payload: req,
+			Payload: &callbackReq{OpID: op.id, Server: p.name, Tx: txid, Item: item, Page: pageID, ObjectGrain: objGrain, Span: rsc},
 		})
 	}
 
@@ -237,28 +240,21 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 			pendingAcks-- // the real ack now dedups away; the round "succeeds" short one ack
 		}
 	}
-	// Under the resilience discipline the round must not hang forever on a
-	// client that will never answer (lost callback, lost ack, silent death):
-	// a timer that resets on every event aborts the blocking request when
-	// the round stops making progress.
-	var timer *time.Timer
-	var timeoutCh <-chan time.Time
-	if d := p.cfg.CallbackTimeout; d > 0 {
-		timer = time.NewTimer(d)
-		defer timer.Stop()
-		timeoutCh = timer.C
-	}
+	// The round must not hang forever on a client that will never answer
+	// (lost callback, lost ack, silent death): a timer that resets on every
+	// event aborts the blocking request when the round stops making
+	// progress for callbackTimeoutFactor×RPCTimeout.
+	stall := callbackTimeoutFactor * p.cfg.RPCTimeout
+	timer := time.NewTimer(stall)
+	defer timer.Stop()
 	progress := func() {
-		if timer == nil {
-			return
-		}
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
 			default:
 			}
 		}
-		timer.Reset(p.cfg.CallbackTimeout)
+		timer.Reset(stall)
 	}
 	for pendingAcks > 0 || convOut > 0 {
 		select {
@@ -315,7 +311,7 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 			if cerr != nil && firstErr == nil {
 				firstErr = cerr
 			}
-		case <-timeoutCh:
+		case <-timer.C:
 			p.stats.Inc(sim.CtrTimeoutsFired)
 			// Dead-client detection: every client still silent at a
 			// zero-progress stall extends its streak; one that crosses the

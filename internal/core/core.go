@@ -110,23 +110,18 @@ type Config struct {
 	// set.
 	GroupCommitWindow time.Duration
 
-	// Faults, when non-nil, is installed on the network at NewSystem and
-	// implies the resilience defaults below. Nil (the default) leaves the
-	// fabric reliable and every resilience mechanism dormant, so fault-free
-	// runs are bit-identical to the pre-fault-injection system.
+	// Faults, when non-nil, is installed on the network at NewSystem. Nil
+	// (the default) leaves the fabric reliable; more plans can be injected
+	// at runtime through System.Net.
 	Faults *transport.FaultPlan
-	// RPCTimeout bounds each request/reply attempt; zero waits forever
-	// (the pre-fault behavior). When Faults is set it defaults to 500ms.
+	// RPCTimeout bounds each request/reply attempt (default 500ms). Every
+	// other deadline of the RPC discipline is derived from it: a timed-out
+	// request is resent 6 times with exponential backoff capped at
+	// 8×RPCTimeout (a 39×RPCTimeout budget, which the lock-wait ceiling
+	// must stay below), a callback round aborts its write request after
+	// 4×RPCTimeout without progress, and a prepared cross-shard transaction
+	// is resolved after 16×RPCTimeout in doubt.
 	RPCTimeout time.Duration
-	// RPCMaxRetries is how many times a timed-out request is resent (with
-	// exponential backoff, doubling up to 8×RPCTimeout) before the call
-	// fails. Default 6 when RPCTimeout is enabled.
-	RPCMaxRetries int
-	// CallbackTimeout bounds a callback round's wait for acks: if no
-	// progress happens within it, the blocking write request aborts with a
-	// timeout instead of hanging. Default 4×RPCTimeout when RPCTimeout is
-	// enabled; zero disables.
-	CallbackTimeout time.Duration
 	// DeadClientStalls declares a persistently silent client dead: after
 	// this many consecutive zero-progress callback-round stalls implicating
 	// the same client — any reply from it resets the streak — the server
@@ -167,24 +162,12 @@ type Config struct {
 	// requests for items they do not own with placement.ErrMisdirected.
 	Placement placement.Map
 
-	// PrepareResolveAfter is how long a participant leaves a prepared
-	// cross-shard transaction in doubt before resolving it: asking the
-	// coordinator for the fate, or — when the coordinator is unreachable or
-	// silent — presuming abort. Default 16×RPCTimeout when the resilience
-	// discipline is on; zero otherwise (in-doubt transactions then wait for
-	// an explicit finish or crash reclamation).
-	PrepareResolveAfter time.Duration
-
 	// TwoPCGate, when non-nil, is a fault-injection hook called between the
 	// prepare and decide phases of a cross-shard commit, with the home peer
 	// and transaction about to be decided. Tests and the e2e harness use it
 	// to hold a transaction mid-2PC while a shard or the client is killed.
 	TwoPCGate func(home string, tx lock.TxID)
 }
-
-// resilient reports whether the request/reply resilience discipline
-// (timeouts, retries, dedup, stale-transaction guards) is active.
-func (c Config) resilient() bool { return c.RPCTimeout > 0 }
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -222,19 +205,8 @@ func (c Config) withDefaults() Config {
 	if c.GroupCommit && c.GroupCommitWindow == 0 {
 		c.GroupCommitWindow = time.Millisecond
 	}
-	if c.Faults != nil && c.RPCTimeout == 0 {
+	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 500 * time.Millisecond
-	}
-	if c.RPCTimeout > 0 {
-		if c.RPCMaxRetries == 0 {
-			c.RPCMaxRetries = 6
-		}
-		if c.CallbackTimeout == 0 {
-			c.CallbackTimeout = 4 * c.RPCTimeout
-		}
-		if c.PrepareResolveAfter == 0 {
-			c.PrepareResolveAfter = 16 * c.RPCTimeout
-		}
 	}
 	if c.Audit != nil {
 		// The auditor's event-driven half rides the obs sink; chain rather
@@ -450,9 +422,8 @@ func (s *System) AddRemoteOwner(name string, vols ...storage.VolumeID) error {
 // every surviving peer synchronously reclaims the state the dead peer left
 // behind — its transactions' locks and copy-table entries are released,
 // and its uncommitted shipped updates are rolled back from the WAL's
-// before-images (presumed abort). Crash handling requires the resilience
-// discipline (Config.RPCTimeout > 0, or Faults set): without bounded RPCs
-// a survivor blocked on the dead peer would wait forever.
+// before-images (presumed abort). A survivor with a request outstanding at
+// the dead peer gets an error when the attempt's RPCTimeout expires.
 func (s *System) CrashPeer(name string) error {
 	p, ok := s.peers[name]
 	if !ok {

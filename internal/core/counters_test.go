@@ -410,7 +410,6 @@ func scenarioMessageFaults(t *testing.T, add func(*sim.Stats)) {
 	// Drop everything: the read's RPC times out, is retried, and fails.
 	drop := newCluster(t, PS, 1, 4, func(c *Config) {
 		c.RPCTimeout = 10 * time.Millisecond
-		c.RPCMaxRetries = 2
 		c.Faults = &transport.FaultPlan{Seed: 41, DropProb: 1}
 	})
 	x := drop.clients[0].Begin()

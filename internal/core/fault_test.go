@@ -21,9 +21,9 @@ import (
 	"adaptivecc/internal/verify"
 )
 
-// resilientCfg enables the resilience discipline with timeouts short
-// enough for tests. The lock timeout stays below the total retry budget so
-// a blocked server request resolves before its client abandons the call.
+// resilientCfg shortens the RPC discipline's timeouts enough for tests.
+// The lock timeout stays below the total retry budget (39×RPCTimeout) so a
+// blocked server request resolves before its client abandons the call.
 func resilientCfg(c *Config) {
 	c.RPCTimeout = 100 * time.Millisecond
 	c.FixedTimeout = 2 * time.Second
@@ -76,7 +76,10 @@ func parseProtocol(t *testing.T, s string) Protocol {
 // CI narrows to one cell via FAULT_KIND / FAULT_PROTOCOL and scales the
 // load up. Whatever the fabric does — losing, duplicating, or reordering
 // messages, or killing a peer outright — the committed history must stay
-// serializable and no worker may hang.
+// serializable and no worker may hang. The dup kind runs once more on a
+// cluster built from a Config that names no resilience setting at all,
+// the plan injected into the running fabric: dedup is the RPC path, not a
+// mode a fault plan switches on.
 func TestFaultMatrix(t *testing.T) {
 	kinds := []string{"drop", "dup", "delay", "crash", "shardcrash"}
 	protos := []Protocol{PS, PSOA, PSAA, PSAH}
@@ -96,7 +99,17 @@ func TestFaultMatrix(t *testing.T) {
 						runShardCrashCell(t, proto, txsPerClient)
 						return
 					}
-					runFaultCell(t, kind, proto, txsPerClient)
+					runFaultCell(t, kind, proto, txsPerClient, true)
+				})
+			})
+		}
+		if kind == "dup" {
+			// One protocol is enough for the extra input: the last of the
+			// run (PS-AH by default, or the one FAULT_PROTOCOL names).
+			proto := protos[len(protos)-1]
+			t.Run(kind+"/"+proto.String()+"/zero-config", func(t *testing.T) {
+				watchdog(t, 4*time.Minute, func() {
+					runFaultCell(t, kind, proto, txsPerClient, false)
 				})
 			})
 		}
@@ -114,7 +127,6 @@ func runShardCrashCell(t *testing.T, proto Protocol, txsPerClient int) {
 	wedge := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	opts := []func(*Config){resilientCfg, func(c *Config) {
-		c.PrepareResolveAfter = 300 * time.Millisecond
 		c.TwoPCGate = func(home string, _ lock.TxID) {
 			if home == victim {
 				select {
@@ -284,15 +296,19 @@ func runShardCrashCell(t *testing.T, proto Protocol, txsPerClient int) {
 	}
 }
 
-func runFaultCell(t *testing.T, kind string, proto Protocol, txsPerClient int) {
-	opts := []func(*Config){resilientCfg}
-	if plan := faultPlanFor(kind); plan != nil {
-		opts = append(opts, func(c *Config) { c.Faults = plan })
+// runFaultCell runs one matrix cell. A tuned cell shortens the timeouts
+// (resilientCfg) and hands its fault plan to Config.Faults; an untuned one
+// builds the cluster from newCluster's plain Config and injects the plan
+// into the running fabric.
+func runFaultCell(t *testing.T, kind string, proto Protocol, txsPerClient int, tuned bool) {
+	var opts []func(*Config)
+	plan := faultPlanFor(kind)
+	if tuned {
+		opts = append(opts, resilientCfg, func(c *Config) { c.Faults = plan })
 	}
 	// FAULT_BATCH=on runs the cell with message coalescing and WAL group
 	// commit enabled: the batching fast paths must survive the same faults
-	// as the base protocol. (Pooled frames are never recycled under a
-	// resilient config, so this also exercises that gate.)
+	// as the base protocol.
 	if os.Getenv("FAULT_BATCH") == "on" {
 		opts = append(opts, func(c *Config) {
 			c.Batch = true
@@ -331,6 +347,9 @@ func runFaultCell(t *testing.T, kind string, proto Protocol, txsPerClient int) {
 	// Page 4 is reserved for the crash cell's pinned transaction; the
 	// oracle's workers touch pages 0-3 only.
 	tc := newCluster(t, proto, 3, 5, opts...)
+	if !tuned && plan != nil {
+		tc.sys.Net().InjectFaults(*plan)
+	}
 	stats := tc.sys.Stats()
 	hist := verify.NewHistory()
 	decode := func(raw []byte) verify.Version {
@@ -523,38 +542,65 @@ func runFaultCell(t *testing.T, kind string, proto Protocol, txsPerClient int) {
 }
 
 // TestCrashReclaimUnblocksSurvivors crashes a client that holds a server
-// EX lock and cached copies; a surviving client must then be able to write
-// the same object without waiting for any timeout-driven cleanup.
+// EX lock and cached copies, with a second request of its own parked in
+// the server's lock queue: that request must come back with an error
+// rather than wait for a reply the fenced fabric will never deliver, and a
+// surviving client must then be able to write the same object without
+// waiting for any timeout-driven cleanup. Both hold for a cluster whose
+// Config names no resilience setting at all.
 func TestCrashReclaimUnblocksSurvivors(t *testing.T) {
-	watchdog(t, time.Minute, func() {
-		tc := newCluster(t, PSAA, 2, 10, resilientCfg)
-		c1, c2 := tc.clients[0], tc.clients[1]
+	for _, in := range []struct {
+		name string
+		opts []func(*Config)
+	}{
+		{"tuned", []func(*Config){resilientCfg}},
+		{"zero-config", nil},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			watchdog(t, time.Minute, func() {
+				tc := newCluster(t, PSAA, 2, 10, in.opts...)
+				c1, c2 := tc.clients[0], tc.clients[1]
 
-		base := c2.Begin()
-		writeVal(t, base, objID(3, 1), "base")
-		mustCommit(t, base)
+				base := c2.Begin()
+				writeVal(t, base, objID(3, 1), "base")
+				mustCommit(t, base)
 
-		hold := c1.Begin()
-		writeVal(t, hold, objID(3, 1), "zombie") // EX at srv, never committed
-		if err := tc.sys.CrashPeer("c1"); err != nil {
-			t.Fatal(err)
-		}
+				hold := c1.Begin()
+				writeVal(t, hold, objID(3, 1), "zombie") // EX at srv, never committed
 
-		x := c2.Begin()
-		if got := readVal(t, x, objID(3, 1)); got != "base" {
-			t.Errorf("read %q after crash, want base (uncommitted write leaked)", got)
-		}
-		writeVal(t, x, objID(3, 1), "after")
-		mustCommit(t, x)
+				blocker := c2.Begin()
+				writeVal(t, blocker, objID(4, 0), "held")
+				parked := make(chan error, 1)
+				go func() { parked <- c1.Begin().Write(objID(4, 0), []byte("never")) }()
+				waitUntil(t, 10*time.Second, func() bool {
+					return len(tc.srv.Locks().TxsBySite("c1")) == 2
+				}, "c1's second request to reach srv's lock table")
 
-		if got := tc.sys.Stats().Get(sim.CtrCrashRecoveries); got == 0 {
-			t.Error("crash_recoveries = 0")
-		}
-		if txs := tc.srv.Locks().TxsBySite("c1"); len(txs) != 0 {
-			t.Errorf("server still holds locks of crashed c1: %v", txs)
-		}
-		_ = hold // the crashed peer's handle is dead with it
-	})
+				if err := tc.sys.CrashPeer("c1"); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-parked; err == nil {
+					t.Error("request parked at srv succeeded after its peer crashed")
+				}
+				mustCommit(t, blocker)
+
+				x := c2.Begin()
+				if got := readVal(t, x, objID(3, 1)); got != "base" {
+					t.Errorf("read %q after crash, want base (uncommitted write leaked)", got)
+				}
+				writeVal(t, x, objID(3, 1), "after")
+				mustCommit(t, x)
+
+				if got := tc.sys.Stats().Get(sim.CtrCrashRecoveries); got == 0 {
+					t.Error("crash_recoveries = 0")
+				}
+				if txs := tc.srv.Locks().TxsBySite("c1"); len(txs) != 0 {
+					t.Errorf("server still holds locks of crashed c1: %v", txs)
+				}
+				_ = hold // the crashed peer's handle is dead with it
+			})
+		})
+	}
 }
 
 // TestCrashUndoesShippedRecords ships a transaction's log records to the
@@ -606,8 +652,7 @@ func TestCrashUndoesShippedRecords(t *testing.T) {
 func TestRPCTimeoutAbortsCleanly(t *testing.T) {
 	watchdog(t, time.Minute, func() {
 		tc := newCluster(t, PSAA, 1, 10, func(c *Config) {
-			c.RPCTimeout = 60 * time.Millisecond
-			c.RPCMaxRetries = 2
+			c.RPCTimeout = 20 * time.Millisecond
 		})
 		c1 := tc.clients[0]
 		stats := tc.sys.Stats()
@@ -621,11 +666,11 @@ func TestRPCTimeoutAbortsCleanly(t *testing.T) {
 		tc.sys.Net().HealLink("c1", "srv")
 		_ = x.Abort()
 
-		if got := stats.Get(sim.CtrTimeoutsFired); got < 3 {
-			t.Errorf("timeouts_fired = %d, want >= 3 (initial + 2 retries)", got)
+		if got := stats.Get(sim.CtrTimeoutsFired); got < rpcMaxRetries+1 {
+			t.Errorf("timeouts_fired = %d, want >= %d (initial + every retry)", got, rpcMaxRetries+1)
 		}
-		if got := stats.Get(sim.CtrRetries); got != 2 {
-			t.Errorf("retries = %d, want 2", got)
+		if got := stats.Get(sim.CtrRetries); got != rpcMaxRetries {
+			t.Errorf("retries = %d, want %d", got, rpcMaxRetries)
 		}
 
 		y := c1.Begin()
@@ -642,8 +687,7 @@ func TestRPCTimeoutAbortsCleanly(t *testing.T) {
 func TestCallbackTimeoutAbortsWriter(t *testing.T) {
 	watchdog(t, time.Minute, func() {
 		tc := newCluster(t, PSOA, 2, 10, func(c *Config) {
-			c.RPCTimeout = 100 * time.Millisecond
-			c.CallbackTimeout = 300 * time.Millisecond
+			c.RPCTimeout = 75 * time.Millisecond // callback stall = 4× = 300ms
 		})
 		c1, c2 := tc.clients[0], tc.clients[1]
 
@@ -685,8 +729,7 @@ func TestCallbackTimeoutAbortsWriter(t *testing.T) {
 func TestDeadClientFencedAfterStalls(t *testing.T) {
 	watchdog(t, time.Minute, func() {
 		tc := newCluster(t, PSOA, 2, 10, func(c *Config) {
-			c.RPCTimeout = 50 * time.Millisecond
-			c.CallbackTimeout = 150 * time.Millisecond
+			c.RPCTimeout = 40 * time.Millisecond // callback stall = 4× = 160ms
 			c.DeadClientStalls = 2
 		})
 		c1, c2 := tc.clients[0], tc.clients[1]

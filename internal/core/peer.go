@@ -75,12 +75,12 @@ type Peer struct {
 	// would otherwise report healthy-looking throughput.
 	lastErr error
 
-	// Resilience state, populated only when cfg.resilient(). reqSeen dedups
-	// re-delivered requests by (sender, ReqID): a nil value marks a request
-	// still being served (re-deliveries are suppressed without a reply), a
-	// non-nil value caches the reply so a retry whose original reply was
-	// lost gets it re-sent. cbSeen dedups re-delivered callback requests by
-	// (server, opID). Both are bounded by eviction rings, guarded by mu.
+	// reqSeen dedups re-delivered requests by (sender, ReqID): a nil value
+	// marks a request still being served (re-deliveries are suppressed
+	// without a reply), a non-nil value caches the reply so a retry whose
+	// original reply was lost gets it re-sent. cbSeen dedups re-delivered
+	// callback requests by (server, opID). Both are bounded by eviction
+	// rings, guarded by mu.
 	reqSeen map[dedupKey]*rpcReply
 	reqRing []dedupKey
 	reqIdx  int
@@ -108,6 +108,17 @@ var noReply = &rpcReply{}
 // ErrRPCTimeout is returned by a call whose every attempt went unanswered
 // within Config.RPCTimeout. The caller must abort its transaction.
 var ErrRPCTimeout = errors.New("core: rpc timed out")
+
+// The retry schedule of call, in units of Config.RPCTimeout: a timed-out
+// request is resent rpcMaxRetries times, the wait doubling per attempt up
+// to rpcBackoffCap. The budget is therefore 1+2+4+8+8+8+8 = 39×RPCTimeout;
+// a configuration must keep its lock-wait ceiling (FixedTimeout, or
+// TimeoutCeil under the adaptive heuristic) below it, or a request parked
+// in a lock queue outlives its caller.
+const (
+	rpcMaxRetries = 6
+	rpcBackoffCap = 8
+)
 
 // finishedRingSize bounds the tombstone set.
 const finishedRingSize = 8192
@@ -150,6 +161,10 @@ func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols 
 		replicatedAt: make(map[lock.TxID]map[string]bool),
 		finished:     make(map[lock.TxID]bool),
 		finishedRing: make([]lock.TxID, finishedRingSize),
+		reqSeen:      make(map[dedupKey]*rpcReply),
+		reqRing:      make([]dedupKey, reqSeenRingSize),
+		cbSeen:       make(map[cbKey]bool),
+		cbRing:       make([]cbKey, cbSeenRingSize),
 	}
 	if s.obsSet != nil {
 		p.obs = s.obsSet.NewRegistry(name)
@@ -166,12 +181,6 @@ func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols 
 	}
 	if cfg.Batch {
 		p.outbox = newOutbox(cfg.BatchFlushDelay, s.stats, p.flushCoalesced)
-	}
-	if cfg.resilient() {
-		p.reqSeen = make(map[dedupKey]*rpcReply)
-		p.reqRing = make([]dedupKey, reqSeenRingSize)
-		p.cbSeen = make(map[cbKey]bool)
-		p.cbRing = make([]cbKey, cbSeenRingSize)
 	}
 	for _, v := range vols {
 		p.volumes[v.ID] = v
@@ -301,22 +310,19 @@ func (p *Peer) handle(m transport.Message) {
 		if !ok {
 			return
 		}
-		dedup := p.cfg.resilient() && env.ReqID != 0
-		if dedup {
-			if seen, cached := p.dedupCheck(env.From, env.ReqID); seen {
-				// A re-delivery (duplicate fault, or a retry whose original
-				// made it). If the first execution already finished, re-send
-				// its reply — the reply may be what got lost; if it is still
-				// in flight, its reply will answer the retry too.
-				p.stats.Inc(sim.CtrDupSuppressed)
-				if cached != nil && cached != noReply {
-					_ = p.sendFF(transport.Message{
-						From: p.name, To: env.From, Kind: kindReply,
-						CarriesPage: replyCarriesPage(cached.Body), Payload: cached,
-					})
-				}
-				return
+		if seen, cached := p.dedupCheck(env.From, env.ReqID); seen {
+			// A re-delivery (duplicate fault, or a retry whose original
+			// made it). If the first execution already finished, re-send
+			// its reply — the reply may be what got lost; if it is still
+			// in flight, its reply will answer the retry too.
+			p.stats.Inc(sim.CtrDupSuppressed)
+			if cached != nil && cached != noReply {
+				_ = p.sendFF(transport.Message{
+					From: p.name, To: env.From, Kind: kindReply,
+					CarriesPage: replyCarriesPage(cached.Body), Payload: cached,
+				})
 			}
+			return
 		}
 		p.applyCoalesced(env)
 		p.processPiggyback(env.From, env.Pig)
@@ -335,21 +341,12 @@ func (p *Peer) handle(m transport.Message) {
 			}
 			p.obs.EmitSpan(obs.EvServe, ssc, "", time.Since(serveStart), env.From, note)
 		}
-		from := env.From
-		id := env.ReqID
-		if !p.cfg.resilient() {
-			putEnvelope(env)
-		}
 		code, detail := encodeErr(err)
-		reply := getReply()
-		*reply = rpcReply{ReqID: id, Code: code, Detail: detail, Body: body}
-		if dedup {
-			p.dedupComplete(from, id, reply)
-		}
-		carries := replyCarriesPage(body)
+		reply := &rpcReply{ReqID: env.ReqID, Code: code, Detail: detail, Body: body}
+		p.dedupComplete(env.From, env.ReqID, reply)
 		_ = p.sendFF(transport.Message{
-			From: p.name, To: from, Kind: kindReply,
-			CarriesPage: carries, Payload: reply,
+			From: p.name, To: env.From, Kind: kindReply,
+			CarriesPage: replyCarriesPage(body), Payload: reply,
 		})
 
 	case kindReply:
@@ -364,29 +361,19 @@ func (p *Peer) handle(m transport.Message) {
 		if ch != nil {
 			ch <- *reply
 		}
-		if !p.cfg.resilient() {
-			putReply(reply)
-		}
 
 	case kindCallback:
 		req, ok := m.Payload.(*callbackReq)
 		if !ok {
 			return
 		}
-		// Copy the frame and recycle it before handling: the callback may
-		// block on a local lock conflict for a long time, and the pooled
-		// frame should not be held hostage meanwhile.
-		rq := *req
-		if !p.cfg.resilient() {
-			putCbReq(req)
-		}
-		if p.cfg.resilient() && p.cbDedup(rq.Server, rq.OpID) {
+		if p.cbDedup(req.Server, req.OpID) {
 			// Duplicate callback delivery: the first copy will (or already
 			// did) answer; a second ack would corrupt the round's count.
 			p.stats.Inc(sim.CtrDupSuppressed)
 			return
 		}
-		p.handleCallback(rq)
+		p.handleCallback(*req)
 
 	case kindCallbackAck:
 		ack, ok := m.Payload.(callbackAck)
@@ -408,23 +395,15 @@ func (p *Peer) handle(m transport.Message) {
 		if !ok {
 			return
 		}
-		dedup := p.cfg.resilient() && env.ReqID != 0
-		if dedup {
-			if seen, _ := p.dedupCheck(env.From, env.ReqID); seen {
-				// Re-applying a purge notice would double-count installs and
-				// re-redo log records.
-				p.stats.Inc(sim.CtrDupSuppressed)
-				return
-			}
+		if seen, _ := p.dedupCheck(env.From, env.ReqID); seen {
+			// Re-applying a purge notice would double-count installs and
+			// re-redo log records.
+			p.stats.Inc(sim.CtrDupSuppressed)
+			return
 		}
 		p.applyCoalesced(env)
 		p.processPiggyback(env.From, env.Pig)
-		if dedup {
-			p.dedupComplete(env.From, env.ReqID, noReply)
-		}
-		if !p.cfg.resilient() {
-			putEnvelope(env)
-		}
+		p.dedupComplete(env.From, env.ReqID, noReply)
 	}
 }
 
@@ -457,11 +436,10 @@ func replyCarriesPage(body any) bool {
 // call performs a synchronous request to another peer, piggybacking any
 // queued purge notices for that destination. sc is the caller's span
 // context: the round trip becomes a child RPC span under it, carried in
-// the envelope so the receiver's serve span joins the same trace. Without
-// the resilience discipline the call waits for the reply forever (the
-// fabric is reliable); with it, each attempt is bounded by RPCTimeout and
-// the same envelope — same ReqID, same piggyback, same span — is resent
-// with exponential backoff, relying on the receiver's dedup table for
+// the envelope so the receiver's serve span joins the same trace. Each
+// attempt is bounded by RPCTimeout and the same envelope — same ReqID,
+// same piggyback, same span — is resent up to rpcMaxRetries times with
+// exponential backoff, relying on the receiver's dedup table for
 // at-least-once → exactly-once semantics.
 func (p *Peer) call(dest string, sc obs.SpanContext, body any) (any, error) {
 	if dest == p.name {
@@ -487,8 +465,7 @@ func (p *Peer) call(dest string, sc obs.SpanContext, body any) (any, error) {
 	if len(pig) > 0 {
 		p.stats.Add(sim.CtrPurgeSent, int64(len(pig)))
 	}
-	env := getEnvelope()
-	*env = rpcEnvelope{ReqID: id, From: p.name, Span: rsc, Pig: pig, Body: body}
+	env := &rpcEnvelope{ReqID: id, From: p.name, Span: rsc, Pig: pig, Body: body}
 	batch := 0
 	if p.outbox != nil {
 		env.Acks, env.Rels = p.outbox.take(dest)
@@ -506,19 +483,8 @@ func (p *Peer) call(dest string, sc obs.SpanContext, body any) (any, error) {
 		return nil, err
 	}
 
-	if !p.cfg.resilient() {
-		reply := <-ch
-		p.recycleReplyChan(ch)
-		if p.obs.Active() {
-			d := time.Since(rpcStart)
-			p.obs.Observe(obs.HistRPC, d)
-			p.obs.EmitSpan(obs.EvRPC, rsc, "", d, dest, reqName(body))
-		}
-		return reply.Body, decodeErr(reply.Code, reply.Detail)
-	}
-
 	wait := p.cfg.RPCTimeout
-	maxWait := 8 * p.cfg.RPCTimeout
+	maxWait := rpcBackoffCap * p.cfg.RPCTimeout
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	for attempt := 0; ; attempt++ {
@@ -533,7 +499,7 @@ func (p *Peer) call(dest string, sc obs.SpanContext, body any) (any, error) {
 			return reply.Body, decodeErr(reply.Code, reply.Detail)
 		case <-timer.C:
 			p.stats.Inc(sim.CtrTimeoutsFired)
-			if attempt >= p.cfg.RPCMaxRetries {
+			if attempt >= rpcMaxRetries {
 				cancel()
 				if p.obs.Active() {
 					p.obs.EmitSpan(obs.EvTimeout, rsc.Under(), "", time.Since(rpcStart), dest,
@@ -575,24 +541,17 @@ func (p *Peer) flushPurges(owner string) {
 		return
 	}
 	p.stats.Add(sim.CtrPurgeSent, int64(len(pig)))
-	// Under resilience the flush carries a real ReqID so a duplicated
-	// delivery is suppressed by the owner's dedup table (re-applying a
-	// notice would double-count installs and re-redo log records).
-	id := p.flushReqID()
-	env := getEnvelope()
-	*env = rpcEnvelope{ReqID: id, From: p.name, Pig: pig}
 	_ = p.sendFF(transport.Message{
 		From: p.name, To: owner, Kind: kindPurgeFlush,
-		Payload: env,
+		Payload: &rpcEnvelope{ReqID: p.flushReqID(), From: p.name, Pig: pig},
 	})
 }
 
-// flushReqID allocates a dedup ReqID for a fire-and-forget flush, or zero
-// when the fabric is reliable and dedup is off.
+// flushReqID allocates the ReqID of a fire-and-forget flush, so a
+// duplicated delivery is suppressed by the owner's dedup table
+// (re-applying a notice would double-count installs and re-redo log
+// records).
 func (p *Peer) flushReqID() uint64 {
-	if !p.cfg.resilient() {
-		return 0
-	}
 	p.mu.Lock()
 	p.nextReq++
 	id := p.nextReq
@@ -615,11 +574,10 @@ func (p *Peer) flushCoalesced(dest string) {
 	if len(pig) > 0 {
 		p.stats.Add(sim.CtrPurgeSent, int64(len(pig)))
 	}
-	env := getEnvelope()
-	*env = rpcEnvelope{ReqID: p.flushReqID(), From: p.name, Pig: pig, Acks: acks, Rels: rels}
 	err := p.sendFF(transport.Message{
 		From: p.name, To: dest, Kind: kindPurgeFlush,
-		BatchItems: len(acks) + len(rels), Payload: env,
+		BatchItems: len(acks) + len(rels),
+		Payload:    &rpcEnvelope{ReqID: p.flushReqID(), From: p.name, Pig: pig, Acks: acks, Rels: rels},
 	})
 	if err == nil {
 		p.stats.Inc(sim.CtrOutboxFlushes)
@@ -898,16 +856,18 @@ func (p *Peer) peerDown(dead string) {
 	}
 }
 
+// prepareResolveFactor is how long, in units of Config.RPCTimeout, a
+// participant leaves a prepared cross-shard transaction in doubt before
+// resolving it: asking the coordinator for the fate, or — when the
+// coordinator is unreachable or silent — presuming abort.
+const prepareResolveFactor = 16
+
 // startResolver launches the background in-doubt resolver for an owning
 // peer: prepared cross-shard transactions whose decide/finish never
 // arrived are resolved by asking the coordinator — or, on coordinator
-// silence, by presumed abort. Requires the resilience discipline: without
-// bounded RPCs a status query against a dead coordinator would hang
-// forever. A no-op for client-role peers (no log) and non-resilient
-// configurations, so pre-sharding setups run not a single extra goroutine
-// iteration.
+// silence, by presumed abort. A no-op for client-role peers (no log).
 func (p *Peer) startResolver() {
-	if p.slog == nil || !p.cfg.resilient() || p.cfg.PrepareResolveAfter <= 0 {
+	if p.slog == nil {
 		return
 	}
 	go p.resolveLoop()
@@ -926,7 +886,7 @@ func (p *Peer) resolveLoop() {
 			return
 		case <-t.C:
 			for _, pt := range p.slog.PreparedTxs() {
-				if time.Since(pt.Since) < p.cfg.PrepareResolveAfter {
+				if time.Since(pt.Since) < prepareResolveFactor*p.cfg.RPCTimeout {
 					continue
 				}
 				p.resolvePrepared(pt)

@@ -1,33 +1,9 @@
 package core
 
-import "sync"
-
-// Message-frame pools. The envelope, reply, and callback-request frames on
-// the hot path travel as pointers so they can be recycled instead of
-// allocated per message.
-//
-// Ownership discipline (DESIGN.md §12): a frame belongs to the sender
-// until Send succeeds, then to the fabric, then to the receiver. Only the
-// RECEIVER ever recycles a frame, and only when the system is
-// non-resilient (`!cfg.resilient()`): without faults the fabric delivers
-// each send exactly once, so the receiver's pointer is the last reference.
-// With faults enabled, duplicate deliveries can alias one frame and the
-// retry path re-sends the identical envelope while the first copy may
-// still be queued — so resilient configurations never recycle; frames
-// simply fall to the garbage collector as before this optimization.
-var (
-	envPool   = sync.Pool{New: func() any { return new(rpcEnvelope) }}
-	replyPool = sync.Pool{New: func() any { return new(rpcReply) }}
-	cbReqPool = sync.Pool{New: func() any { return new(callbackReq) }}
-)
-
-func getEnvelope() *rpcEnvelope { return envPool.Get().(*rpcEnvelope) }
-func getReply() *rpcReply       { return replyPool.Get().(*rpcReply) }
-func getCbReq() *callbackReq    { return cbReqPool.Get().(*callbackReq) }
-
-func putEnvelope(e *rpcEnvelope) { *e = rpcEnvelope{}; envPool.Put(e) }
-func putReply(r *rpcReply)       { *r = rpcReply{}; replyPool.Put(r) }
-func putCbReq(r *callbackReq)    { *r = callbackReq{}; cbReqPool.Put(r) }
+// The per-peer free list of call()'s reply channels (DESIGN.md §12). The
+// message frames themselves — envelope, reply, callback request — are
+// plain allocations: a resend or a duplicated delivery aliases a frame, so
+// no receiver ever holds the last reference and nothing may recycle one.
 
 // replyChanPoolCap bounds the per-peer free list of reply channels.
 const replyChanPoolCap = 64

@@ -172,8 +172,11 @@ func TestResolverPresumesAbortOnSilentHome(t *testing.T) {
 	watchdog(t, time.Minute, func() {
 		wedge := make(chan struct{})
 		entered := make(chan struct{}, 1)
-		tc := newShardCluster(t, PSAA, 2, 1, 4, resilientCfg, func(c *Config) {
-			c.PrepareResolveAfter = 150 * time.Millisecond
+		tc := newShardCluster(t, PSAA, 2, 1, 4, func(c *Config) {
+			// In-doubt resolution fires after 16×RPCTimeout = 320ms; the
+			// lock-wait ceiling stays below the 39×RPCTimeout retry budget.
+			c.RPCTimeout = 20 * time.Millisecond
+			c.FixedTimeout = 500 * time.Millisecond
 			c.TwoPCGate = func(home string, _ lock.TxID) {
 				select {
 				case entered <- struct{}{}:

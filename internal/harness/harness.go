@@ -216,16 +216,11 @@ func buildCluster(exp Experiment, plat Platform) (*cluster, error) {
 		aud = audit.New()
 		cfg.Audit = aud
 	}
-	// A fault run needs the resilience discipline (request retry, callback
-	// timeouts, crash reclamation). The retry timeout tracks the simulation
-	// scale — 500ms at paper speed — so a lost message costs the same
-	// *paper time* at any TimeScale.
-	if exp.Faults != nil || exp.Scenario != nil {
-		rt := time.Duration(float64(500*time.Millisecond) * plat.TimeScale)
-		if rt < 10*time.Millisecond {
-			rt = 10 * time.Millisecond
-		}
-		cfg.RPCTimeout = rt
+	// The retry timeout tracks the simulation scale — 500ms at paper speed
+	// — so a lost message costs the same *paper time* at any TimeScale.
+	cfg.RPCTimeout = time.Duration(float64(500*time.Millisecond) * plat.TimeScale)
+	if cfg.RPCTimeout < 10*time.Millisecond {
+		cfg.RPCTimeout = 10 * time.Millisecond
 	}
 	dbPages := plat.DatabasePages
 	clientPool := int(float64(dbPages) * plat.ClientBufFrac)

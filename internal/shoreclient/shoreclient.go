@@ -68,8 +68,7 @@ type Options struct {
 	// Seed drives path selection and workload determinism (default 1).
 	Seed int64
 	// RPCTimeout bounds each request attempt; retry/dedup recovers frames
-	// lost to socket teardown. Default 500ms. Real sockets can always lose
-	// a frame, so the resilience discipline is always on for remote runs.
+	// lost to socket teardown. Zero takes core's default (500ms).
 	RPCTimeout time.Duration
 	// Batch enables per-destination message coalescing on the client side.
 	Batch bool
@@ -106,9 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.RPCTimeout == 0 {
-		o.RPCTimeout = 500 * time.Millisecond
 	}
 	return o
 }
