@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -37,6 +38,7 @@ import (
 	"adaptivecc/internal/core"
 	"adaptivecc/internal/obs"
 	"adaptivecc/internal/obs/export"
+	"adaptivecc/internal/placement"
 	"adaptivecc/internal/shoreclient"
 	"adaptivecc/internal/sim"
 	"adaptivecc/internal/storage"
@@ -87,7 +89,6 @@ func run(args []string) error {
 		numPaths   = fs.Int("num-paths", 3, "FIFO paths per peer pair (must match the server)")
 		seed       = fs.Int64("seed", 1, "workload generator seed")
 		rpcTimeout = fs.Duration("rpc-timeout", 500*time.Millisecond, "request attempt timeout")
-		batch      = fs.Bool("batch", false, "coalesce acks, release notices, and purges onto same-path messages")
 		timeout    = fs.Duration("timeout", 5*time.Minute, "overall run deadline (0 = none)")
 		obsOn      = fs.Bool("obs", false, "enable observability: latency histograms, trace rings, per-path TCP telemetry")
 		metricsAt  = fs.String("metrics", "", "serve live introspection at this address (/metrics, /debug/vars, /debug/obs/snapshot); implies -obs")
@@ -131,7 +132,6 @@ func run(args []string) error {
 		NumPaths:       *numPaths,
 		Seed:           *seed,
 		RPCTimeout:     *rpcTimeout,
-		Batch:          *batch,
 		Obs:            *obsOn,
 		CommitHold:     *commitHold,
 	}
@@ -287,18 +287,37 @@ func runApp(sys *core.System, p *core.Peer, gen *workload.Generator, n int, seed
 	dir := sys.Directory()
 	rng := rand.New(rand.NewSource(seed*7 + 3))
 	val := make([]byte, 8)
+	var objs []storage.ItemID
 	for done := 0; done < n; done++ {
 		trans := gen.Next()
+		// The directory is fixed for the run: a reference it cannot resolve
+		// fails the same way on every attempt.
+		objs = objs[:0]
+		for _, ref := range trans.Refs {
+			obj, err := dir.LookupObject(ref.Page, ref.Slot)
+			if err != nil {
+				return fmt.Errorf("transaction %d: %w", done, err)
+			}
+			objs = append(objs, obj)
+		}
+		var err error
 		for attempt := 0; ; attempt++ {
 			if attempt > 1000 {
-				return fmt.Errorf("transaction %d still aborting after %d attempts", done, attempt)
+				return fmt.Errorf("transaction %d still aborting after %d attempts: %w", done, attempt, err)
 			}
 			x := p.Begin()
-			err := execute(x, dir, trans, rng, val)
-			if err == nil && x.Commit() == nil {
+			if err = execute(x, objs, trans, rng, val); err == nil {
+				err = x.Commit()
+			}
+			if err == nil {
 				break
 			}
 			_ = x.Abort()
+			// A page with no owner, or sent to the wrong one, is a fleet
+			// layout error: re-execution routes it the same way again.
+			if errors.Is(err, placement.ErrUnplaced) || errors.Is(err, placement.ErrMisdirected) {
+				return fmt.Errorf("transaction %d: %w", done, err)
+			}
 			// Randomized exponential backoff: page-grain protocols under a
 			// false-sharing workload deadlock-abort repeatedly, and a flat
 			// micro-sleep keeps the writers colliding forever.
@@ -313,18 +332,15 @@ func runApp(sys *core.System, p *core.Peer, gen *workload.Generator, n int, seed
 	return nil
 }
 
-func execute(x *core.Tx, dir *storage.Directory, trans workload.Transaction, rng *rand.Rand, val []byte) error {
-	for _, ref := range trans.Refs {
-		obj, err := dir.LookupObject(ref.Page, ref.Slot)
-		if err != nil {
-			return err
-		}
-		if _, err := x.Read(obj); err != nil {
+// execute runs one attempt of trans; objs[i] is the object of trans.Refs[i].
+func execute(x *core.Tx, objs []storage.ItemID, trans workload.Transaction, rng *rand.Rand, val []byte) error {
+	for i, ref := range trans.Refs {
+		if _, err := x.Read(objs[i]); err != nil {
 			return err
 		}
 		if ref.Write {
 			rng.Read(val)
-			if err := x.Write(obj, val); err != nil {
+			if err := x.Write(objs[i], val); err != nil {
 				return err
 			}
 		}

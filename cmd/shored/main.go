@@ -10,7 +10,7 @@
 //	shored -addr 127.0.0.1:0 -addr-file a    # ephemeral port, written to file a
 //	shored -protocol ps -pages 4800          # protocol and database size
 //	shored -metrics :8377                    # Prometheus /metrics + expvar
-//	shored -batch -groupcommit               # message coalescing + WAL group commit
+//	shored -groupcommit                      # WAL group commit
 //	shored -shard 1/2 -pages 1200            # shard 1 of a 2-server fleet (pages 0-599)
 //
 // With -shard i/N the server is one shard of an N-server fleet: it serves
@@ -77,7 +77,6 @@ func run(args []string) error {
 		seed       = fs.Int64("seed", 1, "path-selection seed")
 		rpcTimeout = fs.Duration("rpc-timeout", 500*time.Millisecond, "request attempt timeout (retry/dedup recovers socket loss)")
 		deadStalls = fs.Int("dead-client-stalls", 3, "consecutive silent callback-round stalls before a client is declared dead and its state reclaimed (0 disables)")
-		batch      = fs.Bool("batch", false, "coalesce callback acks, release notices, and purges onto same-path messages")
 		groupCmt   = fs.Bool("groupcommit", false, "absorb concurrent WAL forces into shared disk writes")
 		obsOn      = fs.Bool("obs", false, "enable observability: latency histograms and trace rings")
 		metricsAt  = fs.String("metrics", "", "serve live introspection at this address (/metrics Prometheus text, /debug/vars expvar, /debug/obs/snapshot, /debug/pprof); implies -obs")
@@ -165,7 +164,6 @@ func run(args []string) error {
 		FixedTimeout:     5 * time.Second,
 		RPCTimeout:       *rpcTimeout,
 		DeadClientStalls: *deadStalls,
-		Batch:            *batch,
 		GroupCommit:      *groupCmt,
 		Obs:              obs.Config{Enabled: *obsOn},
 		Transport:        transport.TCPFactory(transport.TCPOptions{ListenAddr: *addr, Remotes: remotes}),

@@ -639,16 +639,10 @@ func (p *Peer) sendBlocked(rq callbackReq, item storage.ItemID, mode lock.Mode, 
 	})
 }
 
-// sendAck completes this client's part of a callback operation. With
-// batching on, the ack joins the outbox and rides the next message to the
-// server (or a deadline flush); the round's progress timer tolerates the
-// added latency, and blocked reports still travel immediately.
+// sendAck completes this client's part of a callback operation. The ack is
+// sent at once: the writer's EX request is held at the server until every
+// caching client has acknowledged (§4).
 func (p *Peer) sendAck(rq callbackReq, invalidated bool) {
-	if p.outbox != nil {
-		p.stats.Inc(sim.CtrOutboxAcks)
-		p.outbox.addAck(rq.Server, callbackAck{OpID: rq.OpID, Client: p.name, Invalidated: invalidated})
-		return
-	}
 	_ = p.sendFF(transport.Message{
 		From: p.name, To: rq.Server, Kind: kindCallbackAck,
 		Payload: callbackAck{OpID: rq.OpID, Client: p.name, Invalidated: invalidated},

@@ -226,10 +226,8 @@ func (p *Peer) noticeEvictions(evs []buffer.Eviction) {
 			// client no longer holds the bytes.
 			p.flushPurges(owner)
 		}
-		// A record-less purge keeps its ride-only piggyback semantics even
-		// under Config.Batch: it waits in purgeQ for the next message to
-		// this owner (including any ack/release deadline flush), exactly as
-		// in the unbatched protocol.
+		// A record-less purge is ride-only: it waits in purgeQ for the next
+		// message to this owner, since nobody blocks on it.
 	}
 }
 
@@ -694,14 +692,6 @@ func (t *Tx) finish(commit bool, recs []wal.Record, sc obs.SpanContext) {
 	for _, owner := range t.inner.SpreadSet() {
 		if owner == p.name {
 			_, _ = p.srvFinish(p.name, sc, finishReq{Tx: t.id, Commit: commit})
-			continue
-		}
-		if p.outbox != nil && !t.inner.Wrote(owner) {
-			// Read-only owner: the transaction shipped no log records there,
-			// so finishing is exactly a lock release — no fate to record, no
-			// commit force. A coalesced release notice replaces the finish
-			// round trip (and the spurious log force at the owner).
-			p.sendRelease(t.id, owner, sc)
 			continue
 		}
 		if _, err := p.call(owner, sc, finishReq{Tx: t.id, Commit: commit}); err != nil {

@@ -92,16 +92,6 @@ type Config struct {
 	// (the simplified algorithm of §4.3.1). For the ablation benchmark.
 	PropagateSHPage bool
 
-	// Batch enables the per-destination outbox: callback acks, release
-	// notices, and purge notices coalesce into the next message bound for
-	// the same peer (or a deadline flush when no message comes along).
-	// Off by default — the protocol's message pattern is then bit-identical
-	// to the pre-outbox system.
-	Batch bool
-	// BatchFlushDelay bounds how long a coalesced notice may wait for a
-	// message to ride; a deadline flush sends a dedicated message when it
-	// expires. Default 2ms when Batch is set.
-	BatchFlushDelay time.Duration
 	// GroupCommit absorbs concurrent WAL forces at each owner into one
 	// log-disk write (group commit). Off by default.
 	GroupCommit bool
@@ -198,9 +188,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FixedTimeout == 0 {
 		c.FixedTimeout = 2 * time.Second
-	}
-	if c.Batch && c.BatchFlushDelay == 0 {
-		c.BatchFlushDelay = 2 * time.Millisecond
 	}
 	if c.GroupCommit && c.GroupCommitWindow == 0 {
 		c.GroupCommitWindow = time.Millisecond

@@ -496,49 +496,19 @@ func scenarioWriteBackError(t *testing.T, add func(*sim.Stats)) {
 	add(tc.sys.Stats())
 }
 
-// scenarioBatching runs a cluster with message coalescing and WAL group
-// commit enabled, driving the outbox counters (acks, releases, carried
-// ride-alongs, deadline flushes) and the group-commit force/join counters.
+// scenarioBatching runs a cluster with WAL group commit enabled, driving
+// the group-commit force/join counters.
 func scenarioBatching(t *testing.T, add func(*sim.Stats)) {
 	tc := newCluster(t, PSAA, 2, 10, func(c *Config) {
-		c.Batch = true
-		c.BatchFlushDelay = time.Millisecond
 		c.GroupCommit = true
 		c.GroupCommitWindow = time.Millisecond
 	})
-	a, b := tc.clients[0], tc.clients[1]
+	a := tc.clients[0]
 	stats := tc.sys.Stats()
 
-	// A committed read at a remote owner finishes via a coalesced release
-	// notice instead of a finish round trip; with no follow-up traffic the
-	// last notice drains on the deadline flush.
-	x := a.Begin()
-	readVal(t, x, objID(0, 0))
-	mustCommit(t, x)
-	waitForCounter(t, stats, sim.CtrOutboxReleases, 1, 5*time.Second)
-	waitForCounter(t, stats, sim.CtrOutboxFlushes, 1, 5*time.Second)
-
-	// Commit-then-read again: each commit queues a release and the next
-	// read gives it a message to ride (retry a few times in case the
-	// deadline flush wins the race).
-	for i := 0; i < 50 && stats.Get(sim.CtrOutboxCarried) == 0; i++ {
-		y := a.Begin()
-		readVal(t, y, objID(uint32(1+i%8), 0))
-		mustCommit(t, y)
-	}
-	if stats.Get(sim.CtrOutboxCarried) == 0 {
-		t.Error("no coalesced notice ever rode an outgoing request")
-	}
-
-	// A write to a page cached at b triggers a callback; b's ack travels
-	// through the outbox (deadline flush — b sends nothing else).
-	warm := b.Begin()
-	readVal(t, warm, objID(9, 0))
-	mustCommit(t, warm)
 	w := a.Begin()
 	writeVal(t, w, objID(9, 0), "v")
 	mustCommit(t, w)
-	waitForCounter(t, stats, sim.CtrOutboxAcks, 1, 5*time.Second)
 
 	// w's commit forced records through the group committer (a cohort of
 	// one still counts as a led force). Drive the log directly for a

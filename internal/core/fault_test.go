@@ -306,13 +306,10 @@ func runFaultCell(t *testing.T, kind string, proto Protocol, txsPerClient int, t
 	if tuned {
 		opts = append(opts, resilientCfg, func(c *Config) { c.Faults = plan })
 	}
-	// FAULT_BATCH=on runs the cell with message coalescing and WAL group
-	// commit enabled: the batching fast paths must survive the same faults
-	// as the base protocol.
+	// FAULT_BATCH=on runs the cell with WAL group commit enabled: shared
+	// log forces must survive the same faults as the base protocol.
 	if os.Getenv("FAULT_BATCH") == "on" {
 		opts = append(opts, func(c *Config) {
-			c.Batch = true
-			c.BatchFlushDelay = time.Millisecond
 			c.GroupCommit = true
 			c.GroupCommitWindow = time.Millisecond
 		})

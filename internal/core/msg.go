@@ -93,19 +93,11 @@ type purgeNotice struct {
 // notices. Span is the sender-side RPC span: the receiver parents its
 // serve span under it, joining the two sites' trace lanes into one causal
 // tree. It is the zero value when observability is off.
-//
-// Acks and Rels are the outbox's coalesced notices (Config.Batch): callback
-// acks and release notices bound for the same destination that hitched a
-// ride on this message instead of travelling alone. They are applied by the
-// receiver before the request body is served, preserving the order the
-// per-path FIFO would have given dedicated messages.
 type rpcEnvelope struct {
 	ReqID uint64
 	From  string
 	Span  obs.SpanContext
 	Pig   []purgeNotice
-	Acks  []callbackAck
-	Rels  []lock.TxID
 	Body  any
 }
 

@@ -245,10 +245,11 @@ func TestProtocolFingerprintParity(t *testing.T) {
 	}
 }
 
-// semanticParityCounters are the counters batching may never change: what
-// the protocol decided (commits, aborts, data touched, records shipped,
-// pages moved). The transport-shape counters (messages, disk writes, lock
-// waits) are deliberately excluded — changing those is batching's job.
+// semanticParityCounters are the counters group commit (and the transport
+// swap) may never change: what the protocol decided (commits, aborts, data
+// touched, records shipped, pages moved). The shape counters (messages,
+// disk writes, lock waits) are deliberately excluded — sharing log-disk
+// writes is group commit's job.
 var semanticParityCounters = []string{
 	sim.CtrCommits,
 	sim.CtrAborts,
@@ -259,20 +260,16 @@ var semanticParityCounters = []string{
 	sim.CtrPageTransfers,
 }
 
-// TestBatchingSemanticParity runs the reference script with message
-// coalescing and WAL group commit switched on and compares it against the
-// default run. The batched run must make the exact same protocol
-// decisions (semantic counters identical) with no more messages than the
-// unbatched one: coalescing replaces dedicated ack/release messages with
-// ride-alongs and deadline flushes, so the message count can only fall.
-// Together with TestProtocolFingerprintParity — which pins the DEFAULT
-// configuration, batching and all, to the pre-batching goldens — this
-// proves the optimization is off by default and semantically inert when
-// on.
+// TestBatchingSemanticParity runs the reference script with WAL group
+// commit switched on and compares it against the default run. The batched
+// run must make the exact same protocol decisions (semantic counters
+// identical) with no more messages than the unbatched one: group commit
+// shares log-disk writes and sends nothing. Together with
+// TestProtocolFingerprintParity — which pins the DEFAULT configuration to
+// the goldens — this proves the optimization is off by default and
+// semantically inert when on.
 func TestBatchingSemanticParity(t *testing.T) {
 	batchCfg := func(c *Config) {
-		c.Batch = true
-		c.BatchFlushDelay = time.Millisecond
 		c.GroupCommit = true
 		c.GroupCommitWindow = time.Millisecond
 	}
@@ -290,7 +287,7 @@ func TestBatchingSemanticParity(t *testing.T) {
 				t.Errorf("batching grew the message count: %d batched > %d unbatched",
 					batched[sim.CtrMessages], base[sim.CtrMessages])
 			}
-			t.Logf("%s: %d -> %d messages with coalescing on",
+			t.Logf("%s: %d -> %d messages with group commit on",
 				proto, base[sim.CtrMessages], batched[sim.CtrMessages])
 		})
 	}

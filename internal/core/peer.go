@@ -45,10 +45,6 @@ type Peer struct {
 	cs *clientState
 	ct *copyTable
 
-	// outbox coalesces small fire-and-forget notices per destination; nil
-	// unless Config.Batch.
-	outbox *outbox
-
 	mu         sync.Mutex
 	nextReq    uint64
 	pendingRPC map[uint64]chan rpcReply
@@ -178,9 +174,6 @@ func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols 
 				p.mu.Unlock()
 				return int64(n)
 			})
-	}
-	if cfg.Batch {
-		p.outbox = newOutbox(cfg.BatchFlushDelay, s.stats, p.flushCoalesced)
 	}
 	for _, v := range vols {
 		p.volumes[v.ID] = v
@@ -324,7 +317,6 @@ func (p *Peer) handle(m transport.Message) {
 			}
 			return
 		}
-		p.applyCoalesced(env)
 		p.processPiggyback(env.From, env.Pig)
 		p.cpu.Use(p.cfg.Costs.LockCPU)
 		// The serve span joins this site's lane to the sender's RPC span.
@@ -401,24 +393,8 @@ func (p *Peer) handle(m transport.Message) {
 			p.stats.Inc(sim.CtrDupSuppressed)
 			return
 		}
-		p.applyCoalesced(env)
 		p.processPiggyback(env.From, env.Pig)
 		p.dedupComplete(env.From, env.ReqID, noReply)
-	}
-}
-
-// applyCoalesced applies the outbox notices riding an envelope, before its
-// body (if any) is served: callback acks are routed to their operations and
-// release notices drop finished transactions' replicated locks, exactly as
-// their dedicated messages would have.
-func (p *Peer) applyCoalesced(env *rpcEnvelope) {
-	for i := range env.Acks {
-		a := env.Acks[i]
-		p.routeCallbackEvent(a.OpID, cbEvent{ack: &a})
-	}
-	for _, txid := range env.Rels {
-		p.markFinished(txid)
-		p.locks.ReleaseAll(txid)
 	}
 }
 
@@ -466,14 +442,7 @@ func (p *Peer) call(dest string, sc obs.SpanContext, body any) (any, error) {
 		p.stats.Add(sim.CtrPurgeSent, int64(len(pig)))
 	}
 	env := &rpcEnvelope{ReqID: id, From: p.name, Span: rsc, Pig: pig, Body: body}
-	batch := 0
-	if p.outbox != nil {
-		env.Acks, env.Rels = p.outbox.take(dest)
-		if batch = len(env.Acks) + len(env.Rels); batch > 0 {
-			p.stats.Add(sim.CtrOutboxCarried, int64(batch))
-		}
-	}
-	msg := transport.Message{From: p.name, To: dest, Kind: kindRequest, BatchItems: batch, Payload: env}
+	msg := transport.Message{From: p.name, To: dest, Kind: kindRequest, Payload: env}
 	var rpcStart time.Time
 	if p.obs.Active() {
 		rpcStart = time.Now()
@@ -530,12 +499,7 @@ func (p *Peer) call(dest string, sc obs.SpanContext, body any) (any, error) {
 
 // flushPurges sends queued purge notices to owner immediately (used when a
 // notice carries early log records that the owner should redo promptly).
-// With batching enabled the flush also drains the outbox for that owner.
 func (p *Peer) flushPurges(owner string) {
-	if p.outbox != nil {
-		p.flushCoalesced(owner)
-		return
-	}
 	pig := p.cs.takePurges(owner)
 	if len(pig) == 0 {
 		return
@@ -557,31 +521,6 @@ func (p *Peer) flushReqID() uint64 {
 	id := p.nextReq
 	p.mu.Unlock()
 	return id
-}
-
-// flushCoalesced drains the outbox backlog and purge queue for dest and
-// sends it as one dedicated message: the deadline flush for notices no
-// ride-along came along for, and the early-record purge flush under
-// batching. Fire-and-forget: when the send fails (dest crashed, fabric
-// closed) the notices are dropped, exactly as their dedicated sends would
-// have been — crash reclamation covers the rest.
-func (p *Peer) flushCoalesced(dest string) {
-	acks, rels := p.outbox.take(dest)
-	pig := p.cs.takePurges(dest)
-	if len(acks) == 0 && len(rels) == 0 && len(pig) == 0 {
-		return
-	}
-	if len(pig) > 0 {
-		p.stats.Add(sim.CtrPurgeSent, int64(len(pig)))
-	}
-	err := p.sendFF(transport.Message{
-		From: p.name, To: dest, Kind: kindPurgeFlush,
-		BatchItems: len(acks) + len(rels),
-		Payload:    &rpcEnvelope{ReqID: p.flushReqID(), From: p.name, Pig: pig, Acks: acks, Rels: rels},
-	})
-	if err == nil {
-		p.stats.Inc(sim.CtrOutboxFlushes)
-	}
 }
 
 // processPiggyback applies purge notices received from a client: drop the
@@ -674,14 +613,8 @@ func (p *Peer) takeReplicated(txid lock.TxID) []string {
 	return out
 }
 
-// sendRelease asks owner to drop txid's locks — a fire-and-forget RPC, or
-// a coalesced release notice when batching is on.
+// sendRelease asks owner to drop txid's locks — a fire-and-forget RPC.
 func (p *Peer) sendRelease(txid lock.TxID, owner string, sc obs.SpanContext) {
-	if p.outbox != nil {
-		p.stats.Inc(sim.CtrOutboxReleases)
-		p.outbox.addRelease(owner, txid)
-		return
-	}
 	_, _ = p.call(owner, sc, releaseReq{Tx: txid})
 }
 

@@ -26,10 +26,10 @@ func tcpCfg(c *Config) {
 
 // TestTCPSemanticParity is the acceptance gate for the transport swap: the
 // reference script over real sockets must reproduce the simulated run's
-// semantic counter fingerprint exactly — the same counters the batching
-// parity test pins. The fault-free script loses no frames, so the full
-// message and page-transfer counts must match too, not just the protocol
-// decisions.
+// semantic counter fingerprint exactly — the same counters the
+// group-commit parity test (TestBatchingSemanticParity) pins. The
+// fault-free script loses no frames, so the full message and page-transfer
+// counts must match too, not just the protocol decisions.
 func TestTCPSemanticParity(t *testing.T) {
 	for _, proto := range []Protocol{PSOA, PSAA} {
 		proto := proto

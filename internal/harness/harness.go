@@ -66,11 +66,6 @@ type Platform struct {
 	// cluster and reports its verdict in Result.AuditViolations. Implies
 	// Observe.
 	Audit bool
-	// Batch enables per-destination message coalescing (callback acks,
-	// lock-release notices, and purge piggybacks ride the next message on
-	// the same path). Off by default: figure outputs stay bit-identical to
-	// the unbatched protocol.
-	Batch bool
 	// GroupCommit absorbs concurrent log forces at each owner into shared
 	// disk writes within a bounded wait window. Off by default.
 	GroupCommit bool
@@ -197,17 +192,13 @@ func buildCluster(exp Experiment, plat Platform) (*cluster, error) {
 		PropagateSHPage: exp.PropagateSHPage,
 		Faults:          exp.Faults,
 		Obs:             obs.Config{Enabled: plat.observing()},
-		Batch:           plat.Batch,
 		GroupCommit:     plat.GroupCommit,
 	}
-	// The coalescing flush deadline and group-commit window are paper-time
-	// quantities: 2ms and 1ms at paper speed (2x and 1x the network message
-	// cost), scaled like every other cost so batching absorbs the same
-	// amount of traffic at any TimeScale. Left at the core defaults they
-	// would dwarf a scaled-down run's message costs and throttle it.
-	if plat.Batch {
-		cfg.BatchFlushDelay = scaledWindow(2*time.Millisecond, plat.TimeScale)
-	}
+	// The group-commit window is a paper-time quantity: 1ms at paper speed
+	// (the network message cost), scaled like every other cost so group
+	// commit absorbs the same number of forces at any TimeScale. Left at
+	// the core default it would dwarf a scaled-down run's message costs and
+	// throttle it.
 	if plat.GroupCommit {
 		cfg.GroupCommitWindow = scaledWindow(time.Millisecond, plat.TimeScale)
 	}
@@ -308,7 +299,7 @@ func buildCluster(exp Experiment, plat Platform) (*cluster, error) {
 }
 
 // scaledWindow converts a paper-time batching window to wall clock at the
-// given TimeScale, floored at 50µs so a very fast run still batches
+// given TimeScale, floored at 150µs so a very fast run still batches
 // instead of degenerating into per-item timer churn.
 func scaledWindow(paper time.Duration, timeScale float64) time.Duration {
 	w := time.Duration(float64(paper) * timeScale)
@@ -585,7 +576,6 @@ func (a *app) stopped() bool {
 
 func (a *app) run() {
 	defer close(a.done)
-	dir := a.sys.Directory()
 	val := make([]byte, 8)
 	for !a.stopped() {
 		trans := a.gen.Next()
@@ -608,7 +598,6 @@ func (a *app) run() {
 			}
 		}
 	}
-	_ = dir
 }
 
 func (a *app) execute(x *core.Tx, trans workload.Transaction, val []byte) error {

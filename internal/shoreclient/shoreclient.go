@@ -70,11 +70,6 @@ type Options struct {
 	// RPCTimeout bounds each request attempt; retry/dedup recovers frames
 	// lost to socket teardown. Zero takes core's default (500ms).
 	RPCTimeout time.Duration
-	// Batch enables per-destination message coalescing on the client side.
-	Batch bool
-	// BatchFlushDelay bounds a coalesced notice's wait (default 2ms when
-	// Batch is set).
-	BatchFlushDelay time.Duration
 	// Obs enables the observability subsystem on the client-side system:
 	// latency histograms, trace rings, and the TCP fabric's per-path
 	// telemetry, all reachable through System().Obs() for snapshot export.
@@ -153,8 +148,6 @@ func Connect(opts Options) (*Client, error) {
 		AdaptiveTimeout: false,
 		FixedTimeout:    5 * time.Second,
 		RPCTimeout:      opts.RPCTimeout,
-		Batch:           opts.Batch,
-		BatchFlushDelay: opts.BatchFlushDelay,
 		Obs:             obs.Config{Enabled: opts.Obs},
 		Transport: transport.TCPFactory(transport.TCPOptions{
 			Remotes: remotes,

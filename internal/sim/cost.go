@@ -43,13 +43,6 @@ type CostTable struct {
 	// that carry a whole page.
 	PerPageExtra time.Duration
 
-	// PerBatchItem is the additional CPU demand, at each end, for each
-	// notice coalesced into a message by the outbox (piggybacked purges,
-	// callback acks, release notices). Far below MsgCPU: marshaling one
-	// more notice into an already-paid-for message is cheap, which is the
-	// entire premise of coalescing.
-	PerBatchItem time.Duration
-
 	// DiskIO is the service time of one page read or write at a disk.
 	DiskIO time.Duration
 
@@ -68,7 +61,6 @@ func DefaultCosts(scale float64) CostTable {
 		PerObjProc:   2 * time.Millisecond,
 		MsgCPU:       200 * time.Microsecond,
 		PerPageExtra: 300 * time.Microsecond,
-		PerBatchItem: 20 * time.Microsecond,
 		DiskIO:       8 * time.Millisecond,
 		LockCPU:      30 * time.Microsecond,
 	}

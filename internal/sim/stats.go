@@ -55,11 +55,7 @@ const (
 	CtrFaultDelays     = "fault_delays"      // messages delayed/reordered by fault injection
 	CtrCrashDrops      = "crash_drops"       // sends refused because an endpoint was crashed
 
-	// Outbox coalescing and WAL group commit (internal/core, internal/wal).
-	CtrOutboxAcks     = "outbox_acks"      // callback acks routed through the outbox
-	CtrOutboxReleases = "outbox_releases"  // release notices routed through the outbox
-	CtrOutboxCarried  = "outbox_carried"   // coalesced notices that rode an existing message
-	CtrOutboxFlushes  = "outbox_flushes"   // deadline flushes that sent a dedicated message
+	// WAL group commit (internal/wal).
 	CtrWALGroupForces = "wal_group_forces" // log forces actually issued by the group committer
 	CtrWALGroupJoins  = "wal_group_joins"  // log forces absorbed into another committer's force
 
@@ -100,7 +96,6 @@ var CanonicalCounters = []string{
 	CtrNetDrops, CtrWriteBackErrors, CtrRetries, CtrTimeoutsFired,
 	CtrDupSuppressed, CtrCrashRecoveries, CtrFaultDrops, CtrFaultDups,
 	CtrFaultDelays, CtrCrashDrops,
-	CtrOutboxAcks, CtrOutboxReleases, CtrOutboxCarried, CtrOutboxFlushes,
 	CtrWALGroupForces, CtrWALGroupJoins,
 	CtrTCPConns, CtrTCPReconnects,
 	CtrAdvisorEscSuppressed, CtrAdvisorObjectGrainCB, CtrAdvisorPageGrainWrites,

@@ -380,9 +380,6 @@ func (t *TCP) msgCost(msg Message) time.Duration {
 	if msg.CarriesPage {
 		cost += t.costs.PerPageExtra
 	}
-	if msg.BatchItems > 0 {
-		cost += time.Duration(msg.BatchItems) * t.costs.PerBatchItem
-	}
 	return cost
 }
 

@@ -31,11 +31,7 @@ type Message struct {
 	To          string
 	Kind        string
 	CarriesPage bool
-	// BatchItems counts notices coalesced into this message by the sender's
-	// outbox (piggybacked purges, acks, releases). Each one costs
-	// PerBatchItem of CPU at both ends — far less than a message of its own.
-	BatchItems int
-	Payload    any
+	Payload     any
 }
 
 // Handler receives delivered messages. Each delivery runs in its own
@@ -171,9 +167,6 @@ func (n *Network) pump(p *path, dst *node) {
 			if m.CarriesPage {
 				cost += n.costs.PerPageExtra
 			}
-			if m.BatchItems > 0 {
-				cost += time.Duration(m.BatchItems) * n.costs.PerBatchItem
-			}
 			dst.cpu.Use(cost)
 			dst.handler(m)
 		}(msg)
@@ -223,9 +216,6 @@ func (n *Network) Send(msg Message, pathHint int) error {
 	if msg.CarriesPage {
 		cost += n.costs.PerPageExtra
 	}
-	if msg.BatchItems > 0 {
-		cost += time.Duration(msg.BatchItems) * n.costs.PerBatchItem
-	}
 	sender.cpu.Use(cost)
 
 	action := actDeliver
@@ -257,12 +247,15 @@ func (n *Network) Send(msg Message, pathHint int) error {
 		idx = n.rng.Intn(len(ps))
 		n.rngMu.Unlock()
 	}
+	// Counted before the enqueue: once the message is on its path the
+	// receiver may answer, and the answer's reader may look at the
+	// counters, before this goroutine runs again.
+	n.stats.Inc(sim.CtrMessages)
+	if msg.CarriesPage {
+		n.stats.Inc(sim.CtrPageTransfers)
+	}
 	select {
 	case ps[idx].ch <- msg:
-		n.stats.Inc(sim.CtrMessages)
-		if msg.CarriesPage {
-			n.stats.Inc(sim.CtrPageTransfers)
-		}
 		if action == actDup {
 			// Re-deliver the same message on the same path. Best-effort: a
 			// full path or a closing network forgoes the duplicate rather
@@ -279,6 +272,10 @@ func (n *Network) Send(msg Message, pathHint int) error {
 		}
 		return nil
 	case <-n.stopCh:
+		n.stats.Add(sim.CtrMessages, -1)
+		if msg.CarriesPage {
+			n.stats.Add(sim.CtrPageTransfers, -1)
+		}
 		n.stats.Inc(sim.CtrNetDrops)
 		return fmt.Errorf("%w: %s->%s dropped", ErrClosed, msg.From, msg.To)
 	}
@@ -308,9 +305,6 @@ func (n *Network) deliverDirect(msg Message, extra time.Duration) {
 		cost := n.costs.MsgCPU
 		if msg.CarriesPage {
 			cost += n.costs.PerPageExtra
-		}
-		if msg.BatchItems > 0 {
-			cost += time.Duration(msg.BatchItems) * n.costs.PerBatchItem
 		}
 		dst.cpu.Use(cost)
 		dst.handler(msg)

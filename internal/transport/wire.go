@@ -42,8 +42,10 @@ const (
 	// both ends refuse mismatched frames instead of misparsing them.
 	// Version 1 carried one self-contained gob stream per frame; version 2
 	// frames are segments of a per-connection stream, which a v1 peer
-	// cannot decode (and vice versa).
-	wireVersion = 2
+	// cannot decode (and vice versa). Version 3 drops the coalesced-notice
+	// fields from the request envelope: gob would let a v2 peer's acks
+	// vanish silently at a v3 receiver, so the hello refuses it instead.
+	wireVersion = 3
 
 	// wireHeaderSize is the fixed frame header: length + version + crc.
 	wireHeaderSize = 4 + 1 + 4

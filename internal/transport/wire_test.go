@@ -99,22 +99,26 @@ func init() {
 	RegisterWireType(latePayload{})
 }
 
-// TestFrameVersionPinned pins the wire version: a frame stamped with the
-// previous version is refused by the header check alone, before a single
-// payload byte is read — let alone shown to a decoder.
+// TestFrameVersionPinned pins the wire version: a frame stamped with an
+// earlier version is refused by the header check alone, before a single
+// payload byte is read — let alone shown to a decoder. Version 2 matters
+// most: its envelopes could carry coalesced acks that gob would drop
+// without a word at a version-3 receiver.
 func TestFrameVersionPinned(t *testing.T) {
-	if wireVersion != 2 {
-		t.Fatalf("wireVersion = %d, want 2 (bump deliberately, with the peers)", wireVersion)
+	if wireVersion != 3 {
+		t.Fatalf("wireVersion = %d, want 3 (bump deliberately, with the peers)", wireVersion)
 	}
-	v1 := appendFrame(nil, []byte("self-contained v1 gob stream"))
-	v1[4] = 1
-	src := bytes.NewReader(v1)
-	msg, err := NewStreamDecoder(src).Decode()
-	if !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("v1 frame: msg = %+v, err = %v, want ErrBadVersion", msg, err)
-	}
-	if got, want := src.Len(), len(v1)-wireHeaderSize; got != want {
-		t.Fatalf("decoder left %d bytes unread, want %d (the whole payload)", got, want)
+	for old := byte(1); old < wireVersion; old++ {
+		stale := appendFrame(nil, []byte("a payload only an older peer can read"))
+		stale[4] = old
+		src := bytes.NewReader(stale)
+		msg, err := NewStreamDecoder(src).Decode()
+		if !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("v%d frame: msg = %+v, err = %v, want ErrBadVersion", old, msg, err)
+		}
+		if got, want := src.Len(), len(stale)-wireHeaderSize; got != want {
+			t.Fatalf("v%d frame: decoder left %d bytes unread, want %d (the whole payload)", old, got, want)
+		}
 	}
 }
 
@@ -137,7 +141,7 @@ func TestStreamCodecRoundTrip(t *testing.T) {
 	var first, steady int
 	for i := 1; i <= 120; i++ {
 		in := Message{
-			From: "c1", To: "srv", Kind: "req", CarriesPage: i%2 == 0, BatchItems: i,
+			From: "c1", To: "srv", Kind: "req", CarriesPage: i%2 == 0,
 			Payload: fuzzPayload{N: i, S: "hello", B: []byte{1, 2, 3}},
 		}
 		if i >= 100 {

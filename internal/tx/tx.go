@@ -105,13 +105,6 @@ func (t *Tx) SpreadSet() []string {
 	return out
 }
 
-// Wrote reports whether owner holds updates of this transaction.
-func (t *Tx) Wrote(owner string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.wrote[owner]
-}
-
 // WroteSet lists the owners holding this transaction's updates, sorted.
 func (t *Tx) WroteSet() []string {
 	t.mu.Lock()

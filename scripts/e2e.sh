@@ -25,7 +25,7 @@
 #
 # usage: scripts/e2e.sh smoke
 #            quick local check: PS-AA, small tx counts, no race detector
-#        scripts/e2e.sh matrix <protocol> <batch on|off>
+#        scripts/e2e.sh matrix <protocol>
 #            one CI matrix cell: HOTCOLD and HOTSPOT against one server
 #        scripts/e2e.sh shards [protocol]
 #            2-shard fleet cell: cross-shard 2PC + fleet-completeness gate
@@ -44,19 +44,16 @@ mode=${1:-smoke}
 case "$mode" in
 smoke)
     protocol=PS-AA
-    batch=off
     ;;
 matrix)
-    [ $# -ge 3 ] || { echo "usage: $0 matrix <protocol> <batch on|off>" >&2; exit 2; }
+    [ $# -ge 2 ] || { echo "usage: $0 matrix <protocol>" >&2; exit 2; }
     protocol=$2
-    batch=$3
     ;;
 shards | shardcrash)
     protocol=${2:-PS-AA}
-    batch=off
     ;;
 *)
-    echo "usage: $0 smoke | matrix <protocol> <batch on|off> | shards [protocol] | shardcrash [protocol]" >&2
+    echo "usage: $0 smoke | matrix <protocol> | shards [protocol] | shardcrash [protocol]" >&2
     exit 2
     ;;
 esac
@@ -68,11 +65,6 @@ mkdir -p "$out"
 buildflags=""
 if [ "${E2E_RACE:-}" = "1" ]; then
     buildflags="-race"
-fi
-
-batchflag=""
-if [ "$batch" = "on" ]; then
-    batchflag="-batch"
 fi
 
 echo "== building shored, shorecli, and shorectl ${buildflags:+($buildflags)}"
@@ -277,10 +269,9 @@ addrfile=$out/shored.addr
 metricsfile=$out/shored.metrics
 rm -f "$addrfile" "$metricsfile"
 
-echo "== starting shored ($protocol, batch=$batch, obs on)"
-# shellcheck disable=SC2086
+echo "== starting shored ($protocol, obs on)"
 "$out/shored" -addr 127.0.0.1:0 -addr-file "$addrfile" \
-    -protocol "$protocol" $batchflag \
+    -protocol "$protocol" \
     -obs -metrics 127.0.0.1:0 -metrics-addr-file "$metricsfile" \
     -traceout "$out/shored-trace.json" -critpath "$out/shored-critpath.txt" \
     >"$out/shored.log" 2>&1 &
@@ -329,12 +320,12 @@ metrics_addr=$(cat "$metricsfile")
 echo "== shored introspection on $metrics_addr"
 
 echo "== HOTCOLD workload over TCP (obs on, snapshot on exit)"
-"$out/shorecli" -addr "$addr" -protocol "$protocol" $batchflag \
+"$out/shorecli" -addr "$addr" -protocol "$protocol" \
     -workload hotcold -apps 2 -txs "$txs" -name-prefix c \
     -obs -snapshot-out "$out/shorecli-c.snap"
 
 echo "== HOTSPOT workload over TCP (obs on, snapshot on exit)"
-"$out/shorecli" -addr "$addr" -protocol "$protocol" $batchflag \
+"$out/shorecli" -addr "$addr" -protocol "$protocol" \
     -workload hotspot -apps 2 -txs "$txs" -name-prefix d \
     -obs -snapshot-out "$out/shorecli-d.snap"
 
@@ -366,4 +357,4 @@ grep -q "final counters" "$out/shored.log" || {
     exit 1
 }
 
-echo "== e2e OK ($protocol, batch=$batch); merged fleet trace, critpath, and logs in $out/"
+echo "== e2e OK ($protocol); merged fleet trace, critpath, and logs in $out/"
