@@ -30,6 +30,11 @@ type Tx struct {
 
 	mu        sync.Mutex
 	writePerm map[storage.ItemID]bool // objects with standing server EX permission
+	// chainParent is the parent of the last item under which lockImplicit
+	// took a full ancestor chain, and chainIntent the intention mode the
+	// chain was taken in (NL before the first one).
+	chainParent storage.ItemID
+	chainIntent lock.Mode
 }
 
 // Begin starts a transaction at this peer.
@@ -45,6 +50,33 @@ func (t *Tx) ID() lock.TxID { return t.id }
 // system-wide granularity is the page.
 func (t *Tx) lockTarget(obj storage.ItemID) storage.ItemID {
 	return t.p.policy.LockTarget(obj)
+}
+
+// lockImplicit takes the local lock Read and Write imply on target. The
+// ancestor chain is locked once per run of accesses under one parent: when
+// the previous full chain was taken under the same parent in an intention
+// mode covering the one this access needs, the ancestors are already held
+// and only target itself is locked. The memo states a fact that stays true
+// until finish — a transaction's local locks are released only there, and
+// nothing weakens its own ancestor locks between its operations — so it is
+// recorded after a successful Lock only, and a stronger intention (a write
+// after reads on the page, IS→IX) takes the full chain again.
+func (t *Tx) lockImplicit(target storage.ItemID, mode lock.Mode, sc obs.SpanContext) error {
+	parent, _ := target.Parent()
+	intent := lock.IntentionFor(mode)
+	t.mu.Lock()
+	skip := t.chainParent == parent && lock.Covers(t.chainIntent, intent)
+	t.mu.Unlock()
+	opt := lock.Options{Timeout: t.p.waitTimeout(), Span: sc, SkipAncestors: skip}
+	if err := t.p.locks.Lock(t.id, target, mode, opt); err != nil {
+		return err
+	}
+	if !skip {
+		t.mu.Lock()
+		t.chainParent, t.chainIntent = parent, intent
+		t.mu.Unlock()
+	}
+	return nil
 }
 
 // Read returns the current value of an object. Cached available objects
@@ -78,7 +110,7 @@ func (t *Tx) Read(obj storage.ItemID) ([]byte, error) {
 
 	// Local lock first (§4.1.1), so that a concurrent callback cannot
 	// invalidate the object between the cache check and the read.
-	if err := p.locks.Lock(t.id, target, lock.SH, lock.Options{Timeout: p.waitTimeout(), Span: sc}); err != nil {
+	if err := t.lockImplicit(target, lock.SH, sc); err != nil {
 		return nil, err
 	}
 
@@ -271,7 +303,7 @@ func (t *Tx) Write(obj storage.ItemID, data []byte) error {
 		target = pageID
 	}
 
-	if err := p.locks.Lock(t.id, target, lock.EX, lock.Options{Timeout: p.waitTimeout(), Span: sc}); err != nil {
+	if err := t.lockImplicit(target, lock.EX, sc); err != nil {
 		return err
 	}
 

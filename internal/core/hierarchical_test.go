@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -209,4 +211,76 @@ func TestConcurrentDummyAndObjectCallbacks(t *testing.T) {
 		}
 	}
 	mustCommit(t, x)
+}
+
+// TestImplicitLockChainHeldItems pins what Read and Write leave in the local
+// lock table when the ancestor chain is taken once per run of accesses
+// under one parent (Tx.lockImplicit): after every operation the
+// transaction must hold exactly what locking every access with its full
+// chain would have left — in particular a write after reads on the same
+// page must lift the whole chain from IS to IX, which a memo that looked
+// at the parent alone would skip. Under PS the locked item is the page, so
+// the remembered parent is the file.
+func TestImplicitLockChainHeldItems(t *testing.T) {
+	vol, file := storage.VolumeItem(1), storage.FileItem(1, 1)
+	p0, p1 := pageID(0), pageID(1)
+	a, b, c, e, d := objID(0, 0), objID(0, 1), objID(0, 2), objID(0, 3), objID(1, 0)
+	type held = map[storage.ItemID]lock.Mode
+	type step struct {
+		write   bool
+		obj     storage.ItemID
+		changes held // what the operation adds to or raises in the held set
+	}
+	for _, pc := range []struct {
+		proto Protocol
+		steps []step
+	}{
+		{PSAA, []step{
+			{false, a, held{vol: lock.IS, file: lock.IS, p0: lock.IS, a: lock.SH}},
+			{false, b, held{b: lock.SH}},
+			{true, c, held{vol: lock.IX, file: lock.IX, p0: lock.IX, c: lock.EX}},
+			{false, d, held{p1: lock.IS, d: lock.SH}},
+			{false, e, held{e: lock.SH}},
+		}},
+		{PS, []step{
+			{false, a, held{vol: lock.IS, file: lock.IS, p0: lock.SH}},
+			{false, b, held{}},
+			{true, c, held{vol: lock.IX, file: lock.IX, p0: lock.EX}},
+			{false, d, held{p1: lock.SH}},
+			{false, e, held{}},
+		}},
+	} {
+		for _, commit := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/commit=%v", pc.proto, commit), func(t *testing.T) {
+				tc := newCluster(t, pc.proto, 1, 4)
+				cl := tc.clients[0]
+				x := cl.Begin()
+				want := held{}
+				for i, st := range pc.steps {
+					if st.write {
+						writeVal(t, x, st.obj, "v")
+					} else {
+						readVal(t, x, st.obj)
+					}
+					for id, mode := range st.changes {
+						want[id] = mode
+					}
+					if got := cl.Locks().HeldItems(x.ID()); !reflect.DeepEqual(got, want) {
+						t.Fatalf("after step %d (%v, write=%v): held %v, want %v", i, st.obj, st.write, got, want)
+					}
+				}
+				if commit {
+					mustCommit(t, x)
+				} else if err := x.Abort(); err != nil {
+					t.Fatal(err)
+				}
+				if n := cl.Locks().NumItems(); n != 0 {
+					t.Errorf("client lock table holds %d items after finish: %v", n, cl.Locks().LocksWithin(vol))
+				}
+				if n := tc.srv.Locks().NumItems(); n != 0 {
+					t.Errorf("server lock table holds %d items after finish: %v", n, tc.srv.Locks().LocksWithin(vol))
+				}
+			})
+		}
+	}
 }

@@ -66,8 +66,8 @@ func (m *Manager) blockersOf(r *request) []TxID {
 	if r.done {
 		return nil
 	}
-	h, ok := s.items[r.item]
-	if !ok {
+	h := s.lookupLocked(r.item)
+	if h == nil {
 		return nil
 	}
 	var out []TxID

@@ -93,6 +93,7 @@ type Manager struct {
 
 type head struct {
 	id      storage.ItemID
+	node    *pageNode // the page node a page/object head hangs from; nil above page level
 	granted map[TxID]*grantEntry
 	queue   []*request
 }
@@ -276,7 +277,7 @@ func (m *Manager) await(req *request, timeout time.Duration) error {
 		return ErrTimeout
 	}
 	req.done = true
-	h := s.items[req.item]
+	h := s.lookupLocked(req.item)
 	removeRequestLocked(h, req)
 	m.removeWaiter(req)
 	m.processQueueLocked(s, h)
@@ -313,7 +314,7 @@ func (m *Manager) installLocked(s *shard, h *head, tx TxID, mode Mode) {
 	if g == nil {
 		g = s.newGrantLocked(tx)
 		h.granted[tx] = g
-		m.indexLocked(s, tx, h.id, g)
+		m.indexLocked(s, tx, h, g)
 	}
 	g.mode = mode
 }
@@ -376,8 +377,8 @@ func (m *Manager) Unlock(tx TxID, item storage.ItemID) {
 	s := m.shardOf(item)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.items[item]
-	if !ok {
+	h := s.lookupLocked(item)
+	if h == nil {
 		return
 	}
 	g, held := h.granted[tx]
@@ -385,7 +386,7 @@ func (m *Manager) Unlock(tx TxID, item storage.ItemID) {
 		return
 	}
 	delete(h.granted, tx)
-	m.unindexLocked(s, tx, item)
+	m.unindexLocked(s, tx, h)
 	s.freeGrantLocked(g)
 	m.processQueueLocked(s, h)
 }
@@ -396,8 +397,8 @@ func (m *Manager) Downgrade(tx TxID, item storage.ItemID, to Mode) error {
 	s := m.shardOf(item)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.items[item]
-	if !ok {
+	h := s.lookupLocked(item)
+	if h == nil {
 		return fmt.Errorf("lock: downgrade of unheld item %v", item)
 	}
 	g, held := h.granted[tx]
@@ -409,7 +410,7 @@ func (m *Manager) Downgrade(tx TxID, item storage.ItemID, to Mode) error {
 	}
 	if to == NL {
 		delete(h.granted, tx)
-		m.unindexLocked(s, tx, item)
+		m.unindexLocked(s, tx, h)
 		s.freeGrantLocked(g)
 	} else {
 		g.mode = to
@@ -447,27 +448,24 @@ func (m *Manager) ReleaseAll(tx TxID) {
 		mask &^= 1 << i
 		s := &m.shards[i]
 		s.mu.Lock()
-		set, ok := s.byTx[tx]
-		if !ok {
+		set := s.byTx[tx]
+		if set == nil {
 			s.mu.Unlock()
 			continue
 		}
-		// Detach the index set up front (instead of snapshotting its keys
-		// into a fresh slice) so the release path does not allocate. Queue
-		// processing below may re-index a grant for this same transaction —
-		// into a fresh set — exactly as it could under the old snapshot.
+		// Detach the index set up front (instead of snapshotting it) so the
+		// release path does not allocate. Queue processing below may
+		// re-index a grant for this same transaction — into a fresh set. A
+		// listed head stays live until its entry here is processed: this
+		// transaction's grant is what holds it.
 		delete(s.byTx, tx)
 		m.dropTxShard(tx, s)
-		for id, g := range set {
-			h := s.items[id]
-			delete(h.granted, tx)
-			delete(set, id)
-			s.freeGrantLocked(g)
-			m.processQueueLocked(s, h)
+		for _, ref := range set.refs {
+			delete(ref.h.granted, tx)
+			s.freeGrantLocked(ref.g)
+			m.processQueueLocked(s, ref.h)
 		}
-		if len(s.setPool) < poolCap {
-			s.setPool = append(s.setPool, set)
-		}
+		s.freeSetLocked(set)
 		s.mu.Unlock()
 	}
 	m.CancelWaits(tx)
@@ -483,7 +481,7 @@ func (m *Manager) CancelWaits(tx TxID) {
 			continue
 		}
 		req.done = true
-		h := s.items[req.item]
+		h := s.lookupLocked(req.item)
 		removeRequestLocked(h, req)
 		m.removeWaiter(req)
 		req.ready <- ErrCanceled
@@ -497,7 +495,7 @@ func (m *Manager) HeldMode(tx TxID, item storage.ItemID) Mode {
 	s := m.shardOf(item)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h, ok := s.items[item]; ok {
+	if h := s.lookupLocked(item); h != nil {
 		if g, held := h.granted[tx]; held {
 			return g.mode
 		}
@@ -510,8 +508,8 @@ func (m *Manager) Holders(item storage.ItemID) []Holder {
 	s := m.shardOf(item)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.items[item]
-	if !ok {
+	h := s.lookupLocked(item)
+	if h == nil {
 		return nil
 	}
 	out := make([]Holder, 0, len(h.granted))
@@ -536,8 +534,8 @@ func (m *Manager) ConflictingInto(item storage.ItemID, mode Mode, tx TxID, out [
 	s := m.shardOf(item)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.items[item]
-	if !ok {
+	h := s.lookupLocked(item)
+	if h == nil {
 		return out
 	}
 	for other, g := range h.granted {
@@ -554,7 +552,7 @@ func (m *Manager) SetAdaptive(tx TxID, item storage.ItemID, v bool) {
 	s := m.shardOf(item)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h, ok := s.items[item]; ok {
+	if h := s.lookupLocked(item); h != nil {
 		if g, held := h.granted[tx]; held {
 			g.adaptive = v
 		}
@@ -566,7 +564,7 @@ func (m *Manager) IsAdaptive(tx TxID, item storage.ItemID) bool {
 	s := m.shardOf(item)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h, ok := s.items[item]; ok {
+	if h := s.lookupLocked(item); h != nil {
 		if g, held := h.granted[tx]; held {
 			return g.adaptive
 		}
@@ -579,8 +577,8 @@ func (m *Manager) AdaptiveHolders(item storage.ItemID) []TxID {
 	s := m.shardOf(item)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h, ok := s.items[item]
-	if !ok {
+	h := s.lookupLocked(item)
+	if h == nil {
 		return nil
 	}
 	var out []TxID
@@ -592,9 +590,7 @@ func (m *Manager) AdaptiveHolders(item storage.ItemID) []TxID {
 	return out
 }
 
-// HeldItems lists every item tx holds a lock on, with modes. Used when a
-// page is purged while in use (local locks must be replicated at the
-// server) and in tests.
+// HeldItems lists every item tx holds a lock on, with modes (for tests).
 func (m *Manager) HeldItems(tx TxID) map[storage.ItemID]Mode {
 	out := make(map[storage.ItemID]Mode)
 	mask := m.txShardMask(tx)
@@ -605,8 +601,10 @@ func (m *Manager) HeldItems(tx TxID) map[storage.ItemID]Mode {
 		mask &^= 1 << i
 		s := &m.shards[i]
 		s.mu.Lock()
-		for id, g := range s.byTx[tx] {
-			out[id] = g.mode
+		if set := s.byTx[tx]; set != nil {
+			for _, ref := range set.refs {
+				out[ref.h.id] = ref.g.mode
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -642,11 +640,6 @@ func (m *Manager) TxsBySite(site string) []TxID {
 // NumItems reports the number of live lock heads (for tests).
 func (m *Manager) NumItems() int {
 	n := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		n += len(s.items)
-		s.mu.Unlock()
-	}
+	m.forEachHead(func(*head) bool { n++; return true })
 	return n
 }

@@ -2,6 +2,9 @@ package lock
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -505,6 +508,194 @@ func TestLocksWithinScan(t *testing.T) {
 	// Objects of other pages are excluded.
 	if len(byItem[obj(2, 0)]) != 0 {
 		t.Error("scan leaked into another page")
+	}
+
+	// The same questions over seeded random histories, answered three ways.
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("random-%d", seed), func(t *testing.T) { scanEquivalence(t, seed) })
+	}
+}
+
+// held is one granted lock as the scans and the model name it.
+type held struct {
+	tx   TxID
+	item storage.ItemID
+}
+
+// scanEquivalence drives a random history of grants and releases at every
+// level — object locks with and without their ancestor chain, ForceGrant on
+// pages that have no head of their own, Unlock, Downgrade to NL, ReleaseAll —
+// over pages chosen to share one shard, and after every step requires the
+// table's three views to agree with each other and with a model of what was
+// granted: ForEachLock, LocksWithin at each scope, and HeldItems.
+//
+// Modes are picked so that a NoWait request can only fail at its object
+// (ancestors take IS/IX, pages and files are locked in IS/IX only), which
+// keeps the model exact without re-implementing the grant rule.
+func scanEquivalence(t *testing.T, seed int64) {
+	m := newTestManager()
+	rng := rand.New(rand.NewSource(seed))
+
+	// Three pages of file 1 and two of file 2 in one shard (so a byFile entry
+	// lists several nodes and unlinking has something to move), one more
+	// page of file 2 wherever it falls.
+	home := m.shardOf(storage.PageItem(1, 1, 0))
+	var pages []storage.ItemID
+	for file, want := uint32(1), 3; file <= 2; file, want = file+1, 2 {
+		for pg := uint32(0); want > 0; pg++ {
+			if id := storage.PageItem(1, file, pg); m.shardOf(id) == home {
+				pages = append(pages, id)
+				want--
+			}
+		}
+	}
+	pages = append(pages, storage.PageItem(1, 2, 7777))
+	const slots = 4
+	var objs []storage.ItemID
+	for _, pg := range pages {
+		for sl := uint16(0); sl < slots; sl++ {
+			objs = append(objs, storage.ObjectItem(pg.Vol, pg.File, pg.Page, sl))
+		}
+	}
+	files := []storage.ItemID{storage.FileItem(1, 1), storage.FileItem(1, 2)}
+	scopes := append(append(append([]storage.ItemID{storage.VolumeItem(1)}, files...), pages...), objs...)
+	txs := []TxID{txA, txB, txC, {Site: "D", Seq: 1}}
+
+	model := make(map[held]Mode)
+	grant := func(tx TxID, item storage.ItemID, mode Mode) {
+		k := held{tx, item}
+		model[k] = Supremum(model[k], mode)
+	}
+	grantChain := func(tx TxID, item storage.ItemID, mode Mode) {
+		for _, anc := range item.Ancestors() {
+			grant(tx, anc, IntentionFor(mode))
+		}
+	}
+
+	check := func(step int, what string) {
+		t.Helper()
+		all := make(map[held]Mode)
+		m.ForEachLock(func(in Info) bool {
+			k := held{in.Tx, in.Item}
+			if _, dup := all[k]; dup {
+				t.Fatalf("step %d (%s): ForEachLock reported %v twice", step, what, k)
+			}
+			all[k] = in.Mode
+			return true
+		})
+		if !reflect.DeepEqual(all, model) {
+			t.Fatalf("step %d (%s): ForEachLock = %v, model = %v", step, what, all, model)
+		}
+		for _, scope := range scopes {
+			want := make(map[held]Mode)
+			for k, mode := range all {
+				if scope.Contains(k.item) {
+					want[k] = mode
+				}
+			}
+			got := make(map[held]Mode)
+			infos := m.LocksWithin(scope)
+			for _, in := range infos {
+				got[held{in.Tx, in.Item}] = in.Mode
+			}
+			if len(infos) != len(got) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d (%s): LocksWithin(%v) = %v, want %v", step, what, scope, infos, want)
+			}
+		}
+		items := make(map[storage.ItemID]bool)
+		for _, tx := range txs {
+			want := make(map[storage.ItemID]Mode)
+			for k, mode := range all {
+				items[k.item] = true
+				if k.tx == tx {
+					want[k.item] = mode
+				}
+			}
+			if got := m.HeldItems(tx); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d (%s): HeldItems(%v) = %v, want %v", step, what, tx, got, want)
+			}
+		}
+		if n := m.NumItems(); n != len(items) {
+			t.Fatalf("step %d (%s): NumItems = %d, want %d", step, what, n, len(items))
+		}
+	}
+
+	for step := 0; step < 1500; step++ {
+		tx := txs[rng.Intn(len(txs))]
+		o := objs[rng.Intn(len(objs))]
+		target := scopes[1+rng.Intn(len(scopes)-1)] // anything below the volume
+		what := ""
+		switch rng.Intn(10) {
+		case 0, 1, 2: // object lock with its ancestor chain
+			mode := []Mode{SH, SH, EX}[rng.Intn(3)]
+			what = fmt.Sprintf("Lock(%v, %v, %v)", tx, o, mode)
+			err := m.Lock(tx, o, mode, Options{NoWait: true})
+			grantChain(tx, o, mode)
+			if err == nil {
+				grant(tx, o, mode)
+			} else if !errors.Is(err, ErrWouldBlock) {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case 3, 4: // object lock alone, as a callback thread takes it
+			mode := []Mode{SH, EX}[rng.Intn(2)]
+			what = fmt.Sprintf("Lock(%v, %v, %v, SkipAncestors)", tx, o, mode)
+			err := m.Lock(tx, o, mode, Options{NoWait: true, SkipAncestors: true})
+			if err == nil {
+				grant(tx, o, mode)
+			} else if !errors.Is(err, ErrWouldBlock) {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case 5: // intention lock on a page or a file
+			it := scopes[1+rng.Intn(len(files)+len(pages))]
+			mode := []Mode{IS, IX}[rng.Intn(2)]
+			what = fmt.Sprintf("Lock(%v, %v, %v)", tx, it, mode)
+			if err := m.Lock(tx, it, mode, Options{NoWait: true}); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			grantChain(tx, it, mode)
+			grant(tx, it, mode)
+		case 6: // replicated object lock; its page may have no head
+			what = fmt.Sprintf("ForceGrant(%v, %v, SH)", tx, o)
+			m.ForceGrant(tx, o, SH)
+			grant(tx, o, SH)
+		case 7:
+			what = fmt.Sprintf("Unlock(%v, %v)", tx, target)
+			m.Unlock(tx, target)
+			delete(model, held{tx, target})
+		case 8:
+			what = fmt.Sprintf("Downgrade(%v, %v, NL)", tx, target)
+			_, was := model[held{tx, target}]
+			if err := m.Downgrade(tx, target, NL); (err == nil) != was {
+				t.Fatalf("%s: err = %v, held = %v", what, err, was)
+			}
+			delete(model, held{tx, target})
+		case 9:
+			what = fmt.Sprintf("ReleaseAll(%v)", tx)
+			m.ReleaseAll(tx)
+			for k := range model {
+				if k.tx == tx {
+					delete(model, k)
+				}
+			}
+		}
+		check(step, what)
+	}
+
+	for _, tx := range txs {
+		m.ReleaseAll(tx)
+	}
+	if n := m.NumItems(); n != 0 {
+		t.Errorf("NumItems = %d after every ReleaseAll, want 0", n)
+	}
+	for i := range m.shards {
+		s := &m.shards[i]
+		if len(s.items)+len(s.pages)+len(s.byFile)+len(s.byTx) != 0 {
+			t.Errorf("shard %d leaks: %d items, %d page nodes, %d byFile entries, %d tx sets",
+				i, len(s.items), len(s.pages), len(s.byFile), len(s.byTx))
+		}
+	}
+	if len(m.txShards) != 0 {
+		t.Errorf("txShards leaks %v", m.txShards)
 	}
 }
 

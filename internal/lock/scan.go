@@ -29,45 +29,41 @@ func emitHeadLocked(h *head, fn func(Info) bool) bool {
 // ForEachLockWithin calls fn for every granted lock on item or its
 // descendants, without allocating. Page scope — the protocol's hot case
 // (availability masks before every page ship, deescalation collection) —
-// locks a single shard and walks that shard's descendant index, so the
-// cost tracks the locks actually under the page, not the table size.
+// locks a single shard and walks that page's node, so the cost tracks the
+// locks actually under the page, not the table size.
 //
 // fn runs with a shard mutex held: it must be fast, must not block, and
 // must not call back into the Manager. Returning false stops the scan.
 // Locks granted or released concurrently with the scan may or may not be
 // observed (same as any snapshot taken by a separate Manager call).
 func (m *Manager) ForEachLockWithin(item storage.ItemID, fn func(Info) bool) {
+	emit := func(h *head) bool { return emitHeadLocked(h, fn) }
 	switch item.Level {
 	case storage.LevelObject:
 		s := m.shardOf(item)
 		s.mu.Lock()
-		emitHeadLocked(s.items[item], fn)
+		emit(s.lookupLocked(item))
 		s.mu.Unlock()
 
 	case storage.LevelPage:
-		// The page head and all of its object heads live in one shard.
+		// The page head and all of its object heads hang from one node.
 		s := m.shardOf(item)
 		s.mu.Lock()
-		if emitHeadLocked(s.items[item], fn) {
-			for _, h := range s.desc[item] {
-				if !emitHeadLocked(h, fn) {
-					break
-				}
-			}
+		if n := s.pages[item]; n != nil {
+			n.heads(emit)
 		}
 		s.mu.Unlock()
 
 	case storage.LevelFile:
-		// Page and object heads of the file are spread across shards; each
-		// shard's descendant index lists exactly its own.
+		// The file's page nodes are spread across shards; each shard's
+		// byFile entry lists exactly its own.
 		for i := range m.shards {
 			s := &m.shards[i]
 			s.mu.Lock()
-			cont := emitHeadLocked(s.items[item], fn)
-			if cont {
-				for _, h := range s.desc[item] {
-					if !emitHeadLocked(h, fn) {
-						cont = false
+			cont := emit(s.items[item])
+			if f := s.byFile[item]; cont && f != nil {
+				for _, n := range f.nodes {
+					if cont = n.heads(emit); !cont {
 						break
 					}
 				}
@@ -79,25 +75,36 @@ func (m *Manager) ForEachLockWithin(item storage.ItemID, fn func(Info) bool) {
 		}
 
 	default: // volume scope: rare, full filtered scan
-		for i := range m.shards {
-			s := &m.shards[i]
-			s.mu.Lock()
-			cont := true
-			for id, h := range s.items {
-				if !item.Contains(id) {
-					continue
-				}
-				if !emitHeadLocked(h, fn) {
-					cont = false
-					break
-				}
-			}
-			s.mu.Unlock()
-			if !cont {
-				return
-			}
+		m.forEachHead(func(h *head) bool { return !item.Contains(h.id) || emit(h) })
+	}
+}
+
+// forEachHead visits every live head, shard by shard under that shard's
+// mutex, until visit returns false.
+func (m *Manager) forEachHead(visit func(*head) bool) {
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.mu.Lock()
+		cont := s.forEachHeadLocked(visit)
+		s.mu.Unlock()
+		if !cont {
+			return
 		}
 	}
+}
+
+func (s *shard) forEachHeadLocked(visit func(*head) bool) bool {
+	for _, h := range s.items {
+		if !visit(h) {
+			return false
+		}
+	}
+	for _, n := range s.pages {
+		if !n.heads(visit) {
+			return false
+		}
+	}
+	return true
 }
 
 // ForEachLock calls fn for every granted lock in the table, shard by
@@ -106,21 +113,7 @@ func (m *Manager) ForEachLockWithin(item storage.ItemID, fn func(Info) bool) {
 // a per-shard snapshot, not a global one. The invariant auditor uses it
 // to sweep whole tables.
 func (m *Manager) ForEachLock(fn func(Info) bool) {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		cont := true
-		for _, h := range s.items {
-			if !emitHeadLocked(h, fn) {
-				cont = false
-				break
-			}
-		}
-		s.mu.Unlock()
-		if !cont {
-			return
-		}
-	}
+	m.forEachHead(func(h *head) bool { return emitHeadLocked(h, fn) })
 }
 
 // OthersHoldWithin reports whether any transaction other than self holds

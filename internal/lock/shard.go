@@ -12,31 +12,69 @@ import (
 // prefix with one deliberate twist: a page and all of its objects hash to
 // the same shard (the page prefix), so the hot page-scope queries
 // (LocksWithin, availability masks, deescalation collection) lock exactly
-// one shard and use that shard's descendant index instead of scanning the
-// whole table.
+// one shard and walk that page's node instead of scanning the whole table.
 const numShards = 64
 
-// shard is one stripe of the lock table.
+// shard is one stripe of the lock table. Inside a shard the table follows
+// the hierarchy it locks: volume and file heads sit in items, and every
+// page with a live lock on itself or on one of its objects has one
+// pageNode holding those heads, so an object access costs one map lookup
+// (the node) and a scan of at most a page's worth of slots.
 type shard struct {
-	mu    sync.Mutex
-	idx   uint // position in Manager.shards, for the tx→shards mask
+	mu  sync.Mutex
+	idx uint // position in Manager.shards, for the tx→shards mask
+	// items holds volume- and file-level heads only.
 	items map[storage.ItemID]*head
+	// pages holds one node per page (keyed by the page's ItemID) that has a
+	// live page or object head; the node goes with its last head.
+	pages map[storage.ItemID]*pageNode
+	// byFile lists, per file ItemID, the page nodes of that file living in
+	// this shard, so file-scope scans do not visit other files' pages.
+	byFile map[storage.ItemID]*fileNodes
 	// byTx indexes this shard's granted entries by transaction, so release
-	// paths touch only the items actually held here.
-	byTx map[TxID]map[storage.ItemID]*grantEntry
-	// desc indexes live heads under their page and file ancestors:
-	// desc[page] holds the object heads of that page (all colocated in this
-	// shard), desc[file] holds the page and object heads of that file that
-	// hash to this shard. File- and volume-level heads are not indexed.
-	desc map[storage.ItemID]map[storage.ItemID]*head
+	// paths walk exactly the heads the transaction holds here.
+	byTx map[TxID]*txSet
 
-	// Free lists: heads, grant entries, and emptied index maps are recycled
-	// instead of reallocated, since the grant/release fast path creates and
-	// destroys a handful of them per transaction step.
+	// Free lists: heads, grant entries, page nodes and index sets are
+	// recycled instead of reallocated, since the grant/release fast path
+	// creates and destroys a handful of them per transaction step.
 	headPool  []*head
 	grantPool []*grantEntry
-	setPool   []map[storage.ItemID]*grantEntry
-	descPool  []map[storage.ItemID]*head
+	nodePool  []*pageNode
+	filePool  []*fileNodes
+	setPool   []*txSet
+}
+
+// pageNode collects the live heads of one page: the page's own head (nil
+// while only objects of the page are locked, as under SkipAncestors
+// callbacks and ForceGrant) and its object heads, unordered and found by
+// slot scan — a page has at most ObjectsPerPage objects plus the dummy
+// slot, so the scan beats a second map.
+type pageNode struct {
+	id   storage.ItemID // the page
+	page *head
+	objs []*head
+	file *fileNodes // the byFile set listing this node
+	fidx int        // position in file.nodes, for O(1) unlinking
+}
+
+// fileNodes is one byFile entry.
+type fileNodes struct {
+	id    storage.ItemID // the file
+	nodes []*pageNode
+}
+
+// heldRef is one granted entry seen from its transaction.
+type heldRef struct {
+	h *head
+	g *grantEntry
+}
+
+// txSet lists the grants one transaction holds in one shard. byTx maps to
+// a pointer so that appending a grant is one map lookup, not a lookup and
+// a store.
+type txSet struct {
+	refs []heldRef
 }
 
 // poolCap bounds each per-shard free list.
@@ -45,8 +83,9 @@ const poolCap = 128
 func (s *shard) init(idx uint) {
 	s.idx = idx
 	s.items = make(map[storage.ItemID]*head)
-	s.byTx = make(map[TxID]map[storage.ItemID]*grantEntry)
-	s.desc = make(map[storage.ItemID]map[storage.ItemID]*head)
+	s.pages = make(map[storage.ItemID]*pageNode)
+	s.byFile = make(map[storage.ItemID]*fileNodes)
+	s.byTx = make(map[TxID]*txSet)
 }
 
 // shardOf maps an item to its shard. Objects use their page's prefix so
@@ -66,29 +105,131 @@ func (m *Manager) shardOf(id storage.ItemID) *shard {
 	return &m.shards[h>>58]
 }
 
-// headOfLocked returns (creating if needed) the head for id, maintaining
-// the descendant index. Caller holds s.mu.
-func (s *shard) headOfLocked(id storage.ItemID) *head {
-	h, ok := s.items[id]
-	if !ok {
-		if n := len(s.headPool); n > 0 {
-			h = s.headPool[n-1]
-			s.headPool = s.headPool[:n-1]
-			h.id = id
-		} else {
-			h = &head{granted: make(map[TxID]*grantEntry)}
-			h.id = id
-		}
-		s.items[id] = h
-		switch id.Level {
-		case storage.LevelObject:
-			s.addDescLocked(storage.PageItem(id.Vol, id.File, id.Page), h)
-			s.addDescLocked(storage.FileItem(id.Vol, id.File), h)
-		case storage.LevelPage:
-			s.addDescLocked(storage.FileItem(id.Vol, id.File), h)
+// pageOf returns the ItemID of the page a page- or object-level id belongs
+// to: the key of its node. Unlike ItemID.PageID it accepts any level, so an
+// id with a malformed level (ids arrive in messages) finds nothing instead
+// of panicking.
+func pageOf(id storage.ItemID) storage.ItemID {
+	return storage.PageItem(id.Vol, id.File, id.Page)
+}
+
+// lookupLocked returns the live head for id, or nil. Caller holds s.mu.
+func (s *shard) lookupLocked(id storage.ItemID) *head {
+	if id.Level < storage.LevelPage {
+		return s.items[id]
+	}
+	n := s.pages[pageOf(id)]
+	if n == nil {
+		return nil
+	}
+	if id.Level == storage.LevelPage {
+		return n.page
+	}
+	return n.object(id.Slot)
+}
+
+// heads visits the node's live heads — the page's own, then its objects' —
+// until visit returns false.
+func (n *pageNode) heads(visit func(*head) bool) bool {
+	if n.page != nil && !visit(n.page) {
+		return false
+	}
+	for _, h := range n.objs {
+		if !visit(h) {
+			return false
 		}
 	}
+	return true
+}
+
+// swapRemove deletes s[i] without keeping the order, zeroing the vacated
+// slot so that a recycled slice pins nothing.
+func swapRemove[T any](s []T, i int) []T {
+	last := len(s) - 1
+	s[i] = s[last]
+	var zero T
+	s[last] = zero
+	return s[:last]
+}
+
+// object returns the node's live head for slot, or nil.
+func (n *pageNode) object(slot uint16) *head {
+	for _, h := range n.objs {
+		if h.id.Slot == slot {
+			return h
+		}
+	}
+	return nil
+}
+
+// headOfLocked returns (creating if needed) the head for id, together with
+// the page node and byFile entry a page- or object-level head hangs from.
+// Caller holds s.mu.
+func (s *shard) headOfLocked(id storage.ItemID) *head {
+	if id.Level < storage.LevelPage {
+		h := s.items[id]
+		if h == nil {
+			h = s.newHeadLocked(id, nil)
+			s.items[id] = h
+		}
+		return h
+	}
+	pid := pageOf(id)
+	n := s.pages[pid]
+	if n == nil {
+		n = s.newNodeLocked(pid)
+	}
+	if id.Level == storage.LevelPage {
+		if n.page == nil {
+			n.page = s.newHeadLocked(id, n)
+		}
+		return n.page
+	}
+	h := n.object(id.Slot)
+	if h == nil {
+		h = s.newHeadLocked(id, n)
+		n.objs = append(n.objs, h)
+	}
 	return h
+}
+
+func (s *shard) newHeadLocked(id storage.ItemID, n *pageNode) *head {
+	var h *head
+	if k := len(s.headPool); k > 0 {
+		h = s.headPool[k-1]
+		s.headPool = s.headPool[:k-1]
+	} else {
+		h = &head{granted: make(map[TxID]*grantEntry)}
+	}
+	h.id, h.node = id, n
+	return h
+}
+
+// newNodeLocked creates the node of page pid and lists it under its file.
+func (s *shard) newNodeLocked(pid storage.ItemID) *pageNode {
+	var n *pageNode
+	if k := len(s.nodePool); k > 0 {
+		n = s.nodePool[k-1]
+		s.nodePool = s.nodePool[:k-1]
+	} else {
+		n = &pageNode{}
+	}
+	fid := storage.FileItem(pid.Vol, pid.File)
+	f := s.byFile[fid]
+	if f == nil {
+		if k := len(s.filePool); k > 0 {
+			f = s.filePool[k-1]
+			s.filePool = s.filePool[:k-1]
+		} else {
+			f = &fileNodes{}
+		}
+		f.id = fid
+		s.byFile[fid] = f
+	}
+	n.id, n.file, n.fidx = pid, f, len(f.nodes)
+	f.nodes = append(f.nodes, n)
+	s.pages[pid] = n
+	return n
 }
 
 // newGrantLocked returns a zeroed grant entry for tx, recycling from the
@@ -113,83 +254,103 @@ func (s *shard) freeGrantLocked(g *grantEntry) {
 	}
 }
 
-func (s *shard) addDescLocked(anc storage.ItemID, h *head) {
-	set, ok := s.desc[anc]
-	if !ok {
-		if n := len(s.descPool); n > 0 {
-			set = s.descPool[n-1]
-			s.descPool = s.descPool[:n-1]
-		} else {
-			set = make(map[storage.ItemID]*head)
-		}
-		s.desc[anc] = set
-	}
-	set[h.id] = h
-}
-
-func (s *shard) dropDescLocked(anc, id storage.ItemID) {
-	if set, ok := s.desc[anc]; ok {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(s.desc, anc)
-			if len(s.descPool) < poolCap {
-				s.descPool = append(s.descPool, set)
-			}
-		}
-	}
-}
-
-// gcHeadLocked removes an empty head and its index entries. Caller holds
-// s.mu.
+// gcHeadLocked removes an empty head; a page or object head is unlinked
+// from its node, and the node (with its byFile entry) goes with its last
+// head. Caller holds s.mu.
 func (s *shard) gcHeadLocked(h *head) {
 	if len(h.granted) != 0 || len(h.queue) != 0 {
 		return
 	}
-	delete(s.items, h.id)
-	switch h.id.Level {
-	case storage.LevelObject:
-		s.dropDescLocked(storage.PageItem(h.id.Vol, h.id.File, h.id.Page), h.id)
-		s.dropDescLocked(storage.FileItem(h.id.Vol, h.id.File), h.id)
-	case storage.LevelPage:
-		s.dropDescLocked(storage.FileItem(h.id.Vol, h.id.File), h.id)
+	if n := h.node; n == nil {
+		delete(s.items, h.id)
+	} else {
+		if n.page == h {
+			n.page = nil
+		} else {
+			for i, o := range n.objs {
+				if o == h {
+					n.objs = swapRemove(n.objs, i)
+					break
+				}
+			}
+		}
+		if n.page == nil && len(n.objs) == 0 {
+			s.freeNodeLocked(n)
+		}
 	}
 	if len(s.headPool) < poolCap {
 		h.queue = h.queue[:0]
+		h.node = nil
 		s.headPool = append(s.headPool, h)
+	}
+}
+
+func (s *shard) freeNodeLocked(n *pageNode) {
+	delete(s.pages, n.id)
+	f := n.file
+	f.nodes = swapRemove(f.nodes, n.fidx)
+	if n.fidx < len(f.nodes) {
+		f.nodes[n.fidx].fidx = n.fidx
+	}
+	if len(f.nodes) == 0 {
+		delete(s.byFile, f.id)
+		if len(s.filePool) < poolCap {
+			s.filePool = append(s.filePool, f)
+		}
+	}
+	if len(s.nodePool) < poolCap {
+		n.file = nil
+		s.nodePool = append(s.nodePool, n)
 	}
 }
 
 // indexLocked records a granted entry in the shard's per-transaction index
 // and notes the shard in the manager's transaction→shards mask on the first
 // entry. Caller holds s.mu.
-func (m *Manager) indexLocked(s *shard, tx TxID, id storage.ItemID, g *grantEntry) {
-	set, ok := s.byTx[tx]
-	if !ok {
+func (m *Manager) indexLocked(s *shard, tx TxID, h *head, g *grantEntry) {
+	set := s.byTx[tx]
+	if set == nil {
 		if n := len(s.setPool); n > 0 {
 			set = s.setPool[n-1]
 			s.setPool = s.setPool[:n-1]
 		} else {
-			set = make(map[storage.ItemID]*grantEntry)
+			set = &txSet{}
 		}
 		s.byTx[tx] = set
 		m.noteTxShard(tx, s)
 	}
-	set[id] = g
+	set.refs = append(set.refs, heldRef{h, g})
 }
 
-// unindexLocked removes a granted entry from the per-transaction index,
+// unindexLocked removes tx's entry for h from the per-transaction index,
 // clearing the shard bit when the transaction's last entry here goes away.
-// Caller holds s.mu.
-func (m *Manager) unindexLocked(s *shard, tx TxID, id storage.ItemID) {
-	if set, ok := s.byTx[tx]; ok {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(s.byTx, tx)
-			if len(s.setPool) < poolCap {
-				s.setPool = append(s.setPool, set)
-			}
-			m.dropTxShard(tx, s)
+// The search is linear: only the single-item release paths (Unlock,
+// Downgrade to NL) come here, and they are rare, server-side ones. Caller
+// holds s.mu.
+func (m *Manager) unindexLocked(s *shard, tx TxID, h *head) {
+	set := s.byTx[tx]
+	if set == nil {
+		return
+	}
+	for i := range set.refs {
+		if set.refs[i].h == h {
+			set.refs = swapRemove(set.refs, i)
+			break
 		}
+	}
+	if len(set.refs) == 0 {
+		delete(s.byTx, tx)
+		s.freeSetLocked(set)
+		m.dropTxShard(tx, s)
+	}
+}
+
+// freeSetLocked recycles a per-transaction set that has left byTx.
+func (s *shard) freeSetLocked(set *txSet) {
+	if len(s.setPool) < poolCap {
+		clear(set.refs)
+		set.refs = set.refs[:0]
+		s.setPool = append(s.setPool, set)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 // one peer server.
 type VolumeID uint16
 
-// Level identifies a node's depth in the locking hierarchy.
-type Level int
+// Level identifies a node's depth in the locking hierarchy. It is 32 bits
+// wide so that ItemID packs without padding.
+type Level int32
 
 // The four levels of the SHORE locking hierarchy, coarsest first.
 const (
@@ -40,12 +41,16 @@ func (l Level) String() string {
 
 // ItemID identifies a lockable item at any level of the hierarchy. Fields
 // below the item's level are zero and ignored. An ItemID is a comparable
-// value type and is used as the lock table key.
+// value type and is used as the lock table key: the fields are ordered so
+// that the struct is 16 bytes with no padding, which lets the runtime hash
+// and compare it as plain memory instead of field by field (every lock
+// table access pays for one such hash). Build values with the constructors
+// below or keyed literals, never positionally.
 type ItemID struct {
-	Level Level
-	Vol   VolumeID
 	File  uint32
 	Page  uint32
+	Level Level
+	Vol   VolumeID
 	Slot  uint16
 }
 

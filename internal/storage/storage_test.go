@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"adaptivecc/internal/sim"
 )
@@ -58,6 +60,24 @@ func TestContains(t *testing.T) {
 		if got := tt.a.Contains(tt.b); got != tt.want {
 			t.Errorf("%v.Contains(%v) = %v, want %v", tt.a, tt.b, got, tt.want)
 		}
+	}
+}
+
+// TestItemIDPacksWithoutPadding pins the layout the lock table's speed
+// rests on: a 16-byte key whose fields fill it exactly is hashed and
+// compared as plain memory, while a padded one is hashed field by field.
+// A new or widened field must come with a layout that keeps this true.
+func TestItemIDPacksWithoutPadding(t *testing.T) {
+	if got := unsafe.Sizeof(ItemID{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(ItemID{}) = %d, want 16", got)
+	}
+	rt := reflect.TypeOf(ItemID{})
+	var fields uintptr
+	for i := 0; i < rt.NumField(); i++ {
+		fields += rt.Field(i).Type.Size()
+	}
+	if fields != rt.Size() {
+		t.Errorf("ItemID fields take %d bytes of %d: the rest is padding", fields, rt.Size())
 	}
 }
 
