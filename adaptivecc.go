@@ -256,7 +256,10 @@ func (c *Client) object(page uint32, slot uint16) (storage.ItemID, error) {
 	return c.cluster.sys.Directory().LookupObject(page, slot)
 }
 
-// Read returns the current value of the object at (page, slot).
+// Read returns the current value of the object at (page, slot). The
+// returned bytes are a read-only view of the value read — a cache hit hands
+// out the cached bytes themselves — and never change afterwards; copy
+// before modifying.
 func (t *Tx) Read(page uint32, slot uint16) ([]byte, error) {
 	obj, err := t.c.object(page, slot)
 	if err != nil {

@@ -201,8 +201,13 @@ func (p *Pool) ClonePage(id storage.ItemID) (*storage.Page, storage.AvailMask, b
 	return f.page.Clone(), f.avail, true
 }
 
-// ReadObject returns a copy of an object's bytes if the page is resident
-// and the object is available.
+// ReadObject returns an object's bytes if the page is resident and the
+// object is available. The result is the cached slot slice itself, clipped
+// to its length (cap == len): a read-only view of the value read. Slots are
+// immutable (see storage.Page) — WriteObject, InstallObject and Merge
+// replace a slot's slice, SetAvail and Remove only drop the reference — so
+// the view never changes afterwards. Callers copy before modifying; an
+// append reallocates instead of writing into the slot's slack.
 func (p *Pool) ReadObject(id storage.ItemID, slot uint16) ([]byte, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -215,7 +220,7 @@ func (p *Pool) ReadObject(id storage.ItemID, slot uint16) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	return append([]byte(nil), data...), true
+	return data[:len(data):len(data)], true
 }
 
 // WriteObject stores data into an available object slot and marks it dirty.

@@ -279,3 +279,100 @@ func TestInsertReplacesResident(t *testing.T) {
 		t.Errorf("Len = %d", pool.Len())
 	}
 }
+
+// TestReadObjectViewIsStable pins the contract ReadObject's copy-free hit
+// rests on: the view is the slot's immutable slice, so nothing that later
+// happens to the frame changes it, and its capacity is clipped so that a
+// caller's append cannot write into the slot's slack.
+func TestReadObjectViewIsStable(t *testing.T) {
+	const slot = 1
+	pool := NewPool(2)
+	pool.Insert(pid(1), newPage(1), full())
+	if err := pool.WriteObject(pid(1), slot, []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+
+	// step takes a view, changes the frame through mutate, and checks that
+	// the old view kept its bytes while a fresh read sees the new ones.
+	step := func(name, old, want string, mutate func()) {
+		t.Helper()
+		view, ok := pool.ReadObject(pid(1), slot)
+		if !ok || string(view) != old {
+			t.Fatalf("%s: view before = %q %v, want %q", name, view, ok, old)
+		}
+		if cap(view) != len(view) {
+			t.Fatalf("%s: view cap %d != len %d", name, cap(view), len(view))
+		}
+		mutate()
+		if string(view) != old {
+			t.Errorf("%s: kept view changed to %q, want %q", name, view, old)
+		}
+		if got, ok := pool.ReadObject(pid(1), slot); !ok || string(got) != want {
+			t.Errorf("%s: fresh read = %q %v, want %q", name, got, ok, want)
+		}
+	}
+	incoming := func(val string) *storage.Page {
+		pg := newPage(1)
+		if err := pg.SetObject(slot, []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		return pg
+	}
+
+	step("WriteObject", "v0", "v1", func() {
+		if err := pool.WriteObject(pid(1), slot, []byte("v1")); err != nil {
+			t.Fatal(err)
+		}
+		pool.ClearDirty(pid(1))
+	})
+	step("InstallObject", "v1", "v2", func() {
+		if err := pool.InstallObject(pid(1), slot, []byte("v2")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	step("Merge after invalidation", "v2", "v3", func() {
+		pool.SetAvail(pid(1), slot, false)
+		pool.Merge(pid(1), incoming("v3"), full(), 0)
+	})
+	step("Remove + Insert", "v3", "v4", func() {
+		pool.Remove(pid(1))
+		pool.Insert(pid(1), incoming("v4"), full())
+	})
+	step("eviction", "v4", "v5", func() {
+		pool.Insert(pid(2), newPage(2), full())
+		pool.Insert(pid(3), newPage(3), full()) // capacity 2: page 1 goes
+		if pool.Contains(pid(1)) {
+			t.Fatal("page 1 not evicted")
+		}
+		pool.Insert(pid(1), incoming("v5"), full())
+	})
+
+	view, _ := pool.ReadObject(pid(1), slot)
+	_ = append(view, 'x')
+	if got, _ := pool.ReadObject(pid(1), slot); string(got) != "v5" {
+		t.Errorf("append to a view leaked into the slot: %q", got)
+	}
+
+	if n := testing.AllocsPerRun(100, func() {
+		sinkBytes, _ = pool.ReadObject(pid(1), slot)
+	}); n != 0 {
+		t.Errorf("a hit allocates %v times, want 0", n)
+	}
+}
+
+var sinkBytes []byte
+
+// BenchmarkReadObjectHit is the buffer layer's own micro: a hit on a
+// resident, available object.
+func BenchmarkReadObjectHit(b *testing.B) {
+	const pages, objects = 64, 20
+	pool := NewPool(pages)
+	for i := uint32(0); i < pages; i++ {
+		pool.Insert(pid(i), storage.NewPage(pid(i), objects, 200), storage.AllAvailable(objects))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBytes, _ = pool.ReadObject(pid(uint32(i%pages)), uint16(i%objects))
+	}
+}

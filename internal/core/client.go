@@ -29,7 +29,7 @@ type Tx struct {
 	id    lock.TxID
 
 	mu        sync.Mutex
-	writePerm map[storage.ItemID]bool // objects with standing server EX permission
+	writePerm map[storage.ItemID]bool // objects with standing server EX permission; nil until the first grant
 	// chainParent is the parent of the last item under which lockImplicit
 	// took a full ancestor chain, and chainIntent the intention mode the
 	// chain was taken in (NL before the first one).
@@ -40,7 +40,7 @@ type Tx struct {
 // Begin starts a transaction at this peer.
 func (p *Peer) Begin() *Tx {
 	inner := p.reg.Begin()
-	return &Tx{p: p, inner: inner, id: inner.ID, writePerm: make(map[storage.ItemID]bool)}
+	return &Tx{p: p, inner: inner, id: inner.ID}
 }
 
 // ID reports the transaction's global identity.
@@ -82,6 +82,12 @@ func (t *Tx) lockImplicit(target storage.ItemID, mode lock.Mode, sc obs.SpanCont
 // Read returns the current value of an object. Cached available objects
 // are read with no server interaction (callback locking keeps cached
 // copies valid); otherwise the owner ships the containing page.
+//
+// The returned bytes are a read-only view of the value read — on a cache
+// hit the cached slot itself, not a copy. They never change afterwards
+// (storage.Page slots are immutable: a later write, callback or abort
+// replaces or drops the slot, it does not rewrite it); copy before
+// modifying.
 func (t *Tx) Read(obj storage.ItemID) ([]byte, error) {
 	if obj.Level != storage.LevelObject {
 		return nil, fmt.Errorf("core: Read of non-object %v", obj)
@@ -90,7 +96,7 @@ func (t *Tx) Read(obj storage.ItemID) ([]byte, error) {
 		return nil, ErrTxNotActive
 	}
 	p := t.p
-	p.stats.Inc(sim.CtrObjectReads)
+	p.ctr.objectReads.Add(1)
 	var sc obs.SpanContext
 	if p.obs.Active() {
 		sc = p.obs.StartSpan(t.id.String(), obs.SpanContext{})
@@ -125,7 +131,7 @@ func (t *Tx) Read(obj storage.ItemID) ([]byte, error) {
 	}
 
 	if data, ok := p.pool.ReadObject(pageID, obj.Slot); ok {
-		p.stats.Inc(sim.CtrLocalHits)
+		p.ctr.localHits.Add(1)
 		return data, nil
 	}
 	if err := t.inner.Spread(owner); err != nil {
@@ -276,7 +282,7 @@ func (t *Tx) Write(obj storage.ItemID, data []byte) error {
 		return ErrTxNotActive
 	}
 	p := t.p
-	p.stats.Inc(sim.CtrObjectWrites)
+	p.ctr.objectWrites.Add(1)
 	var sc obs.SpanContext
 	if p.obs.Active() {
 		sc = p.obs.StartSpan(t.id.String(), obs.SpanContext{})
@@ -332,12 +338,14 @@ func (t *Tx) Write(obj storage.ItemID, data []byte) error {
 		objCached = avail.Has(obj.Slot)
 	}
 	if t.hasWritePermission(obj, pageID) && objCached {
-		p.stats.Inc(sim.CtrEscalationSaved)
+		p.ctr.escalationSaved.Add(1)
 	} else if err := t.requestWritePermission(obj, pageID, target, owner, sc); err != nil {
 		return err
 	}
 
-	// Perform the update in the local cache and log it.
+	// Perform the update in the local cache and log it. The before-image
+	// is the slot's old slice itself: WriteObject replaces it, never
+	// rewrites it.
 	before, ok := p.pool.ReadObject(pageID, obj.Slot)
 	if !ok {
 		return fmt.Errorf("core: object %v not cached at write time", obj)
@@ -453,6 +461,9 @@ func (t *Tx) requestWritePermission(obj, pageID, target storage.ItemID, owner st
 		}
 	} else if target.Level == storage.LevelObject {
 		t.mu.Lock()
+		if t.writePerm == nil {
+			t.writePerm = make(map[storage.ItemID]bool)
+		}
 		t.writePerm[obj] = true
 		t.mu.Unlock()
 	}

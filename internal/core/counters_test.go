@@ -426,6 +426,9 @@ func scenarioMessageFaults(t *testing.T, add func(*sim.Stats)) {
 	y := dup.clients[0].Begin()
 	writeVal(t, y, objID(0, 0), "dup")
 	mustCommit(t, y)
+	// The commit can return before a duplicated delivery has reached the
+	// dedup ring: wait for the suppression, not for luck.
+	waitForCounter(t, dup.sys.Stats(), sim.CtrDupSuppressed, 1, 5*time.Second)
 	add(dup.sys.Stats())
 
 	// Delay everything: traffic reorders but the run completes.

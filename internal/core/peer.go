@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adaptivecc/internal/buffer"
@@ -26,6 +27,7 @@ type Peer struct {
 
 	cpu   *sim.Resource
 	stats *sim.Stats
+	ctr   accessCounters
 	waits *sim.WaitTracker
 	obs   *obs.Registry // nil unless the system's Config.Obs is enabled
 
@@ -85,6 +87,13 @@ type Peer struct {
 	cbIdx   int
 }
 
+// accessCounters holds the cells of the counters Tx.Read and Tx.Write bump
+// on every object access, resolved once per peer: a cached hit adds to two
+// cells instead of taking the stats mutex and hashing a name twice.
+type accessCounters struct {
+	objectReads, localHits, objectWrites, escalationSaved *atomic.Int64
+}
+
 // dedupKey identifies a request across re-deliveries.
 type dedupKey struct {
 	from string
@@ -135,11 +144,17 @@ func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols 
 	}
 	waits := sim.NewWaitTracker(cfg.TimeoutInflate, cfg.TimeoutFloor, cfg.TimeoutCeil)
 	p := &Peer{
-		name:         name,
-		sys:          s,
-		cfg:          cfg,
-		cpu:          sim.NewResource("cpu-"+name, cfg.Costs),
-		stats:        s.stats,
+		name:  name,
+		sys:   s,
+		cfg:   cfg,
+		cpu:   sim.NewResource("cpu-"+name, cfg.Costs),
+		stats: s.stats,
+		ctr: accessCounters{
+			objectReads:     s.stats.Counter(sim.CtrObjectReads),
+			localHits:       s.stats.Counter(sim.CtrLocalHits),
+			objectWrites:    s.stats.Counter(sim.CtrObjectWrites),
+			escalationSaved: s.stats.Counter(sim.CtrEscalationSaved),
+		},
 		policy:       consistency.PolicyFor(cfg.Protocol, s.stats),
 		waits:        waits,
 		locks:        lock.NewManager(s.stats, waits),

@@ -418,7 +418,9 @@ func (p *Peer) srvFetchPage(pageID storage.ItemID, sc obs.SpanContext) (*storage
 	return pg.Clone(), nil
 }
 
-// srvObjectBytes returns the current bytes of an owned object.
+// srvObjectBytes returns the current bytes of an owned object: a read-only
+// view of the server pool's slot (see buffer.Pool.ReadObject), safe to keep
+// as a before-image or to ship in a reply.
 func (p *Peer) srvObjectBytes(obj storage.ItemID, sc obs.SpanContext) ([]byte, error) {
 	pageID := obj.PageID()
 	if data, ok := p.srvPool.ReadObject(pageID, obj.Slot); ok {

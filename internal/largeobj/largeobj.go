@@ -198,6 +198,8 @@ func (m *Manager) readPagePayload(tx *core.Tx, page uint32) ([]byte, error) {
 			return nil, err
 		}
 		if len(chunk) < m.objectSize {
+			// chunk is a read-only view with cap == len (core.Tx.Read):
+			// the append reallocates, it cannot write into the cached slot.
 			chunk = append(chunk, make([]byte, m.objectSize-len(chunk))...)
 		}
 		buf = append(buf, chunk[:m.objectSize]...)

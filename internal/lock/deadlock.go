@@ -71,9 +71,9 @@ func (m *Manager) blockersOf(r *request) []TxID {
 		return nil
 	}
 	var out []TxID
-	for other, g := range h.granted {
-		if other != r.tx && !Compatible(g.mode, r.mode) {
-			out = append(out, other)
+	for _, g := range h.granted {
+		if g.tx != r.tx && !Compatible(g.mode, r.mode) {
+			out = append(out, g.tx)
 		}
 	}
 	for _, earlier := range h.queue {

@@ -92,10 +92,49 @@ type Manager struct {
 }
 
 type head struct {
-	id      storage.ItemID
-	node    *pageNode // the page node a page/object head hangs from; nil above page level
-	granted map[TxID]*grantEntry
+	id   storage.ItemID
+	node *pageNode // the page node a page/object head hangs from; nil above page level
+	// granted is the granted group, one entry per transaction, found by
+	// scanning: a group is as large as the site's concurrently active
+	// transactions (one on a client's object head, tens on a server's file
+	// head), so the scan beats hashing a TxID. Order is insertion order,
+	// disturbed only by drop's swap-remove.
+	granted []*grantEntry
 	queue   []*request
+}
+
+// find returns tx's entry in the granted group, or nil. The transactions
+// met on one head mostly share a site and differ in sequence number; the
+// compiler orders a TxID comparison so that Seq and the length of Site are
+// compared before Site's bytes, which are reached only on a match.
+func (h *head) find(tx TxID) *grantEntry {
+	for _, g := range h.granted {
+		if g.tx == tx {
+			return g
+		}
+	}
+	return nil
+}
+
+// drop removes g from the granted group.
+func (h *head) drop(g *grantEntry) {
+	for i, o := range h.granted {
+		if o == g {
+			h.granted = swapRemove(h.granted, i)
+			return
+		}
+	}
+}
+
+// compatibleLocked reports whether mode is compatible with every granted
+// entry on h other than tx's own.
+func compatibleLocked(h *head, tx TxID, mode Mode) bool {
+	for _, g := range h.granted {
+		if g.tx != tx && !Compatible(g.mode, mode) {
+			return false
+		}
+	}
+	return true
 }
 
 type grantEntry struct {
@@ -163,7 +202,7 @@ func (m *Manager) lockOne(tx TxID, item storage.ItemID, mode Mode, opt Options) 
 	s.mu.Lock()
 	h := s.headOfLocked(item)
 
-	existing := h.granted[tx]
+	existing := h.find(tx)
 	var target Mode
 	convert := false
 	if existing != nil {
@@ -178,7 +217,7 @@ func (m *Manager) lockOne(tx TxID, item storage.ItemID, mode Mode, opt Options) 
 	}
 
 	if grantableLocked(h, tx, target, convert) {
-		m.installLocked(s, h, tx, target)
+		m.installLocked(s, h, existing, tx, target)
 		s.mu.Unlock()
 		return nil
 	}
@@ -289,13 +328,8 @@ func (m *Manager) await(req *request, timeout time.Duration) error {
 // grantableLocked reports whether tx may immediately hold item in mode.
 // Caller holds the item's shard mutex.
 func grantableLocked(h *head, tx TxID, mode Mode, convert bool) bool {
-	for other, g := range h.granted {
-		if other == tx {
-			continue
-		}
-		if !Compatible(g.mode, mode) {
-			return false
-		}
+	if !compatibleLocked(h, tx, mode) {
+		return false
 	}
 	if convert {
 		return true // conversions only contend with the granted group
@@ -309,11 +343,12 @@ func grantableLocked(h *head, tx TxID, mode Mode, convert bool) bool {
 	return true
 }
 
-func (m *Manager) installLocked(s *shard, h *head, tx TxID, mode Mode) {
-	g := h.granted[tx]
+// installLocked sets tx's grant on h to mode; g is tx's existing entry
+// there (h.find(tx)), nil for a first grant.
+func (m *Manager) installLocked(s *shard, h *head, g *grantEntry, tx TxID, mode Mode) {
 	if g == nil {
 		g = s.newGrantLocked(tx)
-		h.granted[tx] = g
+		h.granted = append(h.granted, g)
 		m.indexLocked(s, tx, h, g)
 	}
 	g.mode = mode
@@ -346,16 +381,10 @@ func (m *Manager) processQueueLocked(s *shard, h *head) {
 			ok = grantableLocked(h, r.tx, r.mode, true)
 		} else if !blocked {
 			// Fresh request: compatible with the whole granted group.
-			ok = true
-			for other, g := range h.granted {
-				if other != r.tx && !Compatible(g.mode, r.mode) {
-					ok = false
-					break
-				}
-			}
+			ok = compatibleLocked(h, r.tx, r.mode)
 		}
 		if ok {
-			m.installLocked(s, h, r.tx, r.mode)
+			m.installLocked(s, h, h.find(r.tx), r.tx, r.mode)
 			r.granted = true
 			r.done = true
 			m.removeWaiter(r)
@@ -381,11 +410,11 @@ func (m *Manager) Unlock(tx TxID, item storage.ItemID) {
 	if h == nil {
 		return
 	}
-	g, held := h.granted[tx]
-	if !held {
+	g := h.find(tx)
+	if g == nil {
 		return
 	}
-	delete(h.granted, tx)
+	h.drop(g)
 	m.unindexLocked(s, tx, h)
 	s.freeGrantLocked(g)
 	m.processQueueLocked(s, h)
@@ -401,15 +430,15 @@ func (m *Manager) Downgrade(tx TxID, item storage.ItemID, to Mode) error {
 	if h == nil {
 		return fmt.Errorf("lock: downgrade of unheld item %v", item)
 	}
-	g, held := h.granted[tx]
-	if !held {
+	g := h.find(tx)
+	if g == nil {
 		return fmt.Errorf("lock: downgrade of unheld item %v by %v", item, tx)
 	}
 	if !Covers(g.mode, to) {
 		return fmt.Errorf("lock: downgrade %v -> %v is not a downgrade", g.mode, to)
 	}
 	if to == NL {
-		delete(h.granted, tx)
+		h.drop(g)
 		m.unindexLocked(s, tx, h)
 		s.freeGrantLocked(g)
 	} else {
@@ -429,11 +458,11 @@ func (m *Manager) ForceGrant(tx TxID, item storage.ItemID, mode Mode) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h := s.headOfLocked(item)
-	if g, ok := h.granted[tx]; ok {
+	if g := h.find(tx); g != nil {
 		g.mode = Supremum(g.mode, mode)
 		return
 	}
-	m.installLocked(s, h, tx, mode)
+	m.installLocked(s, h, nil, tx, mode)
 }
 
 // ReleaseAll releases every lock held by tx and cancels its waiting
@@ -461,7 +490,7 @@ func (m *Manager) ReleaseAll(tx TxID) {
 		delete(s.byTx, tx)
 		m.dropTxShard(tx, s)
 		for _, ref := range set.refs {
-			delete(ref.h.granted, tx)
+			ref.h.drop(ref.g)
 			s.freeGrantLocked(ref.g)
 			m.processQueueLocked(s, ref.h)
 		}
@@ -496,7 +525,7 @@ func (m *Manager) HeldMode(tx TxID, item storage.ItemID) Mode {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h := s.lookupLocked(item); h != nil {
-		if g, held := h.granted[tx]; held {
+		if g := h.find(tx); g != nil {
 			return g.mode
 		}
 	}
@@ -538,9 +567,9 @@ func (m *Manager) ConflictingInto(item storage.ItemID, mode Mode, tx TxID, out [
 	if h == nil {
 		return out
 	}
-	for other, g := range h.granted {
-		if other != tx && !Compatible(g.mode, mode) {
-			out = append(out, other)
+	for _, g := range h.granted {
+		if g.tx != tx && !Compatible(g.mode, mode) {
+			out = append(out, g.tx)
 		}
 	}
 	return out
@@ -553,7 +582,7 @@ func (m *Manager) SetAdaptive(tx TxID, item storage.ItemID, v bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h := s.lookupLocked(item); h != nil {
-		if g, held := h.granted[tx]; held {
+		if g := h.find(tx); g != nil {
 			g.adaptive = v
 		}
 	}
@@ -565,7 +594,7 @@ func (m *Manager) IsAdaptive(tx TxID, item storage.ItemID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h := s.lookupLocked(item); h != nil {
-		if g, held := h.granted[tx]; held {
+		if g := h.find(tx); g != nil {
 			return g.adaptive
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -513,6 +514,128 @@ func TestLocksWithinScan(t *testing.T) {
 	// The same questions over seeded random histories, answered three ways.
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("random-%d", seed), func(t *testing.T) { scanEquivalence(t, seed) })
+		t.Run(fmt.Sprintf("group-%d", seed), func(t *testing.T) { grantedGroupEquivalence(t, seed) })
+	}
+}
+
+// grantedGroupEquivalence crowds one page head with ten transactions in
+// IS/IX/SH mixes, one of them adaptive, and after every grant and release
+// requires the head's accessors to agree with a model of the granted group.
+// The group is a slice with swap-remove deletion: an Unlock, Downgrade to NL
+// or ReleaseAll from the middle of a large group must neither lose nor
+// duplicate an entry.
+func grantedGroupEquivalence(t *testing.T, seed int64) {
+	m := newTestManager()
+	rng := rand.New(rand.NewSource(seed))
+	pg := storage.PageItem(1, 1, 5)
+	txs := make([]TxID, 10)
+	for i := range txs {
+		txs[i] = TxID{Site: "g", Seq: uint64(i + 1)}
+	}
+	type grantState struct {
+		mode     Mode
+		adaptive bool
+	}
+	model := make(map[TxID]grantState)
+	sorted := func(ids []TxID) []TxID {
+		sort.Slice(ids, func(i, j int) bool { return ids[i].Seq < ids[j].Seq })
+		return ids
+	}
+	check := func(step int, what string) {
+		t.Helper()
+		got := make(map[TxID]grantState)
+		for _, h := range m.Holders(pg) {
+			if _, dup := got[h.Tx]; dup {
+				t.Fatalf("step %d (%s): Holders lists %v twice", step, what, h.Tx)
+			}
+			got[h.Tx] = grantState{h.Mode, h.Adaptive}
+		}
+		if !reflect.DeepEqual(got, model) {
+			t.Fatalf("step %d (%s): Holders = %v, model = %v", step, what, got, model)
+		}
+		var adaptive []TxID
+		for tx, g := range model {
+			if g.adaptive {
+				adaptive = append(adaptive, tx)
+			}
+		}
+		if got := m.AdaptiveHolders(pg); !reflect.DeepEqual(sorted(got), sorted(adaptive)) {
+			t.Fatalf("step %d (%s): AdaptiveHolders = %v, want %v", step, what, got, adaptive)
+		}
+		for _, mode := range []Mode{SH, EX} {
+			var want []TxID
+			for tx, g := range model {
+				if tx != txs[0] && !Compatible(g.mode, mode) {
+					want = append(want, tx)
+				}
+			}
+			if got := m.Conflicting(pg, mode, txs[0]); !reflect.DeepEqual(sorted(got), sorted(want)) {
+				t.Fatalf("step %d (%s): Conflicting(%v) = %v, want %v", step, what, mode, got, want)
+			}
+		}
+		for _, tx := range txs {
+			if got := m.HeldMode(tx, pg); got != model[tx].mode {
+				t.Fatalf("step %d (%s): HeldMode(%v) = %v, want %v", step, what, tx, got, model[tx].mode)
+			}
+		}
+	}
+
+	largest := 0
+	for step := 0; step < 2000; step++ {
+		tx := txs[rng.Intn(len(txs))]
+		what := ""
+		switch r := rng.Intn(10); {
+		case r < 6: // IS/IX crowd the head; SH joins whenever no IX is granted
+			mode := []Mode{IS, IS, IX, SH}[rng.Intn(4)]
+			what = fmt.Sprintf("Lock(%v, %v)", tx, mode)
+			target := Supremum(model[tx].mode, mode)
+			ok := true
+			for other, g := range model {
+				if other != tx && !Compatible(g.mode, target) {
+					ok = false
+				}
+			}
+			err := m.Lock(tx, pg, mode, Options{NoWait: true, SkipAncestors: true})
+			if (err == nil) != ok {
+				t.Fatalf("step %d (%s): err = %v, model grants = %v", step, what, err, ok)
+			}
+			if ok {
+				model[tx] = grantState{target, model[tx].adaptive}
+			}
+		case r == 6:
+			what = fmt.Sprintf("SetAdaptive(%v)", tx)
+			if g, held := model[tx]; held {
+				v := len(m.AdaptiveHolders(pg)) == 0 // at most one adaptive holder
+				m.SetAdaptive(tx, pg, v)
+				model[tx] = grantState{g.mode, v}
+			}
+		case r == 7:
+			what = fmt.Sprintf("Unlock(%v)", tx)
+			m.Unlock(tx, pg)
+			delete(model, tx)
+		case r == 8:
+			what = fmt.Sprintf("Downgrade(%v, NL)", tx)
+			_, was := model[tx]
+			if err := m.Downgrade(tx, pg, NL); (err == nil) != was {
+				t.Fatalf("step %d (%s): err = %v, held = %v", step, what, err, was)
+			}
+			delete(model, tx)
+		default:
+			what = fmt.Sprintf("ReleaseAll(%v)", tx)
+			m.ReleaseAll(tx)
+			delete(model, tx)
+		}
+		largest = max(largest, len(model))
+		check(step, what)
+	}
+	if largest < 8 {
+		t.Errorf("granted group never exceeded %d holders, want >= 8", largest)
+	}
+	for _, tx := range txs {
+		m.ReleaseAll(tx)
+	}
+	if n := m.NumItems(); n != 0 {
+		t.Errorf("NumItems = %d after every ReleaseAll, want 0", n)
 	}
 }
 

@@ -199,7 +199,7 @@ func (s *shard) newHeadLocked(id storage.ItemID, n *pageNode) *head {
 		h = s.headPool[k-1]
 		s.headPool = s.headPool[:k-1]
 	} else {
-		h = &head{granted: make(map[TxID]*grantEntry)}
+		h = &head{}
 	}
 	h.id, h.node = id, n
 	return h
@@ -245,7 +245,7 @@ func (s *shard) newGrantLocked(tx TxID) *grantEntry {
 }
 
 // freeGrantLocked recycles a grant entry once both references to it (the
-// head's granted map and the shard's byTx index) have been dropped. Caller
+// head's granted group and the shard's byTx index) have been dropped. Caller
 // holds s.mu.
 func (s *shard) freeGrantLocked(g *grantEntry) {
 	if g != nil && len(s.grantPool) < poolCap {
@@ -279,6 +279,7 @@ func (s *shard) gcHeadLocked(h *head) {
 		}
 	}
 	if len(s.headPool) < poolCap {
+		// granted and queue are empty here and keep their capacity.
 		h.queue = h.queue[:0]
 		h.node = nil
 		s.headPool = append(s.headPool, h)

@@ -108,7 +108,10 @@ func NewStats() *Stats {
 	return &Stats{counters: make(map[string]*atomic.Int64)}
 }
 
-func (s *Stats) counter(name string) *atomic.Int64 {
+// Counter returns the named counter's cell, creating it at zero. A caller
+// that counts per object access resolves the cell once and adds to it
+// directly, skipping the mutex and the name lookup of Inc/Add.
+func (s *Stats) Counter(name string) *atomic.Int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, ok := s.counters[name]
@@ -123,10 +126,10 @@ func (s *Stats) counter(name string) *atomic.Int64 {
 func (s *Stats) Inc(name string) { s.Add(name, 1) }
 
 // Add adds delta to the named counter.
-func (s *Stats) Add(name string, delta int64) { s.counter(name).Add(delta) }
+func (s *Stats) Add(name string, delta int64) { s.Counter(name).Add(delta) }
 
 // Get reads the named counter.
-func (s *Stats) Get(name string) int64 { return s.counter(name).Load() }
+func (s *Stats) Get(name string) int64 { return s.Counter(name).Load() }
 
 // Snapshot copies all counters into a plain map. Only the copy happens
 // under the mutex; callers format at leisure.

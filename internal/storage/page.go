@@ -14,9 +14,16 @@ const DefaultPageSize = 4096
 // number of object slots. The final slot-like "dummy object" used by
 // hierarchical callbacks is not stored here; it exists only in the lock and
 // availability spaces (see internal/core).
+//
+// Slot immutability: the byte slice installed in a slot is never written in
+// place. SetObject is the only writer of a slot and it replaces the slice
+// with a fresh copy, so a reader that took the slice from Object keeps
+// exactly the bytes it read, whatever later happens to the page —
+// overwrite, merge, redo, undo, invalidation or eviction. Code outside this
+// file must neither assign a slot nor store through a slot's slice.
 type Page struct {
-	ID      ItemID // page-level ItemID
-	Objects [][]byte
+	ID      ItemID   // page-level ItemID
+	Objects [][]byte // one immutable slice per slot; see above
 	// LSN is the log sequence number of the last update installed into this
 	// copy of the page; it is advanced by the server during redo.
 	LSN uint64
@@ -47,7 +54,10 @@ func (p *Page) Clone() *Page {
 // NumObjects reports the number of object slots on the page.
 func (p *Page) NumObjects() int { return len(p.Objects) }
 
-// Object returns the stored bytes of slot (not a copy).
+// Object returns the stored bytes of slot, not a copy: a read-only view
+// that stays valid and unchanged (SetObject replaces the slot's slice, it
+// never writes into it). Callers must not modify the bytes or append to the
+// slice without clipping its capacity first.
 func (p *Page) Object(slot uint16) ([]byte, error) {
 	if int(slot) >= len(p.Objects) {
 		return nil, fmt.Errorf("storage: slot %d out of range on %v", slot, p.ID)
@@ -55,7 +65,9 @@ func (p *Page) Object(slot uint16) ([]byte, error) {
 	return p.Objects[slot], nil
 }
 
-// SetObject replaces the bytes of slot with a copy of data.
+// SetObject replaces the slice of slot with a fresh copy of data. It is the
+// only writer of a slot, and it never touches the slice it replaces: views
+// handed out by Object keep the old bytes.
 func (p *Page) SetObject(slot uint16, data []byte) error {
 	if int(slot) >= len(p.Objects) {
 		return fmt.Errorf("storage: slot %d out of range on %v", slot, p.ID)

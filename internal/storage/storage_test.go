@@ -292,3 +292,19 @@ func TestLevelStrings(t *testing.T) {
 		t.Errorf("PageID = %v", o.PageID())
 	}
 }
+
+// TestSetObjectReplacesSlot pins slot immutability: SetObject swaps the
+// slot's slice, so a view taken from Object keeps the bytes it read.
+func TestSetObjectReplacesSlot(t *testing.T) {
+	p := NewPage(PageItem(1, 1, 0), 4, 8)
+	if err := p.SetObject(0, []byte("aaaa")); err != nil {
+		t.Fatal(err)
+	}
+	view, _ := p.Object(0)
+	if err := p.SetObject(0, []byte("bbbb")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := p.Object(0); string(view) != "aaaa" || string(got) != "bbbb" {
+		t.Errorf("view = %q, slot = %q; want aaaa, bbbb", view, got)
+	}
+}
