@@ -139,7 +139,6 @@ func (o Options) coreConfig() core.Config {
 		ClientPoolPages: o.ClientCachePages,
 		ServerPoolPages: o.ServerCachePages,
 		UseTimeouts:     true,
-		AdaptiveTimeout: o.LockTimeout == 0,
 		FixedTimeout:    o.LockTimeout,
 		Seed:            o.Seed,
 	}

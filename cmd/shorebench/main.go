@@ -44,9 +44,9 @@ func parseProtocols(s string) ([]core.Protocol, error) {
 		if part == "" {
 			continue
 		}
-		p, ok := consistency.Parse(part)
-		if !ok {
-			return nil, fmt.Errorf("unknown protocol %q (PS, PS-OO, PS-OA, PS-AA, PS-AH, OS)", part)
+		p, err := consistency.Parse(part)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, p)
 	}

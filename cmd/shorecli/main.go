@@ -52,23 +52,6 @@ func main() {
 	}
 }
 
-func parseWorkload(s string) (workload.Kind, error) {
-	switch strings.ToLower(s) {
-	case "hotcold":
-		return workload.HotCold, nil
-	case "uniform":
-		return workload.Uniform, nil
-	case "hicon":
-		return workload.HiCon, nil
-	case "private":
-		return workload.Private, nil
-	case "hotspot":
-		return workload.HotSpot, nil
-	default:
-		return 0, fmt.Errorf("unknown workload %q (hotcold, uniform, hicon, private, hotspot)", s)
-	}
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("shorecli", flag.ContinueOnError)
 	var (
@@ -112,11 +95,11 @@ func run(args []string) error {
 		// the causal trees that span shored and this process.
 		obs.RandomizeSpanIDs()
 	}
-	proto, ok := consistency.Parse(*protoStr)
-	if !ok {
-		return fmt.Errorf("unknown protocol %q (PS, PS-OO, PS-OA, PS-AA, PS-AH, OS)", *protoStr)
+	proto, err := consistency.Parse(*protoStr)
+	if err != nil {
+		return err
 	}
-	kind, err := parseWorkload(*wlStr)
+	kind, err := workload.ParseKind(*wlStr)
 	if err != nil {
 		return err
 	}

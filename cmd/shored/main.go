@@ -91,9 +91,9 @@ func run(args []string) error {
 	if *rpcTimeout <= 0 {
 		return fmt.Errorf("bad -rpc-timeout %v: must be positive (retry, dedup and callback timeouts all derive from it)", *rpcTimeout)
 	}
-	proto, ok := consistency.Parse(*protoStr)
-	if !ok {
-		return fmt.Errorf("unknown protocol %q (PS, PS-OO, PS-OA, PS-AA, PS-AH, OS)", *protoStr)
+	proto, err := consistency.Parse(*protoStr)
+	if err != nil {
+		return err
 	}
 
 	// -shard i/N: this process serves volume i holding the i-th equal
@@ -160,7 +160,6 @@ func run(args []string) error {
 		NumPaths:         *numPaths,
 		Seed:             *seed,
 		UseTimeouts:      true,
-		AdaptiveTimeout:  false,
 		FixedTimeout:     5 * time.Second,
 		RPCTimeout:       *rpcTimeout,
 		DeadClientStalls: *deadStalls,

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"adaptivecc/internal/consistency"
-	"adaptivecc/internal/core"
 	"adaptivecc/internal/harness"
 	"adaptivecc/internal/workload"
 )
@@ -26,31 +25,6 @@ func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "shoreload:", err)
 		os.Exit(1)
-	}
-}
-
-func parseProtocol(s string) (core.Protocol, error) {
-	p, ok := consistency.Parse(s)
-	if !ok {
-		return 0, fmt.Errorf("unknown protocol %q (PS, PS-OO, PS-OA, PS-AA, PS-AH, OS)", s)
-	}
-	return p, nil
-}
-
-func parseWorkload(s string) (workload.Kind, error) {
-	switch strings.ToUpper(s) {
-	case "HOTCOLD":
-		return workload.HotCold, nil
-	case "UNIFORM":
-		return workload.Uniform, nil
-	case "HICON":
-		return workload.HiCon, nil
-	case "PRIVATE":
-		return workload.Private, nil
-	case "HOTSPOT":
-		return workload.HotSpot, nil
-	default:
-		return 0, fmt.Errorf("unknown workload %q (HOTCOLD, UNIFORM, HICON, PRIVATE, HOTSPOT)", s)
 	}
 }
 
@@ -72,11 +46,11 @@ func run(args []string) error {
 		return err
 	}
 
-	proto, err := parseProtocol(*protoStr)
+	proto, err := consistency.Parse(*protoStr)
 	if err != nil {
 		return err
 	}
-	kind, err := parseWorkload(*wkStr)
+	kind, err := workload.ParseKind(*wkStr)
 	if err != nil {
 		return err
 	}

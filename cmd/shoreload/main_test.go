@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"adaptivecc/internal/consistency"
 	"adaptivecc/internal/core"
 	"adaptivecc/internal/workload"
 )
@@ -24,15 +25,15 @@ func TestParseProtocol(t *testing.T) {
 		{"bogus", 0, true},
 	}
 	for _, tt := range tests {
-		got, err := parseProtocol(tt.in)
+		got, err := consistency.Parse(tt.in)
 		if tt.wantErr {
 			if err == nil {
-				t.Errorf("parseProtocol(%q) accepted", tt.in)
+				t.Errorf("consistency.Parse(%q) accepted", tt.in)
 			}
 			continue
 		}
 		if err != nil || got != tt.want {
-			t.Errorf("parseProtocol(%q) = %v, %v; want %v", tt.in, got, err, tt.want)
+			t.Errorf("consistency.Parse(%q) = %v, %v; want %v", tt.in, got, err, tt.want)
 		}
 	}
 }
@@ -48,18 +49,19 @@ func TestParseWorkload(t *testing.T) {
 		{"UNIFORM", workload.Uniform, false},
 		{"HICON", workload.HiCon, false},
 		{"PRIVATE", workload.Private, false},
+		{"HotSpot", workload.HotSpot, false},
 		{"nope", 0, true},
 	}
 	for _, tt := range tests {
-		got, err := parseWorkload(tt.in)
+		got, err := workload.ParseKind(tt.in)
 		if tt.wantErr {
 			if err == nil {
-				t.Errorf("parseWorkload(%q) accepted", tt.in)
+				t.Errorf("workload.ParseKind(%q) accepted", tt.in)
 			}
 			continue
 		}
 		if err != nil || got != tt.want {
-			t.Errorf("parseWorkload(%q) = %v, %v; want %v", tt.in, got, err, tt.want)
+			t.Errorf("workload.ParseKind(%q) = %v, %v; want %v", tt.in, got, err, tt.want)
 		}
 	}
 }

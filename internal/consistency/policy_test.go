@@ -71,18 +71,22 @@ func TestStaticDecisionTable(t *testing.T) {
 
 func TestParseRoundTrip(t *testing.T) {
 	for _, p := range []Protocol{PS, PSOO, PSOA, PSAA, OS, PSAH} {
-		got, ok := Parse(p.String())
-		if !ok || got != p {
-			t.Errorf("Parse(%q) = %v, %v", p.String(), got, ok)
+		got, err := Parse(p.String())
+		if err != nil || got != p {
+			t.Errorf("Parse(%q) = %v, %v", p.String(), got, err)
 		}
 	}
 	for _, s := range []string{"psaa", "PS_AA", "ps-ah", "PSAH"} {
-		if _, ok := Parse(s); !ok {
-			t.Errorf("Parse(%q) failed", s)
+		if _, err := Parse(s); err != nil {
+			t.Errorf("Parse(%q) failed: %v", s, err)
 		}
 	}
-	if _, ok := Parse("bogus"); ok {
-		t.Error("Parse accepted bogus name")
+	_, err := Parse("bogus")
+	if err == nil {
+		t.Fatal("Parse accepted bogus name")
+	}
+	if want := `unknown protocol "bogus" (PS, PS-OO, PS-OA, PS-AA, PS-AH, OS)`; err.Error() != want {
+		t.Errorf("Parse error = %q, want %q", err, want)
 	}
 }
 

@@ -62,24 +62,22 @@ func (p Protocol) String() string {
 	}
 }
 
+// protocols lists every protocol, in the order error messages name them.
+var protocols = []Protocol{PS, PSOO, PSOA, PSAA, PSAH, OS}
+
 // Parse maps a protocol name ("PS-AA", "psaa", "ps_aa", ...) to its value.
-func Parse(s string) (Protocol, bool) {
-	switch strings.ToUpper(strings.ReplaceAll(s, "_", "-")) {
-	case "PS":
-		return PS, true
-	case "PS-OO", "PSOO":
-		return PSOO, true
-	case "PS-OA", "PSOA":
-		return PSOA, true
-	case "PS-AA", "PSAA":
-		return PSAA, true
-	case "OS":
-		return OS, true
-	case "PS-AH", "PSAH":
-		return PSAH, true
-	default:
-		return 0, false
+// The error for an unknown name lists the known ones.
+func Parse(s string) (Protocol, error) {
+	norm := strings.ToUpper(strings.ReplaceAll(s, "_", "-"))
+	names := make([]string, len(protocols))
+	for i, p := range protocols {
+		name := p.String()
+		if norm == name || norm == strings.ReplaceAll(name, "-", "") {
+			return p, nil
+		}
+		names[i] = name
 	}
+	return 0, fmt.Errorf("unknown protocol %q (%s)", s, strings.Join(names, ", "))
 }
 
 // OrDefault maps the zero Protocol to the default (PSAA, the paper's

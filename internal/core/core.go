@@ -76,17 +76,14 @@ type Config struct {
 	// Seed drives path selection.
 	Seed int64
 	// UseTimeouts enables lock-wait timeouts (SHORE's distributed deadlock
-	// resolution). Default true.
+	// resolution). Off by default: a zero Config waits for locks forever.
 	UseTimeouts bool
-	// AdaptiveTimeout selects the mean+stddev heuristic (default true);
-	// when false, FixedTimeout is used.
-	AdaptiveTimeout bool
-	FixedTimeout    time.Duration
-	// TimeoutInflate, TimeoutFloor and TimeoutCeil tune the adaptive
-	// timeout (paper: inflate by 1.5).
-	TimeoutInflate float64
-	TimeoutFloor   time.Duration
-	TimeoutCeil    time.Duration
+	// FixedTimeout, when positive, is the lock-wait timeout; zero selects
+	// the paper's adaptive heuristic (mean wait + one standard deviation,
+	// ×1.5, clamped to [50ms, 30×RPCTimeout]). A lock wait must end inside
+	// the 39×RPCTimeout retry budget: the adaptive ceiling does by
+	// construction, a FixedTimeout must be chosen to.
+	FixedTimeout time.Duration
 	// PropagateSHPage disables the hierarchical-callback optimization of
 	// §4.3.2: explicit SH/IS page locks always propagate to the server
 	// (the simplified algorithm of §4.3.1). For the ablation benchmark.
@@ -107,10 +104,10 @@ type Config struct {
 	// RPCTimeout bounds each request/reply attempt (default 500ms). Every
 	// other deadline of the RPC discipline is derived from it: a timed-out
 	// request is resent 6 times with exponential backoff capped at
-	// 8×RPCTimeout (a 39×RPCTimeout budget, which the lock-wait ceiling
-	// must stay below), a callback round aborts its write request after
-	// 4×RPCTimeout without progress, and a prepared cross-shard transaction
-	// is resolved after 16×RPCTimeout in doubt.
+	// 8×RPCTimeout (a 39×RPCTimeout budget; the adaptive lock-wait
+	// timeout's ceiling is 30×RPCTimeout), a callback round aborts its
+	// write request after 4×RPCTimeout without progress, and a prepared
+	// cross-shard transaction is resolved after 16×RPCTimeout in doubt.
 	RPCTimeout time.Duration
 	// DeadClientStalls declares a persistently silent client dead: after
 	// this many consecutive zero-progress callback-round stalls implicating
@@ -142,16 +139,6 @@ type Config struct {
 	// on the default fabric are bit-identical to the pre-Fabric system.
 	Transport transport.Factory
 
-	// Placement, when non-nil, overrides the system's item→owner map with a
-	// caller-supplied one (e.g. placement.Hash for a static-hash fleet, or a
-	// deliberately wrong map in routing tests). Nil (the default) builds a
-	// placement.Table populated by AddPeer/AddRemoteOwner volume claims —
-	// exactly the pre-placement implicit ownership, bit for bit. With a
-	// custom map, volume claims are not cross-checked against it; the
-	// deployment is responsible for their agreement, and servers answer
-	// requests for items they do not own with placement.ErrMisdirected.
-	Placement placement.Map
-
 	// TwoPCGate, when non-nil, is a fault-injection hook called between the
 	// prepare and decide phases of a cross-shard commit, with the home peer
 	// and transaction about to be decided. Tests and the e2e harness use it
@@ -176,18 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NumPaths == 0 {
 		c.NumPaths = 3
-	}
-	if c.TimeoutInflate == 0 {
-		c.TimeoutInflate = 1.5
-	}
-	if c.TimeoutFloor == 0 {
-		c.TimeoutFloor = 50 * time.Millisecond
-	}
-	if c.TimeoutCeil == 0 {
-		c.TimeoutCeil = 15 * time.Second
-	}
-	if c.FixedTimeout == 0 {
-		c.FixedTimeout = 2 * time.Second
 	}
 	if c.GroupCommit && c.GroupCommitWindow == 0 {
 		c.GroupCommitWindow = time.Millisecond
@@ -221,24 +196,20 @@ type System struct {
 	stats *sim.Stats
 	net   transport.Fabric
 	dir   *storage.Directory
-	// place resolves item→owner for every routing decision. placeTable is
-	// the same object when the map is the default directory table populated
-	// by AddPeer/AddRemoteOwner volume claims; nil when Config.Placement
-	// supplied a custom map (claims are then not registered anywhere).
-	place      placement.Map
-	placeTable *placement.Table
-	peers      map[string]*Peer
-	obsSet     *obs.Set // nil unless cfg.Obs.Enabled
+	// place resolves item→owner for every routing decision; AddPeer and
+	// AddRemoteOwner populate it with their volume claims.
+	place  *placement.Table
+	peers  map[string]*Peer
+	obsSet *obs.Set // nil unless cfg.Obs.Enabled
 
 	closeOnce sync.Once
 	closed    chan struct{} // closed by Close; stops background resolvers
 }
 
-// NewSystem builds an empty system. Timeouts default to enabled with the
-// adaptive heuristic unless the caller configured otherwise via the
-// explicit fields. It panics if the configured transport factory fails
-// (only possible with a non-nil Config.Transport; use NewSystemFabric to
-// handle that error).
+// NewSystem builds an empty system. Lock-wait timeouts are off unless
+// Config.UseTimeouts is set. It panics if the configured transport
+// factory fails (only possible with a non-nil Config.Transport; use
+// NewSystemFabric to handle that error).
 func NewSystem(cfg Config) *System {
 	s, err := NewSystemFabric(cfg)
 	if err != nil {
@@ -270,14 +241,9 @@ func NewSystemFabric(cfg Config) (*System, error) {
 		stats:  stats,
 		net:    net,
 		dir:    storage.NewDirectory(),
+		place:  placement.NewTable(),
 		peers:  make(map[string]*Peer),
 		closed: make(chan struct{}),
-	}
-	if cfg.Placement != nil {
-		s.place = cfg.Placement
-	} else {
-		s.placeTable = placement.NewTable()
-		s.place = s.placeTable
 	}
 	if cfg.Obs.Enabled {
 		s.obsSet = obs.NewSet(cfg.Obs, stats)
@@ -316,21 +282,17 @@ func (s *System) AddPeerWithPools(name string, serverPoolPages, clientPoolPages 
 	if _, ok := s.peers[name]; ok {
 		return nil, fmt.Errorf("core: peer %q already exists", name)
 	}
-	if s.placeTable != nil {
-		for _, v := range vols {
-			if owner, ok := s.placeTable.VolumeOwner(v.ID); ok {
-				return nil, fmt.Errorf("core: volume %d already owned by %q", v.ID, owner)
-			}
+	for _, v := range vols {
+		if owner, ok := s.place.VolumeOwner(v.ID); ok {
+			return nil, fmt.Errorf("core: volume %d already owned by %q", v.ID, owner)
 		}
 	}
 	p := newPeer(s, name, serverPoolPages, clientPoolPages, vols)
 	if err := s.net.Register(name, p.cpu, p.handle); err != nil {
 		return nil, err
 	}
-	if s.placeTable != nil {
-		for _, v := range vols {
-			s.placeTable.SetVolume(v.ID, name)
-		}
+	for _, v := range vols {
+		s.place.SetVolume(v.ID, name)
 	}
 	s.peers[name] = p
 	p.startResolver()
@@ -360,9 +322,6 @@ func (s *System) ownerOf(item storage.ItemID) (string, error) {
 	return s.place.Owner(item)
 }
 
-// Placement exposes the system's placement map.
-func (s *System) Placement() placement.Map { return s.place }
-
 // Close shuts the network down, draining in-flight messages, stops
 // background 2PC resolvers, and retires the system from the metrics
 // surface. The obs Set itself stays readable: callers may still harvest
@@ -391,16 +350,11 @@ func (s *System) AddRemoteOwner(name string, vols ...storage.VolumeID) error {
 	if _, ok := s.peers[name]; ok {
 		return fmt.Errorf("core: peer %q exists locally", name)
 	}
-	if s.placeTable == nil {
-		// A custom placement map already knows the fleet's layout; remote
-		// owners need no registration beyond the transport's route table.
-		return nil
-	}
 	for _, v := range vols {
-		if owner, ok := s.placeTable.VolumeOwner(v); ok {
+		if owner, ok := s.place.VolumeOwner(v); ok {
 			return fmt.Errorf("core: volume %d already owned by %q", v, owner)
 		}
-		s.placeTable.SetVolume(v, name)
+		s.place.SetVolume(v, name)
 	}
 	return nil
 }

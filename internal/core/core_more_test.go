@@ -29,7 +29,6 @@ func newMultiCluster(t *testing.T, proto Protocol, numPeers, pagesEach int) *mul
 		ClientPoolPages: 64,
 		ServerPoolPages: 64,
 		UseTimeouts:     true,
-		AdaptiveTimeout: false,
 		FixedTimeout:    5 * time.Second,
 	}
 	sys := NewSystem(cfg)

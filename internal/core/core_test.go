@@ -30,7 +30,6 @@ func newCluster(t *testing.T, proto Protocol, numClients, numPages int, opts ...
 		ClientPoolPages: 64,
 		ServerPoolPages: 128,
 		UseTimeouts:     true,
-		AdaptiveTimeout: false,
 		FixedTimeout:    5 * time.Second,
 	}
 	for _, o := range opts {

@@ -502,10 +502,7 @@ func scenarioWriteBackError(t *testing.T, add func(*sim.Stats)) {
 // scenarioBatching runs a cluster with WAL group commit enabled, driving
 // the group-commit force/join counters.
 func scenarioBatching(t *testing.T, add func(*sim.Stats)) {
-	tc := newCluster(t, PSAA, 2, 10, func(c *Config) {
-		c.GroupCommit = true
-		c.GroupCommitWindow = time.Millisecond
-	})
+	tc := newCluster(t, PSAA, 2, 10, func(c *Config) { c.GroupCommit = true })
 	a := tc.clients[0]
 	stats := tc.sys.Stats()
 

@@ -64,9 +64,9 @@ func faultPlanFor(kind string) *transport.FaultPlan {
 }
 
 func parseProtocol(t *testing.T, s string) Protocol {
-	p, ok := consistency.Parse(s)
-	if !ok {
-		t.Fatalf("unknown FAULT_PROTOCOL %q", s)
+	p, err := consistency.Parse(s)
+	if err != nil {
+		t.Fatalf("FAULT_PROTOCOL: %v", err)
 	}
 	return p
 }
@@ -306,13 +306,10 @@ func runFaultCell(t *testing.T, kind string, proto Protocol, txsPerClient int, t
 	if tuned {
 		opts = append(opts, resilientCfg, func(c *Config) { c.Faults = plan })
 	}
-	// FAULT_BATCH=on runs the cell with WAL group commit enabled: shared
-	// log forces must survive the same faults as the base protocol.
-	if os.Getenv("FAULT_BATCH") == "on" {
-		opts = append(opts, func(c *Config) {
-			c.GroupCommit = true
-			c.GroupCommitWindow = time.Millisecond
-		})
+	// FAULT_GROUPCOMMIT=on runs the cell with WAL group commit enabled:
+	// shared log forces must survive the same faults as the base protocol.
+	if os.Getenv("FAULT_GROUPCOMMIT") == "on" {
+		opts = append(opts, func(c *Config) { c.GroupCommit = true })
 	}
 	// FAULT_TRANSPORT=tcp runs the cell over the real TCP fabric on
 	// loopback: the same fault decisions, plus real socket teardown on

@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"adaptivecc/internal/sim"
 )
@@ -269,10 +268,7 @@ var semanticParityCounters = []string{
 // the goldens — this proves the optimization is off by default and
 // semantically inert when on.
 func TestBatchingSemanticParity(t *testing.T) {
-	batchCfg := func(c *Config) {
-		c.GroupCommit = true
-		c.GroupCommitWindow = time.Millisecond
-	}
+	batchCfg := func(c *Config) { c.GroupCommit = true }
 	for _, proto := range []Protocol{PSOA, PSAA} {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adaptivecc/internal/bounded"
 	"adaptivecc/internal/buffer"
 	"adaptivecc/internal/consistency"
 	"adaptivecc/internal/lock"
@@ -63,9 +64,7 @@ type Peer struct {
 	// finished is a bounded tombstone set of transactions already finished
 	// at this peer's server role: late lock replications for them are
 	// dropped instead of installing zombie locks.
-	finished     map[lock.TxID]bool
-	finishedRing []lock.TxID
-	finishedIdx  int
+	finished *bounded.Map[lock.TxID, struct{}]
 
 	// lastErr retains the most recent asynchronous storage failure (e.g. a
 	// dirty-page write-back that could not reach its volume). The harness
@@ -77,14 +76,9 @@ type Peer struct {
 	// marks a request still being served (re-deliveries are suppressed
 	// without a reply), a non-nil value caches the reply so a retry whose
 	// original reply was lost gets it re-sent. cbSeen dedups re-delivered
-	// callback requests by (server, opID). Both are bounded by eviction
-	// rings, guarded by mu.
-	reqSeen map[dedupKey]*rpcReply
-	reqRing []dedupKey
-	reqIdx  int
-	cbSeen  map[cbKey]bool
-	cbRing  []cbKey
-	cbIdx   int
+	// callback requests by (server, opID). Both are bounded, guarded by mu.
+	reqSeen *bounded.Map[dedupKey, *rpcReply]
+	cbSeen  *bounded.Map[cbKey, struct{}]
 }
 
 // accessCounters holds the cells of the counters Tx.Read and Tx.Write bump
@@ -117,21 +111,22 @@ var ErrRPCTimeout = errors.New("core: rpc timed out")
 // The retry schedule of call, in units of Config.RPCTimeout: a timed-out
 // request is resent rpcMaxRetries times, the wait doubling per attempt up
 // to rpcBackoffCap. The budget is therefore 1+2+4+8+8+8+8 = 39×RPCTimeout;
-// a configuration must keep its lock-wait ceiling (FixedTimeout, or
-// TimeoutCeil under the adaptive heuristic) below it, or a request parked
-// in a lock queue outlives its caller.
+// a lock wait must end below it, or a request parked in a lock queue
+// outlives its caller. The adaptive timeout's ceiling,
+// waitCeilRPCs×RPCTimeout, keeps that margin at every time scale; a
+// FixedTimeout must keep it too.
 const (
 	rpcMaxRetries = 6
 	rpcBackoffCap = 8
+	waitCeilRPCs  = 30
 )
 
-// finishedRingSize bounds the tombstone set.
-const finishedRingSize = 8192
-
-// reqSeenRingSize and cbSeenRingSize bound the dedup sets.
+// finishedSize bounds the tombstone set; reqSeenSize and cbSeenSize bound
+// the dedup sets.
 const (
-	reqSeenRingSize = 8192
-	cbSeenRingSize  = 4096
+	finishedSize = 8192
+	reqSeenSize  = 8192
+	cbSeenSize   = 4096
 )
 
 func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols []*storage.Volume) *Peer {
@@ -142,7 +137,7 @@ func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols 
 	if clientPoolPages <= 0 {
 		clientPoolPages = cfg.ClientPoolPages
 	}
-	waits := sim.NewWaitTracker(cfg.TimeoutInflate, cfg.TimeoutFloor, cfg.TimeoutCeil)
+	waits := sim.NewWaitTracker(waitCeilRPCs * cfg.RPCTimeout)
 	p := &Peer{
 		name:  name,
 		sys:   s,
@@ -170,12 +165,9 @@ func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols 
 		pendingCB:    make(map[storage.ItemID]lock.TxID),
 		cbStalls:     make(map[string]int),
 		replicatedAt: make(map[lock.TxID]map[string]bool),
-		finished:     make(map[lock.TxID]bool),
-		finishedRing: make([]lock.TxID, finishedRingSize),
-		reqSeen:      make(map[dedupKey]*rpcReply),
-		reqRing:      make([]dedupKey, reqSeenRingSize),
-		cbSeen:       make(map[cbKey]bool),
-		cbRing:       make([]cbKey, cbSeenRingSize),
+		finished:     bounded.New[lock.TxID, struct{}](finishedSize),
+		reqSeen:      bounded.New[dedupKey, *rpcReply](reqSeenSize),
+		cbSeen:       bounded.New[cbKey, struct{}](cbSeenSize),
 	}
 	if s.obsSet != nil {
 		p.obs = s.obsSet.NewRegistry(name)
@@ -297,16 +289,16 @@ func (p *Peer) owns(item storage.ItemID) bool {
 }
 
 // waitTimeout returns the lock-wait timeout in force at this peer: zero
-// (wait forever) when timeouts are disabled, the adaptive mean+stddev
-// heuristic by default, or the configured fixed value for the ablation.
+// (wait forever) when timeouts are disabled, the configured FixedTimeout
+// when positive, and the adaptive mean+stddev heuristic otherwise.
 func (p *Peer) waitTimeout() time.Duration {
-	if !p.cfg.UseTimeouts {
+	switch {
+	case !p.cfg.UseTimeouts:
 		return 0
+	case p.cfg.FixedTimeout > 0:
+		return p.cfg.FixedTimeout
 	}
-	if p.cfg.AdaptiveTimeout {
-		return p.waits.Timeout()
-	}
-	return p.cfg.FixedTimeout
+	return p.waits.Timeout()
 }
 
 // handle is the transport delivery entry point; it runs in a fresh
@@ -636,24 +628,15 @@ func (p *Peer) sendRelease(txid lock.TxID, owner string, sc obs.SpanContext) {
 // markFinished tombstones a transaction at this peer's server role.
 func (p *Peer) markFinished(txid lock.TxID) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.finished[txid] {
-		return
-	}
-	old := p.finishedRing[p.finishedIdx]
-	if !old.Zero() {
-		delete(p.finished, old)
-	}
-	p.finishedRing[p.finishedIdx] = txid
-	p.finishedIdx = (p.finishedIdx + 1) % finishedRingSize
-	p.finished[txid] = true
+	p.finished.Put(txid, struct{}{})
+	p.mu.Unlock()
 }
 
 // isFinished reports whether a transaction is tombstoned here.
 func (p *Peer) isFinished(txid lock.TxID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.finished[txid]
+	return p.finished.Has(txid)
 }
 
 // dedupCheck records a request as in flight, or reports it already seen —
@@ -662,26 +645,18 @@ func (p *Peer) dedupCheck(from string, id uint64) (seen bool, cached *rpcReply) 
 	key := dedupKey{from, id}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if r, ok := p.reqSeen[key]; ok {
+	if r, ok := p.reqSeen.Get(key); ok {
 		return true, r
 	}
-	old := p.reqRing[p.reqIdx]
-	if old != (dedupKey{}) {
-		delete(p.reqSeen, old)
-	}
-	p.reqRing[p.reqIdx] = key
-	p.reqIdx = (p.reqIdx + 1) % len(p.reqRing)
-	p.reqSeen[key] = nil
+	p.reqSeen.Put(key, nil)
 	return false, nil
 }
 
-// dedupComplete caches the reply of a finished request for re-sends.
+// dedupComplete caches the reply of a finished request for re-sends. The
+// entry may have been evicted meanwhile; it is not resurrected.
 func (p *Peer) dedupComplete(from string, id uint64, reply *rpcReply) {
-	key := dedupKey{from, id}
 	p.mu.Lock()
-	if _, ok := p.reqSeen[key]; ok { // may have been ring-evicted meanwhile
-		p.reqSeen[key] = reply
-	}
+	p.reqSeen.Update(dedupKey{from, id}, reply)
 	p.mu.Unlock()
 }
 
@@ -690,16 +665,10 @@ func (p *Peer) cbDedup(server string, opID uint64) bool {
 	key := cbKey{server, opID}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.cbSeen[key] {
+	if p.cbSeen.Has(key) {
 		return true
 	}
-	old := p.cbRing[p.cbIdx]
-	if old != (cbKey{}) {
-		delete(p.cbSeen, old)
-	}
-	p.cbRing[p.cbIdx] = key
-	p.cbIdx = (p.cbIdx + 1) % len(p.cbRing)
-	p.cbSeen[key] = true
+	p.cbSeen.Put(key, struct{}{})
 	return false
 }
 

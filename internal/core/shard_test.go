@@ -34,7 +34,6 @@ func newShardCluster(t *testing.T, proto Protocol, numShards, numClients, numPag
 		ClientPoolPages: 64,
 		ServerPoolPages: 128,
 		UseTimeouts:     true,
-		AdaptiveTimeout: false,
 		FixedTimeout:    5 * time.Second,
 	}
 	for _, o := range opts {
@@ -140,15 +139,15 @@ func TestSingleShardCommitSkipsSecondPhase(t *testing.T) {
 }
 
 // TestMisdirectedRequestRejected routes every request to the wrong shard
-// via a deliberately corrupt placement map: the server must answer with
-// the typed misdirection error, which must survive the wire.
+// via a deliberately corrupt placement map, swapped in after the fleet is
+// built: the server must answer with the typed misdirection error, which
+// must survive the wire.
 func TestMisdirectedRequestRejected(t *testing.T) {
+	tc := newShardCluster(t, PSAA, 2, 1, 4)
 	swap := placement.NewTable()
 	swap.SetVolume(1, "s2") // wrong on purpose: s1 owns volume 1
 	swap.SetVolume(2, "s1")
-	tc := newShardCluster(t, PSAA, 2, 1, 4, func(c *Config) {
-		c.Placement = swap
-	})
+	tc.sys.place = swap
 
 	x := tc.clients[0].Begin()
 	_, err := x.Read(shardObj(1, 0, 0))
@@ -221,21 +220,62 @@ func TestResolverPresumesAbortOnSilentHome(t *testing.T) {
 	})
 }
 
+// TestLockWaitTimeoutRule pins the one lock-wait timeout rule at every
+// RPC scale: a zero Config waits forever, a positive FixedTimeout is used
+// as is, and otherwise the adaptive heuristic rules — cold, it returns its
+// ceiling, which derives from RPCTimeout and so ends every lock wait inside
+// the 39×RPCTimeout retry budget of the request parked on it.
+func TestLockWaitTimeoutRule(t *testing.T) {
+	for _, rpc := range []time.Duration{
+		10 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond,
+		500 * time.Millisecond, 2 * time.Second,
+	} {
+		t.Run(rpc.String(), func(t *testing.T) {
+			peer := func(cfg Config) *Peer {
+				cfg.RPCTimeout = rpc
+				sys := NewSystem(cfg)
+				t.Cleanup(sys.Close)
+				p, err := sys.AddPeer("p")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			if got := peer(Config{}).waitTimeout(); got != 0 {
+				t.Errorf("zero Config: timeout %v, want 0 (wait forever)", got)
+			}
+			if got := peer(Config{UseTimeouts: true, FixedTimeout: 5 * time.Second}).waitTimeout(); got != 5*time.Second {
+				t.Errorf("FixedTimeout 5s: timeout %v, want 5s", got)
+			}
+			p := peer(Config{UseTimeouts: true})
+			ceil := p.waits.Timeout()
+			if got := p.waitTimeout(); got != ceil {
+				t.Errorf("UseTimeouts alone: timeout %v, want the adaptive tracker's %v", got, ceil)
+			}
+			if budget := 39 * rpc; ceil >= budget {
+				t.Errorf("cold adaptive timeout %v, want below the %v retry budget", ceil, budget)
+			}
+			p.waits.Observe(time.Millisecond)
+			if got := p.waitTimeout(); got != p.waits.Timeout() || got >= ceil {
+				t.Errorf("warmed timeout %v, want the tracker's %v below ceiling %v", got, p.waits.Timeout(), ceil)
+			}
+		})
+	}
+}
+
 // TestCrossShardDeadlockResolvesByAdaptiveTimeout builds the deadlock no
 // single shard can see: transaction A holds an EX lock on shard 1 and
 // wants one on shard 2; B holds shard 2's and wants shard 1's. Each
 // shard's waits-for graph has one edge and no cycle, so local detection
 // stays silent; the adaptive lock-wait timeout must break the cycle. The
 // trackers are warmed first, so the firing timeout is the mean+stddev
-// heuristic, not the cold-start ceiling.
+// heuristic, not the cold-start ceiling (30×RPCTimeout).
 func TestCrossShardDeadlockResolvesByAdaptiveTimeout(t *testing.T) {
 	watchdog(t, time.Minute, func() {
 		tc := newShardCluster(t, PSAA, 2, 2, 4, resilientCfg, func(c *Config) {
-			c.AdaptiveTimeout = true
-			c.TimeoutFloor = 100 * time.Millisecond
-			c.TimeoutCeil = 20 * time.Second
-			c.FixedTimeout = 0
+			c.FixedTimeout = 0 // the adaptive heuristic
 		})
+		ceil := waitCeilRPCs * tc.sys.Config().RPCTimeout
 		stats := tc.sys.Stats()
 		c1, c2 := tc.clients[0], tc.clients[1]
 		objA := shardObj(1, 0, 0)
@@ -270,8 +310,8 @@ func TestCrossShardDeadlockResolvesByAdaptiveTimeout(t *testing.T) {
 			if s.waits.Count() == 0 {
 				t.Fatalf("%s observed no lock waits during warmup", s.Name())
 			}
-			if got := s.waits.Timeout(); got >= 20*time.Second {
-				t.Fatalf("%s adaptive timeout %v still at the ceiling", s.Name(), got)
+			if got := s.waits.Timeout(); got >= ceil {
+				t.Fatalf("%s adaptive timeout %v still at the %v ceiling", s.Name(), got, ceil)
 			}
 		}
 
@@ -286,9 +326,13 @@ func TestCrossShardDeadlockResolvesByAdaptiveTimeout(t *testing.T) {
 		var wg sync.WaitGroup
 		errs := make([]error, 2)
 		wg.Add(2)
+		start := time.Now()
 		go func() { defer wg.Done(); errs[0] = a.Write(objB, []byte("A")) }()
 		go func() { defer wg.Done(); errs[1] = b.Write(objA, []byte("B")) }()
 		wg.Wait()
+		if took := time.Since(start); took >= ceil {
+			t.Errorf("deadlock took %v to break, want the warmed heuristic below the %v ceiling", took, ceil)
+		}
 
 		aborted := 0
 		for _, err := range errs {

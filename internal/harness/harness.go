@@ -123,9 +123,6 @@ type Experiment struct {
 	PropagateSHPage bool
 	// FixedTimeout (if nonzero) replaces the adaptive timeout heuristic.
 	FixedTimeout time.Duration
-	// NoTimeouts disables lock-wait timeouts entirely (client-server
-	// deadlocks are still detected exactly at the server).
-	NoTimeouts bool
 	// Faults injects message faults for the whole run (nil = reliable
 	// fabric; the figure numbers stay bit-identical).
 	Faults *transport.FaultPlan
@@ -186,8 +183,7 @@ func buildCluster(exp Experiment, plat Platform) (*cluster, error) {
 		ObjectSize:      plat.PageSize / plat.ObjectsPerPage,
 		NumPaths:        plat.NumPaths,
 		Seed:            plat.Seed,
-		UseTimeouts:     !exp.NoTimeouts,
-		AdaptiveTimeout: exp.FixedTimeout == 0,
+		UseTimeouts:     true,
 		FixedTimeout:    exp.FixedTimeout,
 		PropagateSHPage: exp.PropagateSHPage,
 		Faults:          exp.Faults,

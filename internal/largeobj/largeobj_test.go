@@ -28,13 +28,12 @@ type fixture struct {
 func newFixture(t *testing.T, numClients int, areaPages uint32) *fixture {
 	t.Helper()
 	cfg := core.Config{
-		Protocol:        core.PSAA,
-		Costs:           sim.DefaultCosts(0),
-		ObjectsPerPage:  testObjsPerPage,
-		ObjectSize:      testObjSize,
-		UseTimeouts:     true,
-		AdaptiveTimeout: false,
-		FixedTimeout:    5 * time.Second,
+		Protocol:       core.PSAA,
+		Costs:          sim.DefaultCosts(0),
+		ObjectsPerPage: testObjsPerPage,
+		ObjectSize:     testObjSize,
+		UseTimeouts:    true,
+		FixedTimeout:   5 * time.Second,
 	}
 	sys := core.NewSystem(cfg)
 	vol := storage.NewVolume(1, cfg.Costs, sys.Stats())

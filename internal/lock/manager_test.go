@@ -878,7 +878,7 @@ func TestForceGrantUpgradesExisting(t *testing.T) {
 }
 
 func TestTimeoutObservedByTracker(t *testing.T) {
-	waits := sim.NewWaitTracker(1.5, time.Millisecond, time.Minute)
+	waits := sim.NewWaitTracker(time.Minute)
 	m := NewManager(nil, waits)
 	o := obj(1, 0)
 	if err := m.Lock(txA, o, EX, Options{}); err != nil {

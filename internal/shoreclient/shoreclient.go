@@ -145,7 +145,6 @@ func Connect(opts Options) (*Client, error) {
 		NumPaths:        opts.NumPaths,
 		Seed:            opts.Seed,
 		UseTimeouts:     true,
-		AdaptiveTimeout: false,
 		FixedTimeout:    5 * time.Second,
 		RPCTimeout:      opts.RPCTimeout,
 		Obs:             obs.Config{Enabled: opts.Obs},

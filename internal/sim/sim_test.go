@@ -102,7 +102,7 @@ func TestStatsConcurrent(t *testing.T) {
 }
 
 func TestWaitTrackerAdaptiveTimeout(t *testing.T) {
-	w := NewWaitTracker(1.5, 10*time.Millisecond, 10*time.Second)
+	w := NewWaitTracker(10 * time.Second)
 	if got := w.Timeout(); got != 10*time.Second {
 		t.Errorf("cold timeout = %v, want ceiling", got)
 	}
@@ -123,7 +123,7 @@ func TestWaitTrackerAdaptiveTimeout(t *testing.T) {
 // samples: timeout = (mean + stddev) * inflate, computed independently
 // here from the same samples.
 func TestWaitTrackerExactFormula(t *testing.T) {
-	w := NewWaitTracker(1.5, 0, time.Hour)
+	w := NewWaitTracker(time.Hour)
 	samples := []time.Duration{
 		10 * time.Millisecond, 20 * time.Millisecond,
 		30 * time.Millisecond, 40 * time.Millisecond,
@@ -147,7 +147,7 @@ func TestWaitTrackerExactFormula(t *testing.T) {
 }
 
 func TestWaitTrackerVarianceRaisesTimeout(t *testing.T) {
-	w := NewWaitTracker(1.5, 0, time.Hour)
+	w := NewWaitTracker(time.Hour)
 	for i := 0; i < 50; i++ {
 		w.Observe(50 * time.Millisecond)
 		w.Observe(150 * time.Millisecond)
@@ -160,10 +160,10 @@ func TestWaitTrackerVarianceRaisesTimeout(t *testing.T) {
 }
 
 func TestWaitTrackerClamps(t *testing.T) {
-	w := NewWaitTracker(1.5, 100*time.Millisecond, 200*time.Millisecond)
+	w := NewWaitTracker(200 * time.Millisecond)
 	w.Observe(time.Millisecond)
-	if got := w.Timeout(); got != 100*time.Millisecond {
-		t.Errorf("floor clamp = %v", got)
+	if got := w.Timeout(); got != waitFloor {
+		t.Errorf("floor clamp = %v, want %v", got, waitFloor)
 	}
 	for i := 0; i < 100; i++ {
 		w.Observe(10 * time.Second)

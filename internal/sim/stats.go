@@ -179,25 +179,29 @@ func (s *Stats) String() string {
 
 // WaitTracker records lock-wait durations and derives the adaptive timeout
 // interval of Agrawal/Carey/McVoy as used by the paper: mean conflict wait
-// plus one standard deviation, inflated by a configurable factor (the paper
-// uses 1.5 because single-server deadlocks are detected exactly).
+// plus one standard deviation, inflated by 1.5 (the paper's factor: a
+// single server's deadlocks are detected exactly, so timeouts can wait
+// generously), clamped to [waitFloor, ceil].
 type WaitTracker struct {
-	mu      sync.Mutex
-	n       int64
-	sum     float64 // seconds
-	sumSq   float64
-	inflate float64
-	floor   time.Duration
-	ceil    time.Duration
+	mu    sync.Mutex
+	n     int64
+	sum   float64 // seconds
+	sumSq float64
+	ceil  time.Duration
 }
 
-// NewWaitTracker returns a tracker with the given inflation factor and
-// clamping bounds for the derived timeout.
-func NewWaitTracker(inflate float64, floor, ceil time.Duration) *WaitTracker {
-	if inflate <= 0 {
-		inflate = 1.5
-	}
-	return &WaitTracker{inflate: inflate, floor: floor, ceil: ceil}
+// waitInflate is the paper's inflation of mean+stddev.
+const waitInflate = 1.5
+
+// waitFloor is the least adaptive timeout. It guards against the
+// host's timer granularity, a wall-clock property, so it does not scale
+// with simulated time.
+const waitFloor = 50 * time.Millisecond
+
+// NewWaitTracker returns a tracker whose derived timeout never exceeds
+// ceil, which is also its cold-start value.
+func NewWaitTracker(ceil time.Duration) *WaitTracker {
+	return &WaitTracker{ceil: ceil}
 }
 
 // Observe records one completed lock wait.
@@ -224,9 +228,9 @@ func (w *WaitTracker) Timeout() time.Duration {
 	if variance < 0 {
 		variance = 0
 	}
-	t := time.Duration((mean + math.Sqrt(variance)) * w.inflate * float64(time.Second))
-	if t < w.floor {
-		t = w.floor
+	t := time.Duration((mean + math.Sqrt(variance)) * waitInflate * float64(time.Second))
+	if t < waitFloor {
+		t = waitFloor
 	}
 	if w.ceil > 0 && t > w.ceil {
 		t = w.ceil

@@ -351,25 +351,30 @@ func (t *TCP) Send(msg Message, pathHint int) error {
 		// Reorder fault: deliver outside the path FIFO after extra
 		// latency. Counted as sent now, like the simulated fabric.
 		t.stats.Inc(sim.CtrFaultDelays)
-		t.countSent(msg)
+		t.countSent(msg, 1)
 		t.deliverDelayed(msg, ps[idx], extraDelay)
 		return nil
 	}
 
+	// Counted before the enqueue, as on the Network: once the message is on
+	// its path the receiver may answer, and the answer's reader may look at
+	// the counters, before this goroutine runs again.
+	t.countSent(msg, 1)
 	select {
 	case ps[idx].out <- msg:
-		t.countSent(msg)
 		if action == actDup {
 			// Best-effort duplicate on the same path, as on the Network.
+			t.countSent(msg, 1)
 			select {
 			case ps[idx].out <- msg:
 				t.stats.Inc(sim.CtrFaultDups)
-				t.countSent(msg)
 			default:
+				t.countSent(msg, -1)
 			}
 		}
 		return nil
 	case <-t.stopCh:
+		t.countSent(msg, -1)
 		t.stats.Inc(sim.CtrNetDrops)
 		return fmt.Errorf("%w: %s->%s dropped", ErrClosed, msg.From, msg.To)
 	}
@@ -383,10 +388,12 @@ func (t *TCP) msgCost(msg Message) time.Duration {
 	return cost
 }
 
-func (t *TCP) countSent(msg Message) {
-	t.stats.Inc(sim.CtrMessages)
+// countSent adds delta (1, or -1 to take a count back) to the sent-message
+// counters.
+func (t *TCP) countSent(msg Message, delta int64) {
+	t.stats.Add(sim.CtrMessages, delta)
 	if msg.CarriesPage {
-		t.stats.Inc(sim.CtrPageTransfers)
+		t.stats.Add(sim.CtrPageTransfers, delta)
 	}
 }
 

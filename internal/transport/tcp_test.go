@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -75,6 +76,53 @@ func TestTCPSendDelivers(t *testing.T) {
 	}
 	if stats.Get(sim.CtrTCPConns) < 1 {
 		t.Errorf("tcp conns = %d, want >= 1", stats.Get(sim.CtrTCPConns))
+	}
+}
+
+// TestTCPCountsBeforeDelivery plays ping-pong over loopback: message k is
+// the k-th send of the run, and its handler sends message k+1. Every
+// handler must already see message k in the counters — the sender counts
+// before the enqueue, so a reply's reader never observes its own request
+// uncounted.
+func TestTCPCountsBeforeDelivery(t *testing.T) {
+	tc, stats := newTestTCP(t, 2)
+	const rounds = 300
+	done := make(chan struct{})
+	var mu sync.Mutex
+	var bad []string
+	bounce := func(self, peer string) Handler {
+		return func(m Message) {
+			k := m.Payload.(tcpTestPayload).V
+			msgs, pages := stats.Get(sim.CtrMessages), stats.Get(sim.CtrPageTransfers)
+			if msgs < int64(k) || pages < int64(k) {
+				mu.Lock()
+				bad = append(bad, fmt.Sprintf("message %d handled with messages=%d page_transfers=%d", k, msgs, pages))
+				mu.Unlock()
+			}
+			if k == rounds {
+				close(done)
+				return
+			}
+			next := Message{From: self, To: peer, CarriesPage: true, Payload: tcpTestPayload{V: k + 1}}
+			if err := tc.Send(next, AnyPath); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	registerTCP(t, tc, "a", bounce("a", "b"))
+	registerTCP(t, tc, "b", bounce("b", "a"))
+	if err := tc.Send(Message{From: "a", To: "b", CarriesPage: true, Payload: tcpTestPayload{V: 1}}, AnyPath); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ping-pong stalled")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, b := range bad {
+		t.Error(b)
 	}
 }
 

@@ -233,10 +233,7 @@ func (n *Network) Send(msg Message, pathHint int) error {
 		// fault. The message is accepted (counted sent) before Send returns
 		// so Close's drain guarantee still holds.
 		n.stats.Inc(sim.CtrFaultDelays)
-		n.stats.Inc(sim.CtrMessages)
-		if msg.CarriesPage {
-			n.stats.Inc(sim.CtrPageTransfers)
-		}
+		n.countSent(msg, 1)
 		n.deliverDirect(msg, extraDelay)
 		return nil
 	}
@@ -250,34 +247,35 @@ func (n *Network) Send(msg Message, pathHint int) error {
 	// Counted before the enqueue: once the message is on its path the
 	// receiver may answer, and the answer's reader may look at the
 	// counters, before this goroutine runs again.
-	n.stats.Inc(sim.CtrMessages)
-	if msg.CarriesPage {
-		n.stats.Inc(sim.CtrPageTransfers)
-	}
+	n.countSent(msg, 1)
 	select {
 	case ps[idx].ch <- msg:
 		if action == actDup {
 			// Re-deliver the same message on the same path. Best-effort: a
 			// full path or a closing network forgoes the duplicate rather
 			// than blocking the sender a second time.
+			n.countSent(msg, 1)
 			select {
 			case ps[idx].ch <- msg:
 				n.stats.Inc(sim.CtrFaultDups)
-				n.stats.Inc(sim.CtrMessages)
-				if msg.CarriesPage {
-					n.stats.Inc(sim.CtrPageTransfers)
-				}
 			default:
+				n.countSent(msg, -1)
 			}
 		}
 		return nil
 	case <-n.stopCh:
-		n.stats.Add(sim.CtrMessages, -1)
-		if msg.CarriesPage {
-			n.stats.Add(sim.CtrPageTransfers, -1)
-		}
+		n.countSent(msg, -1)
 		n.stats.Inc(sim.CtrNetDrops)
 		return fmt.Errorf("%w: %s->%s dropped", ErrClosed, msg.From, msg.To)
+	}
+}
+
+// countSent adds delta (1, or -1 to take a count back) to the sent-message
+// counters.
+func (n *Network) countSent(msg Message, delta int64) {
+	n.stats.Add(sim.CtrMessages, delta)
+	if msg.CarriesPage {
+		n.stats.Add(sim.CtrPageTransfers, delta)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"adaptivecc/internal/bounded"
 	"adaptivecc/internal/lock"
 	"adaptivecc/internal/sim"
 	"adaptivecc/internal/storage"
@@ -117,10 +118,10 @@ type PreparedTx struct {
 	Since time.Time
 }
 
-// decidedRingSize bounds the decision tombstone set: a coordinator must
+// decidedSize bounds the decision tombstone set: a coordinator must
 // answer status queries about recently decided transactions, but cannot
 // remember every fate forever.
-const decidedRingSize = 8192
+const decidedSize = 8192
 
 // StableLog is the owner-side log: an append-only record sequence on its
 // own log disk, plus the per-transaction record lists retained for undo
@@ -138,11 +139,9 @@ type StableLog struct {
 
 	// 2PC state. prepared tracks in-doubt participant transactions (forced
 	// records whose fate rests elsewhere); decided is the coordinator-side
-	// decision tombstone set, bounded by a ring.
-	prepared    map[lock.TxID]PreparedTx
-	decided     map[lock.TxID]Decision
-	decidedRing []lock.TxID
-	decidedIdx  int
+	// decision tombstone set.
+	prepared map[lock.TxID]PreparedTx
+	decided  *bounded.Map[lock.TxID, Decision]
 }
 
 // ForceInfo describes how one log force was satisfied: the number of
@@ -259,12 +258,11 @@ func (l *StableLog) Force() ForceInfo {
 // NewStableLog returns an empty stable log writing to disk.
 func NewStableLog(disk *storage.Disk) *StableLog {
 	return &StableLog{
-		disk:        disk,
-		nextLSN:     1,
-		active:      make(map[lock.TxID][]Record),
-		prepared:    make(map[lock.TxID]PreparedTx),
-		decided:     make(map[lock.TxID]Decision),
-		decidedRing: make([]lock.TxID, decidedRingSize),
+		disk:     disk,
+		nextLSN:  1,
+		active:   make(map[lock.TxID][]Record),
+		prepared: make(map[lock.TxID]PreparedTx),
+		decided:  bounded.New[lock.TxID, Decision](decidedSize),
 	}
 }
 
@@ -393,7 +391,7 @@ func (l *StableLog) Decide(tx lock.TxID, commit bool) error {
 		want = DecisionCommit
 	}
 	l.mu.Lock()
-	if prev, ok := l.decided[tx]; ok {
+	if prev, ok := l.decided.Get(tx); ok {
 		l.mu.Unlock()
 		if prev != want {
 			return fmt.Errorf("wal: tx %v already decided %v, cannot decide %v", tx, prev, want)
@@ -411,7 +409,8 @@ func (l *StableLog) Decide(tx lock.TxID, commit bool) error {
 func (l *StableLog) DecisionOf(tx lock.TxID) Decision {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.decided[tx]
+	d, _ := l.decided.Get(tx)
+	return d
 }
 
 // ResolveStatus answers a participant's status query under presumed abort:
@@ -420,7 +419,7 @@ func (l *StableLog) DecisionOf(tx lock.TxID) Decision {
 // commit decision fail loudly instead of splitting the outcome.
 func (l *StableLog) ResolveStatus(tx lock.TxID) Decision {
 	l.mu.Lock()
-	d, ok := l.decided[tx]
+	d, ok := l.decided.Get(tx)
 	if ok {
 		l.mu.Unlock()
 		return d
@@ -432,16 +431,10 @@ func (l *StableLog) ResolveStatus(tx lock.TxID) Decision {
 	return DecisionAbort
 }
 
-// recordDecisionLocked writes a decision into the tombstone ring and the
+// recordDecisionLocked writes a decision into the tombstone set and the
 // log image. Callers hold l.mu.
 func (l *StableLog) recordDecisionLocked(tx lock.TxID, d Decision) {
-	old := l.decidedRing[l.decidedIdx]
-	if !old.Zero() {
-		delete(l.decided, old)
-	}
-	l.decidedRing[l.decidedIdx] = tx
-	l.decidedIdx = (l.decidedIdx + 1) % decidedRingSize
-	l.decided[tx] = d
+	l.decided.Put(tx, d)
 	if l.img != nil {
 		if d == DecisionCommit {
 			l.img.AppendCommit(tx)

@@ -9,6 +9,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 )
 
 // Kind names a workload from Table 2.
@@ -44,6 +45,22 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// kinds lists every workload, in the order error messages name them.
+var kinds = []Kind{HotCold, Uniform, HiCon, Private, HotSpot}
+
+// ParseKind maps a workload name in any case ("HOTCOLD", "hotcold") to its
+// Kind. The error for an unknown name lists the known ones.
+func ParseKind(s string) (Kind, error) {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		if strings.EqualFold(s, k.String()) {
+			return k, nil
+		}
+		names[i] = k.String()
+	}
+	return 0, fmt.Errorf("unknown workload %q (%s)", s, strings.Join(names, ", "))
 }
 
 // Params are the Table 2 knobs for one application.
