@@ -75,7 +75,7 @@ func BenchmarkTable2WorkloadConfig(b *testing.B) {
 	b.Log("\n" + harness.RenderTable2(harness.DefaultPlatform()))
 }
 
-func BenchmarkFig06HotColdCSLowLocality(b *testing.B)    { benchmarkFigure(b, 6) }
+func BenchmarkFig06HotColdCSLowLocality(b *testing.B) { benchmarkFigure(b, 6) }
 
 // BenchmarkFig06Observed reruns Figure 6 with the observability subsystem
 // on, reporting lock-wait and callback-round latency percentiles (in paper

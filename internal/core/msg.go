@@ -90,12 +90,12 @@ type purgeNotice struct {
 }
 
 // rpcEnvelope frames every client->server request, with piggybacked purge
-// notices. Span is the sender-side RPC span: the receiver parents its
-// serve span under it, joining the two sites' trace lanes into one causal
-// tree. It is the zero value when observability is off.
+// notices. The sender is the carrying Message's From. Span is the
+// sender-side RPC span: the receiver parents its serve span under it,
+// joining the two sites' trace lanes into one causal tree. It is the zero
+// value when observability is off.
 type rpcEnvelope struct {
 	ReqID uint64
-	From  string
 	Span  obs.SpanContext
 	Pig   []purgeNotice
 	Body  any

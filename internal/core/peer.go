@@ -310,7 +310,7 @@ func (p *Peer) handle(m transport.Message) {
 		if !ok {
 			return
 		}
-		if seen, cached := p.dedupCheck(env.From, env.ReqID); seen {
+		if seen, cached := p.dedupCheck(m.From, env.ReqID); seen {
 			// A re-delivery (duplicate fault, or a retry whose original
 			// made it). If the first execution already finished, re-send
 			// its reply — the reply may be what got lost; if it is still
@@ -318,13 +318,13 @@ func (p *Peer) handle(m transport.Message) {
 			p.stats.Inc(sim.CtrDupSuppressed)
 			if cached != nil && cached != noReply {
 				_ = p.sendFF(transport.Message{
-					From: p.name, To: env.From, Kind: kindReply,
+					From: p.name, To: m.From, Kind: kindReply,
 					CarriesPage: replyCarriesPage(cached.Body), Payload: cached,
 				})
 			}
 			return
 		}
-		p.processPiggyback(env.From, env.Pig)
+		p.processPiggyback(m.From, env.Pig)
 		p.cpu.Use(p.cfg.Costs.LockCPU)
 		// The serve span joins this site's lane to the sender's RPC span.
 		ssc := p.obs.StartSpan("", env.Span)
@@ -332,19 +332,19 @@ func (p *Peer) handle(m transport.Message) {
 		if p.obs.Active() {
 			serveStart = time.Now()
 		}
-		body, err := p.serveRequest(env.From, ssc, env.Body)
+		body, err := p.serveRequest(m.From, ssc, env.Body)
 		if p.obs.Active() {
 			note := reqName(env.Body)
 			if err != nil {
 				note += ": " + err.Error()
 			}
-			p.obs.EmitSpan(obs.EvServe, ssc, "", time.Since(serveStart), env.From, note)
+			p.obs.EmitSpan(obs.EvServe, ssc, "", time.Since(serveStart), m.From, note)
 		}
 		code, detail := encodeErr(err)
 		reply := &rpcReply{ReqID: env.ReqID, Code: code, Detail: detail, Body: body}
-		p.dedupComplete(env.From, env.ReqID, reply)
+		p.dedupComplete(m.From, env.ReqID, reply)
 		_ = p.sendFF(transport.Message{
-			From: p.name, To: env.From, Kind: kindReply,
+			From: p.name, To: m.From, Kind: kindReply,
 			CarriesPage: replyCarriesPage(body), Payload: reply,
 		})
 
@@ -394,14 +394,14 @@ func (p *Peer) handle(m transport.Message) {
 		if !ok {
 			return
 		}
-		if seen, _ := p.dedupCheck(env.From, env.ReqID); seen {
+		if seen, _ := p.dedupCheck(m.From, env.ReqID); seen {
 			// Re-applying a purge notice would double-count installs and
 			// re-redo log records.
 			p.stats.Inc(sim.CtrDupSuppressed)
 			return
 		}
-		p.processPiggyback(env.From, env.Pig)
-		p.dedupComplete(env.From, env.ReqID, noReply)
+		p.processPiggyback(m.From, env.Pig)
+		p.dedupComplete(m.From, env.ReqID, noReply)
 	}
 }
 
@@ -448,7 +448,7 @@ func (p *Peer) call(dest string, sc obs.SpanContext, body any) (any, error) {
 	if len(pig) > 0 {
 		p.stats.Add(sim.CtrPurgeSent, int64(len(pig)))
 	}
-	env := &rpcEnvelope{ReqID: id, From: p.name, Span: rsc, Pig: pig, Body: body}
+	env := &rpcEnvelope{ReqID: id, Span: rsc, Pig: pig, Body: body}
 	msg := transport.Message{From: p.name, To: dest, Kind: kindRequest, Payload: env}
 	var rpcStart time.Time
 	if p.obs.Active() {
@@ -514,7 +514,7 @@ func (p *Peer) flushPurges(owner string) {
 	p.stats.Add(sim.CtrPurgeSent, int64(len(pig)))
 	_ = p.sendFF(transport.Message{
 		From: p.name, To: owner, Kind: kindPurgeFlush,
-		Payload: &rpcEnvelope{ReqID: p.flushReqID(), From: p.name, Pig: pig},
+		Payload: &rpcEnvelope{ReqID: p.flushReqID(), Pig: pig},
 	})
 }
 

@@ -2,9 +2,10 @@
 // protocol vocabulary costs to encode, frame, unframe and decode, with
 // nothing else in the way — no socket, no goroutine hand-off, no handler.
 // It drives transport.StreamEncoder and transport.StreamDecoder, the very
-// types the TCP fabric hangs off every socket, in steady state (the type
-// descriptors crossed on a warm-up message, as they do once per connection
-// in a running system). EXPERIMENTS.md records the numbers.
+// types the TCP fabric hangs off every socket, in steady state (a warm-up
+// message has sized the frame buffers and interned the names, as the first
+// messages of a connection do in a running system). EXPERIMENTS.md records
+// the numbers.
 package core
 
 import (
@@ -45,7 +46,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 	request := func(body any) transport.Message {
 		return transport.Message{From: "c1", To: "srv", Kind: kindRequest,
-			Payload: &rpcEnvelope{ReqID: 99, From: "c1", Span: span, Body: body}}
+			Payload: &rpcEnvelope{ReqID: 99, Span: span, Body: body}}
 	}
 	reply := func(body any, carriesPage bool) transport.Message {
 		return transport.Message{From: "srv", To: "c1", Kind: kindReply, CarriesPage: carriesPage,
@@ -80,7 +81,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 				}
 				return len(frame)
 			}
-			roundTrip() // the connection's first message carries the descriptors
+			roundTrip() // warm-up: buffers sized, names interned
 			b.ReportAllocs()
 			b.ResetTimer()
 			var frameBytes int

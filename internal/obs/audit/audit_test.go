@@ -36,9 +36,9 @@ func (v *fakeView) read() {
 	}
 }
 
-func (v *fakeView) Site() string                     { return v.site }
-func (v *fakeView) Down() bool                       { return v.down }
-func (v *fakeView) Owns(storage.ItemID) bool         { return v.owner }
+func (v *fakeView) Site() string             { return v.site }
+func (v *fakeView) Down() bool               { return v.down }
+func (v *fakeView) Owns(storage.ItemID) bool { return v.owner }
 func (v *fakeView) ForEachLock(fn func(lock.Info) bool) {
 	v.read()
 	for _, in := range v.locks {

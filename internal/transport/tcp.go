@@ -6,9 +6,9 @@
 //     (wire.go). A single writer goroutine per path drains its queue in
 //     order, so per-path FIFO holds across the wire; the prefix that was
 //     written before a socket died is exactly the prefix that can arrive,
-//     so FIFO survives reconnects too. The gob stream those frames carry
-//     belongs to the socket (tcpConn), never to the path: a new socket is
-//     a new stream on both ends.
+//     so FIFO survives reconnects too. The codec state those frames carry
+//     (a gob stream, an interner) belongs to the socket (tcpConn), never
+//     to the path: a new socket is a new stream on both ends.
 //   - Connections are established by whichever side knows an address: a
 //     path whose destination appears in Remotes (or is registered locally,
 //     in which case the fabric dials its own listener — the single-process
@@ -123,7 +123,7 @@ type TCP struct {
 
 // tcpConn is one socket end plus the write half of its codec. The encoder
 // hangs off the socket so that whatever replaces the socket on a path — a
-// redial, an accepted socket offered to a reply path — starts a fresh gob
+// redial, an accepted socket offered to a reply path — starts a fresh
 // stream. At most one path holds a conn, and only that path's writer
 // touches enc. The read half lives in the conn's readLoop.
 type tcpConn struct {
@@ -431,7 +431,7 @@ func (t *TCP) deliverDelayed(msg Message, p *tcpPath, extra time.Duration) {
 			// Queue full or already drained during shutdown: the message
 			// was counted as sent, so account the loss.
 			t.stats.Inc(sim.CtrNetDrops)
-			t.stats.Add(sim.CtrMessages, -1)
+			t.countSent(msg, -1)
 		}
 	}()
 }
@@ -546,6 +546,11 @@ func (t *TCP) handshake(nc net.Conn) {
 	}
 }
 
+// readBufSize is each socket reader's buffer. It holds a whole page-ship
+// frame (9 + ~4 200 bytes with the default 4 KB page), so one read
+// syscall brings in a page; bufio's 4 096-byte default took two.
+const readBufSize = 16 << 10
+
 // readLoop decodes frames off one socket end and delivers them until the
 // socket dies or a bad frame poisons the stream. The decoder is the read
 // half of the socket's codec: created here, just past the hello, and gone
@@ -553,7 +558,7 @@ func (t *TCP) handshake(nc net.Conn) {
 func (t *TCP) readLoop(c *tcpConn) {
 	defer t.loopWG.Done()
 	defer t.dropConn(c)
-	dec := NewStreamDecoder(bufio.NewReader(c))
+	dec := NewStreamDecoder(bufio.NewReaderSize(c, readBufSize))
 	for {
 		msg, err := dec.Decode()
 		if err != nil {
@@ -720,9 +725,9 @@ func (t *TCP) Close() {
 	drain:
 		for {
 			select {
-			case <-p.out:
+			case msg := <-p.out:
 				t.stats.Inc(sim.CtrNetDrops)
-				t.stats.Add(sim.CtrMessages, -1) // it was counted as sent
+				t.countSent(msg, -1) // it was counted as sent
 			default:
 				break drain
 			}
@@ -853,18 +858,19 @@ func (p *tcpPath) ship(msg Message) {
 		// Shutdown with no socket: the message was counted as sent but
 		// cannot leave the process.
 		t.stats.Inc(sim.CtrNetDrops)
-		t.stats.Add(sim.CtrMessages, -1)
+		t.countSent(msg, -1)
 		return
 	}
 	frame, err := conn.enc.Encode(msg)
 	if err != nil {
-		// Unregistered payload type: a programming error. The message was
-		// counted as sent and can never travel; account it as refused. The
-		// failed Encode may have marked type descriptors as sent that the
-		// peer never saw, so the stream is out of step: drop the socket
-		// and let the path's next one start a fresh stream.
+		// An unregistered gob payload type or a binary body the codec does
+		// not know: a programming error. The message was counted as sent
+		// and can never travel; account it as refused. A failed gob Encode
+		// may have marked type descriptors as sent that the peer never saw,
+		// so the stream is out of step: drop the socket and let the path's
+		// next one start a fresh stream.
 		t.stats.Inc(sim.CtrNetDrops)
-		t.stats.Add(sim.CtrMessages, -1)
+		t.countSent(msg, -1)
 		t.dropConn(conn)
 		return
 	}

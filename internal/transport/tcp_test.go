@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -333,6 +334,75 @@ func TestTCPEncodeErrorResetsStream(t *testing.T) {
 	}
 	if got := srv.StreamErrors(); got != 0 {
 		t.Errorf("stream errors at the receiver = %d, want 0", got)
+	}
+}
+
+// TestTCPRefusedSendUncounted sends a page-carrying message whose payload
+// gob cannot encode. The fabric refuses it at encode time, so it must take
+// back both counts the send made: messages and page_transfers.
+func TestTCPRefusedSendUncounted(t *testing.T) {
+	type unregistered struct{ V int }
+	tc, stats := newTestTCP(t, 1)
+	registerTCP(t, tc, "a", func(Message) {})
+	registerTCP(t, tc, "b", func(Message) {})
+	if err := tc.Send(Message{From: "a", To: "b", CarriesPage: true, Payload: unregistered{1}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "the refused send", func() bool { return stats.Get(sim.CtrNetDrops) == 1 })
+	if m, p := stats.Get(sim.CtrMessages), stats.Get(sim.CtrPageTransfers); m != 0 || p != 0 {
+		t.Errorf("messages = %d, page_transfers = %d after a refused send, want 0 and 0", m, p)
+	}
+}
+
+// TestTCPMixedFormatsOneSocket interleaves binary and gob frames on one
+// path, hence one socket, with a gob type first seen mid-stream. The
+// binary frames must leave the connection's gob stream intact: everything
+// arrives, in order, and no socket dies of a stream error.
+func TestTCPMixedFormatsOneSocket(t *testing.T) {
+	tc, stats := newTestTCP(t, 1)
+	const n = 90
+	got := make(chan Message, n)
+	registerTCP(t, tc, "a", func(Message) {})
+	registerTCP(t, tc, "b", func(m Message) { got <- m })
+	want := make(map[int]any, n)
+	for i := 0; i < n; i++ {
+		var p any = binPayload{N: uint64(i), S: "bin"}
+		switch {
+		case i%3 == 1:
+			p = tcpTestPayload{V: i}
+		case i%3 == 2 && i > n/2:
+			p = latePayload{Tag: "late", Vals: []uint64{uint64(i)}}
+		}
+		want[i] = p
+		if err := tc.Send(Message{From: "a", To: "b", Kind: "mix", Payload: p}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(want) > 0 {
+		select {
+		case m := <-got:
+			var i int
+			switch p := m.Payload.(type) {
+			case binPayload:
+				i = int(p.N)
+			case tcpTestPayload:
+				i = p.V
+			case latePayload:
+				i = int(p.Vals[0])
+			}
+			if !reflect.DeepEqual(m.Payload, want[i]) {
+				t.Fatalf("message %d arrived as %+v, want %+v", i, m.Payload, want[i])
+			}
+			delete(want, i)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d messages never arrived", len(want), n)
+		}
+	}
+	if got := tc.StreamErrors(); got != 0 {
+		t.Errorf("stream errors = %d, want 0", got)
+	}
+	if got := stats.Get(sim.CtrTCPReconnects); got != 0 {
+		t.Errorf("tcp reconnects = %d, want 0: one socket carried every frame", got)
 	}
 }
 

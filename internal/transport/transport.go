@@ -338,9 +338,9 @@ func (n *Network) Close() {
 	drain:
 		for {
 			select {
-			case <-p.ch:
+			case msg := <-p.ch:
 				n.stats.Inc(sim.CtrNetDrops)
-				n.stats.Add(sim.CtrMessages, -1) // it was counted as sent
+				n.countSent(msg, -1) // it was counted as sent
 			default:
 				break drain
 			}

@@ -6,18 +6,28 @@
 // is fixed at 9 bytes), version is wireVersion, and the checksum is
 // IEEE CRC-32 over the payload.
 //
-// The first frame on a connection is the hello: a self-contained gob
-// stream carrying a wireHello that names the dialing link, decoded before
-// anything else is known about the socket. Every later frame is one
-// segment of a single gob stream that belongs to the connection: each
-// socket end owns one StreamEncoder and one StreamDecoder that live exactly
-// as long as the socket, so gob's type descriptors cross once per
-// connection (in the frame of the first message that uses the type) and
-// the decode engines compile once. Framing still cuts the stream at
-// message boundaries — one Encode is exactly one frame, and the decoder
-// is shown one frame per Decode, so a gob message that wants bytes beyond
-// its frame, or leaves bytes behind, is ErrBadStream and hostile input
-// stays bounded by the frame cap.
+// The first frame on a connection is the hello: a wireHello in the binary
+// encoding of internal/codec naming the dialing link, decoded before
+// anything else is known about the socket. Every later frame carries one
+// Message, and its payload opens with a format byte:
+//
+//   - formatBinary: a self-contained frame. From, To, Kind and CarriesPage,
+//     then the payload's one-byte WireTag and the bytes its AppendWire
+//     wrote; the decoder registered under that tag reads them back. This is
+//     how every protocol message of internal/core travels. No state
+//     crosses from one binary frame to the next except the per-socket
+//     interner that lets a repeated name allocate once.
+//   - formatGob: one segment of a gob stream that belongs to the
+//     connection, for payloads that do not implement WirePayload (they must
+//     be registered with RegisterWireType). Each socket end owns at most one
+//     gob encoder and one gob decoder, started by the first such payload
+//     and living exactly as long as the socket, so gob's type descriptors
+//     cross once per connection and its engines compile once.
+//
+// Framing cuts both kinds at message boundaries — one Encode is exactly one
+// frame, and the decoder is shown one frame per Decode — so a message that
+// wants bytes beyond its frame, or leaves bytes behind, is ErrBadStream and
+// hostile input stays bounded by the frame cap.
 //
 // Codec state never outlives its socket. A redial, an accepted socket
 // handed to a reply path, or DropConnections starts a fresh stream on
@@ -35,6 +45,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+
+	"adaptivecc/internal/codec"
 )
 
 const (
@@ -42,10 +55,11 @@ const (
 	// both ends refuse mismatched frames instead of misparsing them.
 	// Version 1 carried one self-contained gob stream per frame; version 2
 	// frames are segments of a per-connection stream, which a v1 peer
-	// cannot decode (and vice versa). Version 3 drops the coalesced-notice
-	// fields from the request envelope: gob would let a v2 peer's acks
-	// vanish silently at a v3 receiver, so the hello refuses it instead.
-	wireVersion = 3
+	// cannot decode (and vice versa). Version 3 dropped the coalesced-notice
+	// fields from the request envelope. Version 4 opens every post-hello
+	// frame with a format byte and carries core's messages, and the hello,
+	// in a binary encoding a v3 peer cannot read.
+	wireVersion = 4
 
 	// wireHeaderSize is the fixed frame header: length + version + crc.
 	wireHeaderSize = 4 + 1 + 4
@@ -61,6 +75,12 @@ const (
 	maxRetainedBuf = 1 << 20
 )
 
+// The format byte that opens every post-hello frame payload.
+const (
+	formatBinary byte = 1
+	formatGob    byte = 2
+)
+
 // Framing errors. All wrap ErrBadFrame so readers can treat any of them as
 // "this connection is poisoned, drop it".
 var (
@@ -69,8 +89,10 @@ var (
 	ErrFrameTooBig = fmt.Errorf("%w: length exceeds limit", ErrBadFrame)
 	ErrBadChecksum = fmt.Errorf("%w: crc mismatch", ErrBadFrame)
 	ErrEmptyFrame  = fmt.Errorf("%w: zero-length payload", ErrBadFrame)
-	// ErrBadStream marks a frame that passed every framing check but is not
-	// the next message of its connection's gob stream.
+	// ErrBadStream marks a frame that passed every framing check but does
+	// not decode: an unknown format or payload tag, a short or over-long
+	// binary message, or a gob segment that does not continue the
+	// connection's stream.
 	ErrBadStream = fmt.Errorf("%w: frame does not continue the stream", ErrBadFrame)
 )
 
@@ -82,17 +104,41 @@ type wireHello struct {
 	Path int
 }
 
-// wireFrame is the payload of every post-hello frame: one Message. The
-// Payload field rides as a gob interface value, so every concrete payload
-// type must be registered with RegisterWireType (the core package does
-// this for all protocol messages in its init).
+// WirePayload is a Message payload with a binary encoding of its own:
+// AppendWire appends its bytes (reporting a value it cannot encode through
+// w.Fail), and the decoder registered under its WireTag reads them back.
+type WirePayload interface {
+	WireTag() byte
+	AppendWire(w *codec.Writer)
+}
+
+// WireDecoder reads back the bytes a WirePayload appended, reporting
+// malformed input through r.
+type WireDecoder func(r *codec.Reader) any
+
+// wireDecoders is the decoder registry, filled by init functions.
+var wireDecoders [256]WireDecoder
+
+// RegisterWireDecoder installs the decoder for payloads tagged tag. Call
+// from an init function; registering a tag twice panics.
+func RegisterWireDecoder(tag byte, dec WireDecoder) {
+	if wireDecoders[tag] != nil {
+		panic(fmt.Sprintf("transport: wire tag %d registered twice", tag))
+	}
+	wireDecoders[tag] = dec
+}
+
+// wireFrame is the gob-encoded body of a formatGob frame: one Message whose
+// Payload rides as a gob interface value, so its concrete type must be
+// registered with RegisterWireType.
 type wireFrame struct {
 	Msg Message
 }
 
-// RegisterWireType registers a concrete Message payload type with the gob
-// codec. Call from an init function; registering the same type twice with
-// the same name is a no-op, mismatches panic (as gob.Register does).
+// RegisterWireType registers a concrete Message payload type that is not a
+// WirePayload with the gob codec. Call from an init function; registering
+// the same type twice with the same name is a no-op, mismatches panic (as
+// gob.Register does).
 func RegisterWireType(v any) { gob.Register(v) }
 
 // sealFrame fills in the header of a frame whose payload already sits at
@@ -106,7 +152,7 @@ func sealFrame(frame []byte) {
 
 // appendFrame appends a complete frame (header + payload) to dst and
 // returns the extended slice. It never fails: size enforcement happens at
-// decode, and encode-side payloads are produced by gob from our own types.
+// decode.
 func appendFrame(dst, payload []byte) []byte {
 	start := len(dst)
 	var hdr [wireHeaderSize]byte
@@ -118,16 +164,18 @@ func appendFrame(dst, payload []byte) []byte {
 
 // readFrame reads one length-prefixed frame from r into a fresh buffer
 // and returns its verified payload. See readFrameInto.
-func readFrame(r io.Reader) ([]byte, error) { return readFrameInto(r, nil) }
-
-// readFrameInto reads one length-prefixed frame from r and returns its
-// verified payload, stored in buf when buf has the capacity and in a new
-// allocation otherwise. Errors are either I/O errors from r or wrap
-// ErrBadFrame; a reader must abandon the connection on any of them, since
-// after a framing error the stream position is unknown. The version and
-// length are refused before a single payload byte is read.
-func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [wireHeaderSize]byte
+	return readFrameInto(r, &hdr, nil)
+}
+
+// readFrameInto reads one length-prefixed frame from r, its header into
+// hdr, and returns its verified payload, stored in buf when buf has the
+// capacity and in a new allocation otherwise. Errors are either I/O errors
+// from r or wrap ErrBadFrame; a reader must abandon the connection on any
+// of them, since after a framing error the stream position is unknown.
+// The version and length are refused before a single payload byte is read.
+func readFrameInto(r io.Reader, hdr *[wireHeaderSize]byte, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -161,60 +209,85 @@ func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// StreamEncoder is the write half of one connection's codec: a gob stream
-// cut into frames, one frame per Message. It belongs to a single socket
-// end and a single goroutine (the path writer holding that socket), and
-// must be discarded with the socket — its peer decoder has seen exactly
-// the type descriptors this encoder has sent, and no other decoder has.
+// StreamEncoder is the write half of one connection's codec, one frame
+// per Message. It belongs to a single socket end and a single goroutine
+// (the path writer holding that socket), and must be discarded with the
+// socket — its gob stream, once started, has sent exactly the type
+// descriptors its peer decoder has seen, and no other decoder has.
 type StreamEncoder struct {
-	frame bytes.Buffer // header + payload of the frame being built; reused
-	body  wireFrame
-	enc   *gob.Encoder
+	w    codec.Writer // header + payload of the frame being built; reused
+	gob  *gob.Encoder // nil until the first gob-format payload
+	body wireFrame
 }
 
 // NewStreamEncoder starts the write half of a fresh stream.
-func NewStreamEncoder() *StreamEncoder {
-	e := &StreamEncoder{}
-	e.enc = gob.NewEncoder(&e.frame)
-	return e
+func NewStreamEncoder() *StreamEncoder { return &StreamEncoder{} }
+
+// gobSink lets gob append its segment to the frame being built.
+type gobSink struct{ w *codec.Writer }
+
+func (s gobSink) Write(p []byte) (int, error) {
+	s.w.B = append(s.w.B, p...)
+	return len(p), nil
 }
 
 // Encode returns msg as one complete frame, ready to be written to the
 // socket in a single Write. The slice is valid until the next Encode. After
-// an error the encoder may have recorded type descriptors as sent that no
-// frame ever carried, so the stream — and with it the socket — must be
+// an error the gob stream may have recorded type descriptors as sent that
+// no frame ever carried, so the stream — and with it the socket — must be
 // abandoned.
 func (e *StreamEncoder) Encode(msg Message) ([]byte, error) {
-	if e.frame.Cap() > maxRetainedBuf {
-		e.frame = bytes.Buffer{}
+	b := e.w.B[:0]
+	if cap(b) > maxRetainedBuf {
+		b = nil
 	}
-	e.frame.Reset()
 	var hdr [wireHeaderSize]byte // reserved; sealFrame fills it in
-	e.frame.Write(hdr[:])
-	e.body.Msg = msg
-	err := e.enc.Encode(&e.body) // descriptors (first use of a type only), then the value
-	e.body.Msg = Message{}       // do not pin the payload until the next send
+	e.w.Reset(append(b, hdr[:]...))
+	var err error
+	if p, ok := msg.Payload.(WirePayload); ok {
+		e.w.U8(formatBinary)
+		e.w.String(msg.From)
+		e.w.String(msg.To)
+		e.w.String(msg.Kind)
+		e.w.Bool(msg.CarriesPage)
+		e.w.U8(p.WireTag())
+		p.AppendWire(&e.w)
+		err = e.w.Err()
+	} else {
+		e.w.U8(formatGob)
+		if e.gob == nil {
+			e.gob = gob.NewEncoder(gobSink{&e.w})
+		}
+		e.body.Msg = msg
+		err = e.gob.Encode(&e.body) // descriptors (first use of a type only), then the value
+		e.body.Msg = Message{}      // do not pin the payload until the next send
+	}
+	if err == nil && len(e.w.B)-wireHeaderSize > maxFramePayload {
+		err = fmt.Errorf("%w: %d > %d", ErrFrameTooBig, len(e.w.B)-wireHeaderSize, maxFramePayload)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode %s %s->%s: %w", msg.Kind, msg.From, msg.To, err)
 	}
-	frame := e.frame.Bytes()
-	sealFrame(frame)
-	return frame, nil
+	sealFrame(e.w.B)
+	return e.w.B, nil
 }
 
 // StreamDecoder is the read half of one connection's codec. It reads one
-// frame per Decode and shows the gob decoder that frame only, so a message
-// can neither reach into its successor nor leave bytes behind. It belongs
-// to a single socket end and a single goroutine (that socket's reader) and
-// dies with the socket: the first error is final.
+// frame per Decode and decodes that frame only, so a message can neither
+// reach into its successor nor leave bytes behind. It belongs to a single
+// socket end and a single goroutine (that socket's reader) and dies with
+// the socket: the first error is final.
 type StreamDecoder struct {
-	r   io.Reader
-	buf []byte // reusable frame payload buffer; gob copies out of it
+	r     io.Reader
+	hdr   [wireHeaderSize]byte
+	buf   []byte         // reusable frame payload buffer; decoders copy out of it
+	bin   codec.Reader   // binary frames
+	names codec.Interner // the socket's repeated names: peers, kinds, sites
 	// frame is what gob reads: the undecoded rest of the current frame,
 	// io.EOF at its end. Being an io.ByteReader, it keeps gob from adding
 	// a bufio.Reader of its own that would read ahead of the message.
 	frame bytes.Reader
-	dec   *gob.Decoder
+	gob   *gob.Decoder // nil until the first gob-format frame
 	err   error
 }
 
@@ -223,7 +296,7 @@ type StreamDecoder struct {
 // socket).
 func NewStreamDecoder(r io.Reader) *StreamDecoder {
 	d := &StreamDecoder{r: r}
-	d.dec = gob.NewDecoder(&d.frame)
+	d.bin = codec.NewReader(nil, &d.names)
 	return d
 }
 
@@ -243,7 +316,7 @@ func (d *StreamDecoder) Decode() (Message, error) {
 }
 
 func (d *StreamDecoder) decode() (Message, error) {
-	payload, err := readFrameInto(d.r, d.buf)
+	payload, err := readFrameInto(d.r, &d.hdr, d.buf)
 	if err != nil {
 		return Message{}, err
 	}
@@ -252,9 +325,38 @@ func (d *StreamDecoder) decode() (Message, error) {
 	} else {
 		d.buf = nil
 	}
-	d.frame.Reset(payload)
+	switch payload[0] { // readFrameInto refuses empty payloads
+	case formatBinary:
+		return d.decodeBinary(payload[1:])
+	case formatGob:
+		return d.decodeGob(payload[1:])
+	}
+	return Message{}, fmt.Errorf("%w: unknown frame format %d", ErrBadStream, payload[0])
+}
+
+func (d *StreamDecoder) decodeBinary(b []byte) (Message, error) {
+	r := &d.bin
+	r.Reset(b)
+	msg := Message{From: r.Name(), To: r.Name(), Kind: r.Name(), CarriesPage: r.Bool()}
+	tag := r.U8()
+	if dec := wireDecoders[tag]; dec != nil {
+		msg.Payload = dec(r)
+	} else {
+		r.Fail(fmt.Errorf("no decoder for payload tag %d", tag))
+	}
+	if err := r.Finish(); err != nil {
+		return Message{}, fmt.Errorf("%w: %v", ErrBadStream, err)
+	}
+	return msg, nil
+}
+
+func (d *StreamDecoder) decodeGob(b []byte) (Message, error) {
+	d.frame.Reset(b)
+	if d.gob == nil {
+		d.gob = gob.NewDecoder(&d.frame)
+	}
 	var f wireFrame
-	if err := d.dec.Decode(&f); err != nil {
+	if err := d.gob.Decode(&f); err != nil {
 		return Message{}, fmt.Errorf("%w: gob: %v", ErrBadStream, err)
 	}
 	if n := d.frame.Len(); n != 0 {
@@ -263,20 +365,23 @@ func (d *StreamDecoder) decode() (Message, error) {
 	return f.Msg, nil
 }
 
-// encodeHello / decodeHello frame the connection-opening handshake. The
-// hello is a self-contained gob stream of its own: it is decoded before
-// the connection's stream exists.
+// encodeHello / decodeHello frame the connection-opening handshake, decoded
+// before the connection's stream exists.
 func encodeHello(h wireHello) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		return nil, err
+	var w codec.Writer
+	w.String(h.From)
+	w.String(h.To)
+	if h.Path < 0 || h.Path > math.MaxUint16 {
+		w.Fail(fmt.Errorf("transport: path index %d does not fit the hello", h.Path))
 	}
-	return buf.Bytes(), nil
+	w.U16(uint16(h.Path))
+	return w.B, w.Err()
 }
 
 func decodeHello(payload []byte) (wireHello, error) {
-	var h wireHello
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&h); err != nil {
+	r := codec.NewReader(payload, nil)
+	h := wireHello{From: r.String(), To: r.String(), Path: int(r.U16())}
+	if err := r.Finish(); err != nil {
 		return wireHello{}, fmt.Errorf("%w: hello: %v", ErrBadFrame, err)
 	}
 	return h, nil

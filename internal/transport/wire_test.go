@@ -7,6 +7,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"adaptivecc/internal/codec"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -97,16 +99,33 @@ type latePayload struct {
 func init() {
 	RegisterWireType(fuzzPayload{})
 	RegisterWireType(latePayload{})
+	RegisterWireDecoder(binPayloadTag, func(r *codec.Reader) any { return binPayload{N: r.U64(), S: r.Name()} })
+}
+
+// binPayload is a payload with its own binary encoding, which crosses in
+// formatBinary frames beside the gob-registered test types.
+type binPayload struct {
+	N uint64
+	S string
+}
+
+const binPayloadTag = 200
+
+func (binPayload) WireTag() byte { return binPayloadTag }
+
+func (p binPayload) AppendWire(w *codec.Writer) {
+	w.U64(p.N)
+	w.String(p.S)
 }
 
 // TestFrameVersionPinned pins the wire version: a frame stamped with an
 // earlier version is refused by the header check alone, before a single
-// payload byte is read — let alone shown to a decoder. Version 2 matters
-// most: its envelopes could carry coalesced acks that gob would drop
-// without a word at a version-3 receiver.
+// payload byte is read — let alone shown to a decoder. Version 3 matters
+// most: its frames are bare gob segments, which a version-4 decoder would
+// otherwise read as a format byte followed by garbage.
 func TestFrameVersionPinned(t *testing.T) {
-	if wireVersion != 3 {
-		t.Fatalf("wireVersion = %d, want 3 (bump deliberately, with the peers)", wireVersion)
+	if wireVersion != 4 {
+		t.Fatalf("wireVersion = %d, want 4 (bump deliberately, with the peers)", wireVersion)
 	}
 	for old := byte(1); old < wireVersion; old++ {
 		stale := appendFrame(nil, []byte("a payload only an older peer can read"))
@@ -312,6 +331,7 @@ func FuzzDecodeStream(f *testing.F) {
 		{From: "a", To: "b", Kind: "req", Payload: fuzzPayload{N: 1, S: "x", B: []byte{9}}},
 		{From: "a", To: "b", Kind: "req", CarriesPage: true, Payload: fuzzPayload{N: 2}},
 		{From: "b", To: "a", Kind: "late", Payload: latePayload{Tag: "t", Vals: []uint64{1, 2}}},
+		{From: "a", To: "b", Kind: "bin", Payload: binPayload{N: 7, S: "x"}},
 	} {
 		frame, err := enc.Encode(m)
 		if err != nil {
@@ -319,13 +339,19 @@ func FuzzDecodeStream(f *testing.F) {
 		}
 		good = append(good, append([]byte(nil), frame[wireHeaderSize:]...))
 	}
-	f.Add(chunks(good...))
+	bin := good[3]
+	f.Add(chunks(good[:3]...))
 	f.Add(chunks(good[1], good[0]))                  // value before its descriptors
 	f.Add(chunks(good[0], good[0]))                  // descriptors defined twice
 	f.Add(chunks(good[0][:len(good[0])/2], good[1])) // message cut short by its frame
 	f.Add(chunks([]byte("not gob at all")))
 	f.Add(chunks(nil))
 	f.Add([]byte{})
+	f.Add(chunks(bin, good[0], bin, good[1], bin))                   // binary frames between gob segments
+	f.Add(chunks(bin[:len(bin)-1]))                                  // a binary message cut short
+	f.Add(chunks(append(append([]byte(nil), bin...), 0)))            // a byte left over
+	f.Add(chunks(append([]byte{formatBinary}, bin[len(bin)-2:]...))) // no header fields
+	f.Add(chunks([]byte{9, 1, 2}))                                   // an unknown format byte
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var wire []byte
 		var ends []int // wire offset at the end of each frame

@@ -25,6 +25,7 @@ import (
 	"hash/crc32"
 	"sort"
 
+	"adaptivecc/internal/codec"
 	"adaptivecc/internal/lock"
 	"adaptivecc/internal/storage"
 )
@@ -42,7 +43,7 @@ const (
 // LogImage accumulates the serialized log. The zero value is not usable;
 // call NewLogImage.
 type LogImage struct {
-	buf []byte
+	w codec.Writer // the image so far
 }
 
 // NewLogImage returns an empty image.
@@ -50,86 +51,98 @@ func NewLogImage() *LogImage { return &LogImage{} }
 
 // Bytes returns the image so far. The slice aliases the image's buffer;
 // callers that keep it across further appends must copy.
-func (im *LogImage) Bytes() []byte { return im.buf }
+func (im *LogImage) Bytes() []byte { return im.w.B }
 
 // Len reports the image size in bytes.
-func (im *LogImage) Len() int { return len(im.buf) }
+func (im *LogImage) Len() int { return len(im.w.B) }
 
-// frame appends one length-prefixed, CRC-suffixed frame.
-func (im *LogImage) frame(payload []byte) {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	im.buf = append(im.buf, hdr[:]...)
-	im.buf = append(im.buf, payload...)
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	im.buf = append(im.buf, sum[:]...)
+// open starts a frame of the given kind: a length prefix that seal fills
+// in, then the kind byte. It returns where the frame starts.
+func (im *LogImage) open(kind byte) int {
+	start := len(im.w.B)
+	im.w.U32(0)
+	im.w.U8(kind)
+	return start
 }
 
-func putString(b []byte, s string) []byte {
-	var n [2]byte
-	binary.LittleEndian.PutUint16(n[:], uint16(len(s)))
-	b = append(b, n[:]...)
-	return append(b, s...)
+// seal completes the frame opened at start: its length, then the CRC of
+// its payload. Every field an image holds arrived through a checked path —
+// a record the wire codec decoded, or a peer name from the configuration,
+// which the connection hello refuses when over-long — so a value that did
+// not fit its length prefix here is a bug.
+func (im *LogImage) seal(start int) {
+	if err := im.w.Err(); err != nil {
+		panic("wal: log image: " + err.Error())
+	}
+	payload := im.w.B[start+4:]
+	binary.LittleEndian.PutUint32(im.w.B[start:], uint32(len(payload)))
+	im.w.U32(crc32.ChecksumIEEE(payload))
 }
 
-func putBytes(b, data []byte) []byte {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(data)))
-	b = append(b, n[:]...)
-	return append(b, data...)
+// RecordMinSize is the smallest encoding of a Record: empty site and images.
+const RecordMinSize = 8 + codec.TxSize + codec.ItemSize + 4 + 4
+
+// AppendRecord writes rec as the log image's update frames hold it, and as
+// it crosses the wire in prepare requests and purge notices: LSN,
+// transaction, object, before-image, after-image.
+func AppendRecord(w *codec.Writer, rec *Record) {
+	w.U64(rec.LSN)
+	w.Tx(rec.Tx)
+	w.Item(rec.Object)
+	w.Bytes(rec.Before)
+	w.Bytes(rec.After)
 }
 
-func putTx(b []byte, tx lock.TxID) []byte {
-	b = putString(b, tx.Site)
-	return binary.LittleEndian.AppendUint64(b, tx.Seq)
-}
-
-func putItem(b []byte, id storage.ItemID) []byte {
-	b = append(b, byte(id.Level))
-	b = binary.LittleEndian.AppendUint32(b, uint32(id.Vol))
-	b = binary.LittleEndian.AppendUint32(b, id.File)
-	b = binary.LittleEndian.AppendUint32(b, id.Page)
-	return binary.LittleEndian.AppendUint16(b, id.Slot)
+// ReadRecord reads a record written by AppendRecord into rec.
+func ReadRecord(r *codec.Reader, rec *Record) {
+	rec.LSN = r.U64()
+	rec.Tx = r.Tx()
+	rec.Object = r.Item()
+	rec.Before = r.Bytes()
+	rec.After = r.Bytes()
 }
 
 // AppendUpdate logs one object update (redo and undo images).
 func (im *LogImage) AppendUpdate(rec Record) {
-	p := []byte{frameUpdate}
-	p = binary.LittleEndian.AppendUint64(p, rec.LSN)
-	p = putTx(p, rec.Tx)
-	p = putItem(p, rec.Object)
-	p = putBytes(p, rec.Before)
-	p = putBytes(p, rec.After)
-	im.frame(p)
+	f := im.open(frameUpdate)
+	AppendRecord(&im.w, &rec)
+	im.seal(f)
 }
 
 // AppendCommit logs a transaction's commit record.
 func (im *LogImage) AppendCommit(tx lock.TxID) {
-	im.frame(putTx([]byte{frameCommit}, tx))
+	f := im.open(frameCommit)
+	im.w.Tx(tx)
+	im.seal(f)
 }
 
 // AppendPrepare logs a participant's prepare record for a distributed
 // transaction, naming the coordinator its fate rests with.
 func (im *LogImage) AppendPrepare(tx lock.TxID, coord string) {
-	im.frame(putString(putTx([]byte{framePrepare}, tx), coord))
+	f := im.open(framePrepare)
+	im.w.Tx(tx)
+	im.w.String(coord)
+	im.seal(f)
 }
 
 // AppendAbort logs a transaction's abort record.
 func (im *LogImage) AppendAbort(tx lock.TxID) {
-	im.frame(putTx([]byte{frameAbort}, tx))
+	f := im.open(frameAbort)
+	im.w.Tx(tx)
+	im.seal(f)
 }
 
 // BeginCheckpoint logs the start of copy-checkpoint id.
 func (im *LogImage) BeginCheckpoint(id uint64) {
-	im.frame(binary.LittleEndian.AppendUint64([]byte{frameCkptBegin}, id))
+	f := im.open(frameCkptBegin)
+	im.w.U64(id)
+	im.seal(f)
 }
 
 // EndCheckpoint completes checkpoint id, embedding the committed state at
 // checkpoint time. Objects are written in sorted order so two images of
 // the same state are byte-identical.
 func (im *LogImage) EndCheckpoint(id uint64, state map[storage.ItemID][]byte) {
-	p := binary.LittleEndian.AppendUint64([]byte{frameCkptEnd}, id)
 	ids := make([]storage.ItemID, 0, len(state))
 	for obj := range state {
 		ids = append(ids, obj)
@@ -147,12 +160,14 @@ func (im *LogImage) EndCheckpoint(id uint64, state map[storage.ItemID][]byte) {
 		}
 		return a.Slot < b.Slot
 	})
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(ids)))
+	f := im.open(frameCkptEnd)
+	im.w.U64(id)
+	im.w.Count(len(ids))
 	for _, obj := range ids {
-		p = putItem(p, obj)
-		p = putBytes(p, state[obj])
+		im.w.Item(obj)
+		im.w.Bytes(state[obj])
 	}
-	im.frame(p)
+	im.seal(f)
 }
 
 // ReplayResult is the outcome of scanning a log image after a crash.
@@ -177,90 +192,6 @@ type ReplayResult struct {
 	// Checkpoint is the id of the complete checkpoint replay started from
 	// (zero if replay started at the log's birth).
 	Checkpoint uint64
-}
-
-// reader is a bounds-checked cursor over one frame payload.
-type reader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *reader) u8() byte {
-	if r.bad || r.off+1 > len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u16() uint16 {
-	if r.bad || r.off+2 > len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.bad || r.off+4 > len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.bad || r.off+8 > len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) str() string {
-	n := int(r.u16())
-	if r.bad || r.off+n > len(r.b) {
-		r.bad = true
-		return ""
-	}
-	v := string(r.b[r.off : r.off+n])
-	r.off += n
-	return v
-}
-
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	if r.bad || r.off+n > len(r.b) {
-		r.bad = true
-		return nil
-	}
-	v := append([]byte(nil), r.b[r.off:r.off+n]...)
-	r.off += n
-	return v
-}
-
-func (r *reader) tx() lock.TxID {
-	site := r.str()
-	return lock.TxID{Site: site, Seq: r.u64()}
-}
-
-func (r *reader) item() storage.ItemID {
-	return storage.ItemID{
-		Level: storage.Level(r.u8()),
-		Vol:   storage.VolumeID(r.u32()),
-		File:  r.u32(),
-		Page:  r.u32(),
-		Slot:  r.u16(),
-	}
 }
 
 // scanFrames splits the image into frame payloads, stopping cleanly at a
@@ -299,16 +230,16 @@ func Replay(img []byte) (*ReplayResult, error) {
 		if len(p) == 0 || p[0] != frameCkptEnd {
 			continue
 		}
-		r := &reader{b: p, off: 1}
-		id := r.u64()
-		if r.bad {
+		r := codec.NewReader(p[1:], nil)
+		id := r.U64()
+		if r.Err() != nil {
 			return nil, fmt.Errorf("wal: corrupt checkpoint-end frame %d", i)
 		}
 		for j := i - 1; j >= 0; j-- {
 			q := payloads[j]
 			if len(q) > 0 && q[0] == frameCkptBegin {
-				br := &reader{b: q, off: 1}
-				if br.u64() == id && !br.bad {
+				br := codec.NewReader(q[1:], nil)
+				if br.U64() == id && br.Err() == nil {
 					start = i
 					res.Checkpoint = id
 				}
@@ -326,13 +257,12 @@ func Replay(img []byte) (*ReplayResult, error) {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("wal: empty frame %d", i)
 		}
-		r := &reader{b: p, off: 1}
+		r := codec.NewReader(p[1:], nil)
 		switch p[0] {
 		case frameUpdate:
-			rec := Record{LSN: r.u64(), Tx: r.tx(), Object: r.item()}
-			rec.Before = r.bytes()
-			rec.After = r.bytes()
-			if r.bad {
+			var rec Record
+			ReadRecord(&r, &rec)
+			if r.Err() != nil {
 				return nil, fmt.Errorf("wal: corrupt update frame %d", i)
 			}
 			if rec.LSN > res.MaxLSN {
@@ -345,8 +275,8 @@ func Replay(img []byte) (*ReplayResult, error) {
 			seenLSN[rec.LSN] = true
 			pending[rec.Tx] = append(pending[rec.Tx], rec)
 		case frameCommit:
-			txid := r.tx()
-			if r.bad {
+			txid := r.Tx()
+			if r.Err() != nil {
 				return nil, fmt.Errorf("wal: corrupt commit frame %d", i)
 			}
 			for _, rec := range pending[txid] {
@@ -355,23 +285,23 @@ func Replay(img []byte) (*ReplayResult, error) {
 			delete(pending, txid)
 			delete(inDoubt, txid)
 		case frameAbort:
-			txid := r.tx()
-			if r.bad {
+			txid := r.Tx()
+			if r.Err() != nil {
 				return nil, fmt.Errorf("wal: corrupt abort frame %d", i)
 			}
 			delete(pending, txid)
 			delete(inDoubt, txid)
 		case framePrepare:
-			txid := r.tx()
-			coord := r.str()
-			if r.bad {
+			txid := r.Tx()
+			coord := r.String()
+			if r.Err() != nil {
 				return nil, fmt.Errorf("wal: corrupt prepare frame %d", i)
 			}
 			inDoubt[txid] = coord
 		case frameCkptBegin:
 			// Informational; completeness was decided in pass 1.
 		case frameCkptEnd:
-			id := r.u64()
+			id := r.U64()
 			if id != res.Checkpoint {
 				// An end for an older checkpoint inside the replayed suffix
 				// (possible only when start == 0 and this end's begin was
@@ -379,11 +309,11 @@ func Replay(img []byte) (*ReplayResult, error) {
 				// chose, so it is ignored.
 				continue
 			}
-			count := int(r.u32())
+			count := int(r.U32())
 			for k := 0; k < count; k++ {
-				obj := r.item()
-				val := r.bytes()
-				if r.bad {
+				obj := r.Item()
+				val := r.Bytes()
+				if r.Err() != nil {
 					return nil, fmt.Errorf("wal: corrupt checkpoint frame %d", i)
 				}
 				res.State[obj] = val
