@@ -1,12 +1,14 @@
-// Deterministic fault injection. A FaultPlan installed on a Network makes
-// the fabric unreliable in reproducible ways: per-link seeded RNG streams
-// decide — as a pure function of (plan seed, link, message index) — whether
-// each message is dropped, duplicated, or delayed out of FIFO order, and
+// Deterministic fault injection. A FaultPlan installed on a fabric makes
+// it unreliable in reproducible ways: per-link seeded RNG streams decide —
+// as a pure function of (plan seed, link, message index) — whether each
+// message is dropped, duplicated, or delayed out of FIFO order, and
 // declarative windows cut one-way partitions. Peers can additionally be
-// crashed at runtime, after which the network refuses traffic to and from
-// them. With no plan installed and no crashes, none of this code runs on
-// the send path beyond a single nil check, so fault-free runs are
-// bit-identical to a Network built before this file existed.
+// crashed at runtime, after which the fabric refuses traffic to and from
+// them. With no plan installed and no crashes, the send and delivery paths
+// run none of this code beyond one nil check per message: no decision
+// stream is drawn and no message takes a fault branch, so a fault-free run
+// makes exactly the path choices and counter updates it would make if
+// fault injection did not exist.
 package transport
 
 import (
@@ -65,7 +67,7 @@ const (
 	actDelay
 )
 
-// faultState is the mutable fault machinery of one Network.
+// faultState is the mutable fault machinery of one fabric.
 type faultState struct {
 	mu      sync.Mutex
 	plan    FaultPlan

@@ -22,17 +22,16 @@
 //     datagram on a real wire. The resilient-RPC layer's retry/dedup is
 //     what recovers it; the fabric's only job is to get a fresh socket.
 //
-// Counter discipline matches the Network: CtrNetDrops counts only sends
-// the fabric refused (closed, or no route to the destination); injected
-// drops are CtrFaultDrops; crashed-peer traffic is CtrCrashDrops. Socket
-// failures surface as CtrTCPReconnects, never as phantom drops.
+// Registration, Send and its counters, local and delayed delivery and the
+// close-time drain are the shared fabric core's (fabric.go); TCP adds a
+// path step that writes frames and the socket lifecycle below. A socket
+// failure surfaces as CtrTCPReconnects, never as a phantom CtrNetDrops.
 package transport
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"strconv"
 	"sync"
@@ -42,12 +41,6 @@ import (
 	"adaptivecc/internal/obs"
 	"adaptivecc/internal/sim"
 )
-
-// ErrNoRoute is returned by TCP.Send when the destination is neither a
-// local endpoint, nor listed in Remotes, nor reachable over a connection a
-// remote peer already opened to us. Unlike ErrClosed it indicates a
-// misconfigured topology, so the peer layer surfaces it via LastError.
-var ErrNoRoute = errors.New("transport: no route to destination")
 
 // TCPOptions configures a TCP fabric. The zero value listens on an
 // ephemeral loopback port with sane timeouts.
@@ -96,27 +89,14 @@ func (o TCPOptions) withDefaults() TCPOptions {
 
 // TCP is a Fabric over real sockets. See the package comment above.
 type TCP struct {
-	faultHost
+	fabric[*tcpPath]
 
-	costs    sim.CostTable
-	stats    *sim.Stats
-	numPaths int
-	opts     TCPOptions
+	opts   TCPOptions
+	ln     net.Listener
+	loopWG sync.WaitGroup // accept loop, handshakes, readers, keepers
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	ln        net.Listener
-	stopCh    chan struct{}
-	deliverWG sync.WaitGroup // handler invocations
-	loopWG    sync.WaitGroup // accept loop, readers, keepers, delayed deliveries
-
-	mu     sync.Mutex
-	nodes  map[string]*node
-	links  map[linkKey][]*tcpPath
-	conns  map[*tcpConn]linkKey // every live socket end and the link it serves
+	conns  map[*tcpConn]linkKey // every live socket end and the link it serves; guarded by mu
 	obsSet *obs.Set             // nil until AttachObs; guarded by mu
-	closed bool
 
 	streamErrors atomic.Int64 // sockets killed by ErrBadStream
 }
@@ -133,15 +113,14 @@ type tcpConn struct {
 
 func newTCPConn(c net.Conn) *tcpConn { return &tcpConn{Conn: c, enc: NewStreamEncoder()} }
 
-// tcpPath is one logical FIFO path of an ordered link: a message queue, a
-// single writer goroutine, and at most one live socket at a time.
+// tcpPath is one logical FIFO path of an ordered link: the shared queue,
+// drained by a single writer (ship), and at most one live socket at a time.
 type tcpPath struct {
-	t       *TCP
-	key     linkKey
-	idx     int
-	out     chan Message
-	drained chan struct{} // closed when the writer has exited
-	reg     atomic.Pointer[obs.Registry]
+	*path
+	t   *TCP
+	key linkKey
+	idx int
+	reg atomic.Pointer[obs.Registry]
 
 	connMu sync.Mutex
 	conn   *tcpConn
@@ -153,29 +132,13 @@ type tcpPath struct {
 // NewTCP builds a TCP fabric, binds its listener, and starts accepting.
 // costs/stats/numPaths/seed have the same meaning as for NewNetwork.
 func NewTCP(costs sim.CostTable, stats *sim.Stats, numPaths int, seed int64, opts TCPOptions) (*TCP, error) {
-	if numPaths < 1 {
-		numPaths = 1
-	}
-	if stats == nil {
-		stats = sim.NewStats()
-	}
 	opts = opts.withDefaults()
 	ln, err := net.Listen("tcp", opts.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", opts.ListenAddr, err)
 	}
-	t := &TCP{
-		costs:    costs,
-		stats:    stats,
-		numPaths: numPaths,
-		opts:     opts,
-		rng:      rand.New(rand.NewSource(seed)),
-		ln:       ln,
-		stopCh:   make(chan struct{}),
-		nodes:    make(map[string]*node),
-		links:    make(map[linkKey][]*tcpPath),
-		conns:    make(map[*tcpConn]linkKey),
-	}
+	t := &TCP{opts: opts, ln: ln, conns: make(map[*tcpConn]linkKey)}
+	t.setup(t, costs, stats, numPaths, seed)
 	t.loopWG.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -225,245 +188,41 @@ func (p *tcpPath) instrument(set *obs.Set) {
 	p.reg.Store(set.NewRegistryCap(site, 1))
 	set.RegisterGauge("tcp_queue_depth",
 		map[string]string{"link": p.key.from + "->" + p.key.to, "path": strconv.Itoa(p.idx)},
-		func() int64 { return int64(len(p.out)) })
+		func() int64 { return int64(len(p.ch)) })
 }
 
-// Register attaches a local endpoint, as on the simulated Network.
-func (t *TCP) Register(name string, cpu *sim.Resource, handler Handler) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.nodes[name]; ok {
-		return fmt.Errorf("transport: endpoint %q already registered", name)
-	}
-	t.nodes[name] = &node{name: name, cpu: cpu, handler: handler}
-	return nil
+// routable reports whether name, registered elsewhere, has a Remotes
+// address. A link a remote peer dialed to us needs none: the accept loop
+// opened it, so Send finds it before asking.
+func (t *TCP) routable(name string) bool {
+	_, ok := t.opts.Remotes[name]
+	return ok
 }
 
-// NumPaths reports the per-pair path count.
-func (t *TCP) NumPaths() int { return t.numPaths }
-
-// addrFor resolves a dial address for an endpoint: an explicit Remotes
-// entry wins; a locally registered endpoint is reached through our own
-// listener. Empty means not dialable (accept-fed only). Callers hold t.mu.
-func (t *TCP) addrFor(name string) string {
-	if addr, ok := t.opts.Remotes[name]; ok {
-		return addr
+// openPath starts one path of a link: its writer, and a keeper when the
+// destination has a dial address — an explicit Remotes entry, or our own
+// listener for a local endpoint. A path with neither is accept-fed: it
+// waits for the socket a remote peer dials on the reverse link.
+func (t *TCP) openPath(key linkKey, idx int, dst *node) *tcpPath {
+	p := &tcpPath{
+		path:   newPath(),
+		t:      t,
+		key:    key,
+		idx:    idx,
+		connCh: make(chan struct{}, 1),
+		downCh: make(chan struct{}, 1),
 	}
-	if _, ok := t.nodes[name]; ok {
-		return t.ln.Addr().String()
+	p.instrument(t.obsSet)
+	go t.run(p.path, p.ship)
+	addr, ok := t.opts.Remotes[key.to]
+	if !ok && dst != nil {
+		addr = t.ln.Addr().String()
 	}
-	return ""
-}
-
-// pathsFor returns (creating on first use) the paths of one ordered link.
-// mustRoute demands a way for frames to ever flow: a dialable destination
-// or an already-open link. The accept loop passes false — it is the party
-// creating the route.
-func (t *TCP) pathsFor(key linkKey, mustRoute bool) ([]*tcpPath, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, ErrClosed
+	if addr != "" {
+		t.loopWG.Add(1)
+		go t.keep(p, addr)
 	}
-	if ps, ok := t.links[key]; ok {
-		t.mu.Unlock()
-		return ps, nil
-	}
-	addr := t.addrFor(key.to)
-	if mustRoute && addr == "" {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s->%s", ErrNoRoute, key.from, key.to)
-	}
-	ps := make([]*tcpPath, t.numPaths)
-	for i := range ps {
-		p := &tcpPath{
-			t:       t,
-			key:     key,
-			idx:     i,
-			out:     make(chan Message, pathBufSize),
-			drained: make(chan struct{}),
-			connCh:  make(chan struct{}, 1),
-			downCh:  make(chan struct{}, 1),
-		}
-		ps[i] = p
-		p.instrument(t.obsSet)
-		go p.writeLoop()
-		if addr != "" {
-			t.loopWG.Add(1)
-			go t.keep(p, addr)
-		}
-	}
-	t.links[key] = ps
-	t.mu.Unlock()
-	return ps, nil
-}
-
-// Send queues msg on one of its link's paths. Semantics mirror
-// Network.Send: the sender's CPU is charged, fault decisions use the same
-// per-link streams, a full path blocks (backpressure, never loss), and the
-// only counted drops (CtrNetDrops) are sends the fabric refused outright —
-// closed fabric or unroutable destination.
-func (t *TCP) Send(msg Message, pathHint int) error {
-	t.mu.Lock()
-	sender := t.nodes[msg.From]
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		t.stats.Inc(sim.CtrNetDrops)
-		return fmt.Errorf("%w: %s->%s dropped", ErrClosed, msg.From, msg.To)
-	}
-	if sender == nil {
-		return fmt.Errorf("transport: unknown sender %q", msg.From)
-	}
-	ps, err := t.pathsFor(linkKey{msg.From, msg.To}, true)
-	if err != nil {
-		t.stats.Inc(sim.CtrNetDrops)
-		return err
-	}
-
-	fs := t.faults.Load()
-	if fs != nil && (fs.isCrashed(msg.From) || fs.isCrashed(msg.To)) {
-		t.stats.Inc(sim.CtrCrashDrops)
-		return fmt.Errorf("%w: %s->%s", ErrPeerDown, msg.From, msg.To)
-	}
-
-	sender.cpu.Use(t.msgCost(msg))
-
-	action := actDeliver
-	var extraDelay time.Duration
-	if fs != nil {
-		action, extraDelay = fs.decide(linkKey{msg.From, msg.To})
-	}
-
-	idx := pathHint
-	if idx < 0 || idx >= len(ps) {
-		t.rngMu.Lock()
-		idx = t.rng.Intn(len(ps))
-		t.rngMu.Unlock()
-	}
-
-	switch action {
-	case actDrop:
-		// Silent loss: the sender believes the message is on its way.
-		t.stats.Inc(sim.CtrFaultDrops)
-		return nil
-	case actDelay:
-		// Reorder fault: deliver outside the path FIFO after extra
-		// latency. Counted as sent now, like the simulated fabric.
-		t.stats.Inc(sim.CtrFaultDelays)
-		t.countSent(msg, 1)
-		t.deliverDelayed(msg, ps[idx], extraDelay)
-		return nil
-	}
-
-	// Counted before the enqueue, as on the Network: once the message is on
-	// its path the receiver may answer, and the answer's reader may look at
-	// the counters, before this goroutine runs again.
-	t.countSent(msg, 1)
-	select {
-	case ps[idx].out <- msg:
-		if action == actDup {
-			// Best-effort duplicate on the same path, as on the Network.
-			t.countSent(msg, 1)
-			select {
-			case ps[idx].out <- msg:
-				t.stats.Inc(sim.CtrFaultDups)
-			default:
-				t.countSent(msg, -1)
-			}
-		}
-		return nil
-	case <-t.stopCh:
-		t.countSent(msg, -1)
-		t.stats.Inc(sim.CtrNetDrops)
-		return fmt.Errorf("%w: %s->%s dropped", ErrClosed, msg.From, msg.To)
-	}
-}
-
-func (t *TCP) msgCost(msg Message) time.Duration {
-	cost := t.costs.MsgCPU
-	if msg.CarriesPage {
-		cost += t.costs.PerPageExtra
-	}
-	return cost
-}
-
-// countSent adds delta (1, or -1 to take a count back) to the sent-message
-// counters.
-func (t *TCP) countSent(msg Message, delta int64) {
-	t.stats.Add(sim.CtrMessages, delta)
-	if msg.CarriesPage {
-		t.stats.Add(sim.CtrPageTransfers, delta)
-	}
-}
-
-// deliverDelayed implements the reorder fault. A local destination is
-// delivered directly (bypassing the path FIFO) after the extra latency,
-// mirroring Network.deliverDirect; a remote one is re-queued on its path
-// after the sleep, which equally breaks FIFO relative to later sends.
-func (t *TCP) deliverDelayed(msg Message, p *tcpPath, extra time.Duration) {
-	t.mu.Lock()
-	dst := t.nodes[msg.To]
-	t.mu.Unlock()
-	wait := t.costs.Scaled(t.costs.MsgLatency) + extra
-	if dst != nil {
-		t.deliverWG.Add(1)
-		go func() {
-			defer t.deliverWG.Done()
-			select {
-			case <-time.After(wait):
-			case <-t.stopCh:
-			}
-			t.handleLocal(dst, msg)
-		}()
-		return
-	}
-	t.loopWG.Add(1)
-	go func() {
-		defer t.loopWG.Done()
-		select {
-		case <-time.After(wait):
-		case <-t.stopCh:
-		}
-		select {
-		case p.out <- msg:
-		default:
-			// Queue full or already drained during shutdown: the message
-			// was counted as sent, so account the loss.
-			t.stats.Inc(sim.CtrNetDrops)
-			t.countSent(msg, -1)
-		}
-	}()
-}
-
-// handleLocal runs the crash check, CPU charge, and handler for one
-// delivered message. Callers run it from a goroutine already counted in
-// deliverWG.
-func (t *TCP) handleLocal(dst *node, msg Message) {
-	if fs := t.faults.Load(); fs != nil && fs.isCrashed(msg.To) {
-		// The destination died while the message was on the wire.
-		t.stats.Inc(sim.CtrCrashDrops)
-		return
-	}
-	dst.cpu.Use(t.msgCost(msg))
-	dst.handler(msg)
-}
-
-// deliver hands a decoded inbound frame to its destination endpoint, one
-// fresh goroutine per message like the simulated pump. Frames for unknown
-// endpoints (misrouted, or a peer registered elsewhere) are discarded.
-func (t *TCP) deliver(msg Message) {
-	t.mu.Lock()
-	dst := t.nodes[msg.To]
-	t.mu.Unlock()
-	if dst == nil {
-		return
-	}
-	t.deliverWG.Add(1)
-	go func() {
-		defer t.deliverWG.Done()
-		t.handleLocal(dst, msg)
-	}()
+	return p
 }
 
 // --- connection lifecycle ---------------------------------------------
@@ -541,7 +300,14 @@ func (t *TCP) handshake(nc net.Conn) {
 	t.stats.Inc(sim.CtrTCPConns)
 	t.loopWG.Add(1)
 	go t.readLoop(c)
-	if ps, err := t.pathsFor(linkKey{h.To, h.From}, false); err == nil {
+	// The socket is the reply link's route: open it without Send's check.
+	t.mu.Lock()
+	var ps []*tcpPath
+	if !t.closed {
+		ps = t.linkLocked(linkKey{h.To, h.From})
+	}
+	t.mu.Unlock()
+	if ps != nil {
 		ps[h.Path].offerConn(c)
 	}
 }
@@ -552,9 +318,10 @@ func (t *TCP) handshake(nc net.Conn) {
 const readBufSize = 16 << 10
 
 // readLoop decodes frames off one socket end and delivers them until the
-// socket dies or a bad frame poisons the stream. The decoder is the read
-// half of the socket's codec: created here, just past the hello, and gone
-// when the loop drops the socket.
+// socket dies or a bad frame poisons the stream. Frames for endpoints not
+// registered here (misrouted, or a peer registered elsewhere) are
+// discarded. The decoder is the read half of the socket's codec: created
+// here, just past the hello, and gone when the loop drops the socket.
 func (t *TCP) readLoop(c *tcpConn) {
 	defer t.loopWG.Done()
 	defer t.dropConn(c)
@@ -567,7 +334,12 @@ func (t *TCP) readLoop(c *tcpConn) {
 			}
 			return
 		}
-		t.deliver(msg)
+		t.mu.Lock()
+		dst := t.nodes[msg.To]
+		t.mu.Unlock()
+		if dst != nil {
+			t.deliver(dst, msg)
+		}
 	}
 }
 
@@ -687,28 +459,11 @@ func (t *TCP) severConns(peer string) int {
 	return len(dead)
 }
 
-// Close shuts the fabric down: stop accepting, let the writers flush what
-// was queued onto live sockets, cut every socket, and wait for readers,
-// keepers, and handler goroutines. Messages a racing sender enqueued after
-// the writers drained are discarded and counted, mirroring Network.Close.
-func (t *TCP) Close() {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	t.closed = true
-	var all []*tcpPath
-	for _, l := range t.links {
-		all = append(all, l...)
-	}
-	t.mu.Unlock()
-
-	close(t.stopCh)
+// stopped ends the socket side once Close has let the writers flush what
+// was queued onto live sockets: stop accepting, cut every socket, and wait
+// for the accept loop, handshakes, readers and keepers.
+func (t *TCP) stopped() {
 	t.ln.Close()
-	for _, p := range all {
-		<-p.drained
-	}
 	t.mu.Lock()
 	conns := make([]*tcpConn, 0, len(t.conns))
 	for c := range t.conns {
@@ -719,20 +474,6 @@ func (t *TCP) Close() {
 		c.Close()
 	}
 	t.loopWG.Wait()
-	t.deliverWG.Wait()
-
-	for _, p := range all {
-	drain:
-		for {
-			select {
-			case msg := <-p.out:
-				t.stats.Inc(sim.CtrNetDrops)
-				t.countSent(msg, -1) // it was counted as sent
-			default:
-				break drain
-			}
-		}
-	}
 }
 
 // --- tcpPath ----------------------------------------------------------
@@ -817,30 +558,9 @@ func (p *tcpPath) waitConn() *tcpConn {
 	}
 }
 
-// writeLoop is the path's single writer: it preserves FIFO order by being
-// the only goroutine that touches the socket's write side. On shutdown it
-// flushes everything already queued before exiting.
-func (p *tcpPath) writeLoop() {
-	defer close(p.drained)
-	for {
-		select {
-		case msg := <-p.out:
-			p.ship(msg)
-		case <-p.t.stopCh:
-			for {
-				select {
-				case msg := <-p.out:
-					p.ship(msg)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// ship writes one message to the path's current socket, encoded by that
-// socket's own encoder. A write error poisons the socket (the frame may be
+// ship is the path's step: it writes one message to the path's current
+// socket, encoded by that socket's own encoder. Being the path's only
+// writer, it keeps the socket's frames in path order. A write error poisons the socket (the frame may be
 // half-written): the connection is dropped and the message is lost in
 // flight — real-wire loss that the retry/dedup layer above recovers. It is
 // deliberately NOT counted as a CtrNetDrops: the fabric accepted the
@@ -849,7 +569,7 @@ func (p *tcpPath) ship(msg Message) {
 	t := p.t
 	if fs := t.faults.Load(); fs != nil && fs.isCrashed(msg.To) {
 		// Destination died after the message was queued: a dead peer
-		// processes nothing, as at the simulated pump.
+		// processes nothing.
 		t.stats.Inc(sim.CtrCrashDrops)
 		return
 	}

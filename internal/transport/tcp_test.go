@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,12 +33,19 @@ func newTestTCP(t *testing.T, paths int) (*TCP, *sim.Stats) {
 	return tc, stats
 }
 
-func registerTCP(t *testing.T, tc *TCP, name string, h Handler) {
-	t.Helper()
-	cpu := sim.NewResource(name+"-cpu", sim.DefaultCosts(0))
-	if err := tc.Register(name, cpu, h); err != nil {
-		t.Fatal(err)
-	}
+// fabricCases are both fabrics over the shared send path, for the table
+// tests of its counter discipline: the simulated Network and a loopback
+// TCP fabric. Each case's fabric closes at test cleanup.
+var fabricCases = []struct {
+	name string
+	make func(t *testing.T, paths int) (Fabric, *sim.Stats)
+}{
+	{"network", func(t *testing.T, paths int) (Fabric, *sim.Stats) {
+		n, stats := newTestNetwork(t, paths)
+		t.Cleanup(n.Close)
+		return n, stats
+	}},
+	{"tcp", func(t *testing.T, paths int) (Fabric, *sim.Stats) { return newTestTCP(t, paths) }},
 }
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -56,8 +64,8 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestTCPSendDelivers(t *testing.T) {
 	tc, stats := newTestTCP(t, 2)
 	got := make(chan Message, 1)
-	registerTCP(t, tc, "a", func(Message) {})
-	registerTCP(t, tc, "b", func(m Message) { got <- m })
+	register(t, tc, "a", func(Message) {})
+	register(t, tc, "b", func(m Message) { got <- m })
 
 	err := tc.Send(Message{From: "a", To: "b", Kind: "ping", Payload: tcpTestPayload{V: 42}}, AnyPath)
 	if err != nil {
@@ -80,50 +88,54 @@ func TestTCPSendDelivers(t *testing.T) {
 	}
 }
 
-// TestTCPCountsBeforeDelivery plays ping-pong over loopback: message k is
+// TestTCPCountsBeforeDelivery plays ping-pong on each fabric: message k is
 // the k-th send of the run, and its handler sends message k+1. Every
 // handler must already see message k in the counters — the sender counts
 // before the enqueue, so a reply's reader never observes its own request
 // uncounted.
 func TestTCPCountsBeforeDelivery(t *testing.T) {
-	tc, stats := newTestTCP(t, 2)
-	const rounds = 300
-	done := make(chan struct{})
-	var mu sync.Mutex
-	var bad []string
-	bounce := func(self, peer string) Handler {
-		return func(m Message) {
-			k := m.Payload.(tcpTestPayload).V
-			msgs, pages := stats.Get(sim.CtrMessages), stats.Get(sim.CtrPageTransfers)
-			if msgs < int64(k) || pages < int64(k) {
-				mu.Lock()
-				bad = append(bad, fmt.Sprintf("message %d handled with messages=%d page_transfers=%d", k, msgs, pages))
-				mu.Unlock()
+	for _, fc := range fabricCases {
+		t.Run(fc.name, func(t *testing.T) {
+			f, stats := fc.make(t, 2)
+			const rounds = 300
+			done := make(chan struct{})
+			var mu sync.Mutex
+			var bad []string
+			bounce := func(self, peer string) Handler {
+				return func(m Message) {
+					k := m.Payload.(tcpTestPayload).V
+					msgs, pages := stats.Get(sim.CtrMessages), stats.Get(sim.CtrPageTransfers)
+					if msgs < int64(k) || pages < int64(k) {
+						mu.Lock()
+						bad = append(bad, fmt.Sprintf("message %d handled with messages=%d page_transfers=%d", k, msgs, pages))
+						mu.Unlock()
+					}
+					if k == rounds {
+						close(done)
+						return
+					}
+					next := Message{From: self, To: peer, CarriesPage: true, Payload: tcpTestPayload{V: k + 1}}
+					if err := f.Send(next, AnyPath); err != nil {
+						t.Error(err)
+					}
+				}
 			}
-			if k == rounds {
-				close(done)
-				return
+			register(t, f, "a", bounce("a", "b"))
+			register(t, f, "b", bounce("b", "a"))
+			if err := f.Send(Message{From: "a", To: "b", CarriesPage: true, Payload: tcpTestPayload{V: 1}}, AnyPath); err != nil {
+				t.Fatal(err)
 			}
-			next := Message{From: self, To: peer, CarriesPage: true, Payload: tcpTestPayload{V: k + 1}}
-			if err := tc.Send(next, AnyPath); err != nil {
-				t.Error(err)
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("ping-pong stalled")
 			}
-		}
-	}
-	registerTCP(t, tc, "a", bounce("a", "b"))
-	registerTCP(t, tc, "b", bounce("b", "a"))
-	if err := tc.Send(Message{From: "a", To: "b", CarriesPage: true, Payload: tcpTestPayload{V: 1}}, AnyPath); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("ping-pong stalled")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, b := range bad {
-		t.Error(b)
+			mu.Lock()
+			defer mu.Unlock()
+			for _, b := range bad {
+				t.Error(b)
+			}
+		})
 	}
 }
 
@@ -131,8 +143,8 @@ func TestTCPAllMessagesArrive(t *testing.T) {
 	tc, stats := newTestTCP(t, 3)
 	var mu sync.Mutex
 	seen := make(map[int]bool)
-	registerTCP(t, tc, "a", func(Message) {})
-	registerTCP(t, tc, "b", func(m Message) {
+	register(t, tc, "a", func(Message) {})
+	register(t, tc, "b", func(m Message) {
 		mu.Lock()
 		seen[m.Payload.(tcpTestPayload).V] = true
 		mu.Unlock()
@@ -154,50 +166,55 @@ func TestTCPAllMessagesArrive(t *testing.T) {
 	}
 }
 
-// TestTCPDropAccounting pins the counter discipline the peer layer relies
-// on: CtrNetDrops counts only sends the fabric refused outright — closed
-// fabric or unroutable destination — never wire-level socket loss.
+// TestTCPDropAccounting pins, on each fabric, the counter discipline the
+// peer layer relies on: CtrNetDrops counts only sends the fabric refused
+// outright — closed fabric or unroutable destination — never wire-level
+// socket loss.
 func TestTCPDropAccounting(t *testing.T) {
-	tc, stats := newTestTCP(t, 1)
-	registerTCP(t, tc, "a", func(Message) {})
-	registerTCP(t, tc, "b", func(Message) {})
+	for _, fc := range fabricCases {
+		t.Run(fc.name, func(t *testing.T) {
+			f, stats := fc.make(t, 1)
+			register(t, f, "a", func(Message) {})
+			register(t, f, "b", func(Message) {})
 
-	// Unroutable destination: refused, counted, surfaced as ErrNoRoute
-	// (and explicitly NOT ErrClosed, so Peer.LastError records it).
-	err := tc.Send(Message{From: "a", To: "ghost"}, AnyPath)
-	if !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("send to unroutable dest err = %v, want ErrNoRoute", err)
-	}
-	if errors.Is(err, ErrClosed) {
-		t.Fatal("ErrNoRoute must not wrap ErrClosed: it is a misconfiguration, not an expected loss")
-	}
-	if got := stats.Get(sim.CtrNetDrops); got != 1 {
-		t.Fatalf("net drops after unroutable send = %d, want 1", got)
-	}
+			// Unroutable destination: refused, counted, surfaced as ErrNoRoute
+			// (and explicitly NOT ErrClosed, so Peer.LastError records it).
+			err := f.Send(Message{From: "a", To: "ghost"}, AnyPath)
+			if !errors.Is(err, ErrNoRoute) {
+				t.Fatalf("send to unroutable dest err = %v, want ErrNoRoute", err)
+			}
+			if errors.Is(err, ErrClosed) {
+				t.Fatal("ErrNoRoute must not wrap ErrClosed: it is a misconfiguration, not an expected loss")
+			}
+			if got := stats.Get(sim.CtrNetDrops); got != 1 {
+				t.Fatalf("net drops after unroutable send = %d, want 1", got)
+			}
 
-	// Unknown sender: a programming error, not a drop.
-	if err := tc.Send(Message{From: "nope", To: "b"}, AnyPath); err == nil {
-		t.Error("send from unknown sender succeeded")
-	}
-	if got := stats.Get(sim.CtrNetDrops); got != 1 {
-		t.Errorf("net drops after unknown-sender send = %d, want 1", got)
-	}
+			// Unknown sender: a programming error, not a drop.
+			if err := f.Send(Message{From: "nope", To: "b"}, AnyPath); err == nil {
+				t.Error("send from unknown sender succeeded")
+			}
+			if got := stats.Get(sim.CtrNetDrops); got != 1 {
+				t.Errorf("net drops after unknown-sender send = %d, want 1", got)
+			}
 
-	// Closed fabric: refused and counted.
-	tc.Close()
-	if err := tc.Send(Message{From: "a", To: "b"}, AnyPath); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send after close err = %v, want ErrClosed", err)
-	}
-	if got := stats.Get(sim.CtrNetDrops); got != 2 {
-		t.Errorf("net drops after closed send = %d, want 2", got)
+			// Closed fabric: refused and counted.
+			f.Close()
+			if err := f.Send(Message{From: "a", To: "b"}, AnyPath); !errors.Is(err, ErrClosed) {
+				t.Fatalf("send after close err = %v, want ErrClosed", err)
+			}
+			if got := stats.Get(sim.CtrNetDrops); got != 2 {
+				t.Errorf("net drops after closed send = %d, want 2", got)
+			}
+		})
 	}
 }
 
 func TestTCPCrashTearsDownSockets(t *testing.T) {
 	tc, stats := newTestTCP(t, 1)
 	delivered := make(chan struct{}, 16)
-	registerTCP(t, tc, "a", func(Message) {})
-	registerTCP(t, tc, "b", func(Message) { delivered <- struct{}{} })
+	register(t, tc, "a", func(Message) {})
+	register(t, tc, "b", func(Message) { delivered <- struct{}{} })
 
 	if err := tc.Send(Message{From: "a", To: "b"}, AnyPath); err != nil {
 		t.Fatal(err)
@@ -233,8 +250,8 @@ func TestTCPReconnectAfterDrop(t *testing.T) {
 	tc, stats := newTestTCP(t, 1)
 	var mu sync.Mutex
 	seen := make(map[int]bool)
-	registerTCP(t, tc, "a", func(Message) {})
-	registerTCP(t, tc, "b", func(m Message) {
+	register(t, tc, "a", func(Message) {})
+	register(t, tc, "b", func(m Message) {
 		mu.Lock()
 		seen[m.Payload.(tcpTestPayload).V] = true
 		mu.Unlock()
@@ -290,7 +307,7 @@ func TestTCPEncodeErrorResetsStream(t *testing.T) {
 	type unregistered struct{ V int }
 	srv, _ := newTestTCP(t, 1)
 	got := make(chan Message, 4)
-	registerTCP(t, srv, "b", func(m Message) { got <- m })
+	register(t, srv, "b", func(m Message) { got <- m })
 
 	stats := sim.NewStats()
 	cli, err := NewTCP(sim.DefaultCosts(0), stats, 1, 1, TCPOptions{
@@ -302,7 +319,7 @@ func TestTCPEncodeErrorResetsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cli.Close)
-	registerTCP(t, cli, "a", func(Message) {})
+	register(t, cli, "a", func(Message) {})
 
 	// V=0 establishes the stream, so the failure hits a live encoder.
 	for _, payload := range []any{tcpTestPayload{V: 0}, unregistered{V: 1}, tcpTestPayload{V: 2}} {
@@ -343,8 +360,8 @@ func TestTCPEncodeErrorResetsStream(t *testing.T) {
 func TestTCPRefusedSendUncounted(t *testing.T) {
 	type unregistered struct{ V int }
 	tc, stats := newTestTCP(t, 1)
-	registerTCP(t, tc, "a", func(Message) {})
-	registerTCP(t, tc, "b", func(Message) {})
+	register(t, tc, "a", func(Message) {})
+	register(t, tc, "b", func(Message) {})
 	if err := tc.Send(Message{From: "a", To: "b", CarriesPage: true, Payload: unregistered{1}}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +379,8 @@ func TestTCPMixedFormatsOneSocket(t *testing.T) {
 	tc, stats := newTestTCP(t, 1)
 	const n = 90
 	got := make(chan Message, n)
-	registerTCP(t, tc, "a", func(Message) {})
-	registerTCP(t, tc, "b", func(m Message) { got <- m })
+	register(t, tc, "a", func(Message) {})
+	register(t, tc, "b", func(m Message) { got <- m })
 	want := make(map[int]any, n)
 	for i := 0; i < n; i++ {
 		var p any = binPayload{N: uint64(i), S: "bin"}
@@ -407,46 +424,42 @@ func TestTCPMixedFormatsOneSocket(t *testing.T) {
 }
 
 // TestTCPFaultDecisionsMatchNetwork feeds the same seeded FaultPlan to both
-// fabrics and checks the injected-fault counters agree: the per-link
-// decision streams are shared via faultHost, so a drop on the Network is a
-// drop on TCP for the same send sequence.
+// fabrics and checks that the injected-fault and sent-message counters
+// agree: the per-link decision streams are shared via faultHost, and the
+// drop, dup and delay branches are the shared send path's, so a drop on
+// the Network is a drop on TCP for the same send sequence.
 func TestTCPFaultDecisionsMatchNetwork(t *testing.T) {
-	plan := FaultPlan{Seed: 7, DropProb: 0.3, DupProb: 0.2}
-
-	run := func(f Fabric, stats *sim.Stats) (drops, dups int64) {
-		cpu := sim.NewResource("cpu", sim.DefaultCosts(0))
-		if err := f.Register("a", cpu, func(Message) {}); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Register("b", sim.NewResource("cpu2", sim.DefaultCosts(0)), func(Message) {}); err != nil {
-			t.Fatal(err)
-		}
+	plan := FaultPlan{Seed: 7, DropProb: 0.3, DupProb: 0.2, DelayProb: 0.3}
+	ctrs := []string{sim.CtrFaultDrops, sim.CtrFaultDups, sim.CtrFaultDelays, sim.CtrMessages, sim.CtrPageTransfers}
+	got := make(map[string][]int64)
+	for _, fc := range fabricCases {
+		f, stats := fc.make(t, 1)
+		var handled atomic.Int64
+		register(t, f, "a", func(Message) {})
+		register(t, f, "b", func(Message) { handled.Add(1) })
 		f.InjectFaults(plan)
 		for i := 0; i < 100; i++ {
-			if err := f.Send(Message{From: "a", To: "b", Payload: tcpTestPayload{V: i}}, 0); err != nil {
+			if err := f.Send(Message{From: "a", To: "b", CarriesPage: i%2 == 0, Payload: tcpTestPayload{V: i}}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
+		// Close only once every counted message has arrived: a TCP writer
+		// still waiting for its first socket at Close takes its messages back.
+		waitUntil(t, 10*time.Second, fc.name+" deliveries", func() bool {
+			return handled.Load() == stats.Get(sim.CtrMessages)
+		})
 		f.Close()
-		return stats.Get(sim.CtrFaultDrops), stats.Get(sim.CtrFaultDups)
+		for _, c := range ctrs {
+			got[fc.name] = append(got[fc.name], stats.Get(c))
+		}
 	}
-
-	netStats := sim.NewStats()
-	netDrops, netDups := run(NewNetwork(sim.DefaultCosts(0), netStats, 1, 1), netStats)
-
-	tcpStats := sim.NewStats()
-	tc, err := NewTCP(sim.DefaultCosts(0), tcpStats, 1, 1, TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got["network"], got["tcp"]) {
+		t.Errorf("fabrics diverge on %v: network %v, tcp %v", ctrs, got["network"], got["tcp"])
 	}
-	tcpDrops, tcpDups := run(tc, tcpStats)
-
-	if netDrops != tcpDrops || netDups != tcpDups {
-		t.Errorf("fault decisions diverge: network drops/dups = %d/%d, tcp = %d/%d",
-			netDrops, netDups, tcpDrops, tcpDups)
-	}
-	if netDrops == 0 {
-		t.Error("fault plan injected no drops; test is vacuous")
+	for i, c := range ctrs[:3] {
+		if got["network"][i] == 0 {
+			t.Errorf("fault plan injected no %s; test is vacuous", c)
+		}
 	}
 }
 
@@ -459,8 +472,8 @@ func TestTCPObsInstrumentation(t *testing.T) {
 	tc.AttachObs(set)
 
 	got := make(chan Message, 8)
-	registerTCP(t, tc, "a", func(Message) {})
-	registerTCP(t, tc, "b", func(m Message) { got <- m })
+	register(t, tc, "a", func(Message) {})
+	register(t, tc, "b", func(m Message) { got <- m })
 	for i := 0; i < 4; i++ {
 		if err := tc.Send(Message{From: "a", To: "b", Kind: "ping", Payload: tcpTestPayload{V: i}}, AnyPath); err != nil {
 			t.Fatal(err)
@@ -513,7 +526,7 @@ func TestTCPObsBackoff(t *testing.T) {
 	t.Cleanup(tc.Close)
 	set := obs.NewSet(obs.Config{Enabled: true, TraceCap: 8}, stats)
 	tc.AttachObs(set)
-	registerTCP(t, tc, "a", func(Message) {})
+	register(t, tc, "a", func(Message) {})
 
 	if err := tc.Send(Message{From: "a", To: "dead", Kind: "ping", Payload: tcpTestPayload{V: 1}}, AnyPath); err != nil {
 		t.Fatal(err)
@@ -528,8 +541,8 @@ func TestTCPObsBackoff(t *testing.T) {
 func TestTCPAttachObsAfterPaths(t *testing.T) {
 	tc, stats := newTestTCP(t, 1)
 	got := make(chan Message, 1)
-	registerTCP(t, tc, "a", func(Message) {})
-	registerTCP(t, tc, "b", func(m Message) { got <- m })
+	register(t, tc, "a", func(Message) {})
+	register(t, tc, "b", func(m Message) { got <- m })
 	if err := tc.Send(Message{From: "a", To: "b", Kind: "ping", Payload: tcpTestPayload{V: 1}}, AnyPath); err != nil {
 		t.Fatal(err)
 	}

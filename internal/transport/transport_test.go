@@ -16,10 +16,10 @@ func newTestNetwork(t *testing.T, paths int) (*Network, *sim.Stats) {
 	return NewNetwork(sim.DefaultCosts(0), stats, paths, 1), stats
 }
 
-func register(t *testing.T, n *Network, name string, h Handler) {
+func register(t *testing.T, f Fabric, name string, h Handler) {
 	t.Helper()
 	cpu := sim.NewResource(name+"-cpu", sim.DefaultCosts(0))
-	if err := n.Register(name, cpu, h); err != nil {
+	if err := f.Register(name, cpu, h); err != nil {
 		t.Fatal(err)
 	}
 }
