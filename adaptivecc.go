@@ -30,12 +30,12 @@
 package adaptivecc
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"adaptivecc/internal/core"
 	"adaptivecc/internal/lock"
+	"adaptivecc/internal/placement"
 	"adaptivecc/internal/sim"
 	"adaptivecc/internal/storage"
 )
@@ -200,15 +200,12 @@ func NewPeerServers(opts Options) (*Cluster, error) {
 	sys := core.NewSystem(cfg)
 
 	n := opts.NumClients
-	slice := opts.DatabasePages / uint32(n)
-	if slice == 0 {
-		return nil, errors.New("adaptivecc: more peers than pages")
-	}
 	cl := &Cluster{sys: sys}
 	for i := 0; i < n; i++ {
-		count := slice
-		if i == n-1 {
-			count = opts.DatabasePages - slice*uint32(n-1)
+		count, err := placement.EqualSlice(opts.DatabasePages, n, i)
+		if err != nil {
+			sys.Close()
+			return nil, fmt.Errorf("adaptivecc: %w", err)
 		}
 		vol := storage.NewVolume(storage.VolumeID(i+1), cfg.Costs, sys.Stats())
 		if _, err := vol.CreateFile(1, 0, count, opts.ObjectsPerPage, cfg.ObjectSize); err != nil {

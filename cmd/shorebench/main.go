@@ -19,10 +19,8 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,6 +31,7 @@ import (
 	"adaptivecc/internal/core"
 	"adaptivecc/internal/harness"
 	"adaptivecc/internal/obs"
+	"adaptivecc/internal/obs/export"
 	"adaptivecc/internal/transport"
 )
 
@@ -130,17 +129,11 @@ func run(args []string) error {
 	plat.GroupCommit = *groupCmt
 
 	if *metricsAt != "" {
-		obs.PublishExpvar()
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.MetricsHandler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		srv := &http.Server{Addr: *metricsAt, Handler: mux}
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "shorebench: metrics server:", err)
-			}
-		}()
-		fmt.Printf("metrics at http://%s/metrics (Prometheus) and /debug/vars (expvar)\n", *metricsAt)
+		bound, err := export.Serve(*metricsAt, "", nil, "shorebench", nil, false)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("metrics at http://%s/metrics (Prometheus) and /debug/vars (expvar)\n", bound)
 	}
 
 	if *listConfig {

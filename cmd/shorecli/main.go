@@ -23,12 +23,9 @@ package main
 
 import (
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -121,12 +118,10 @@ func run(args []string) error {
 	if addrs := strings.Split(*addr, ","); len(addrs) > 1 {
 		// A fleet: address i is shard i (shored -shard i/N), serving volume
 		// i with the i-th equal slice of the total page count.
-		n := len(addrs)
-		slice := uint32(*pages) / uint32(n)
 		for i, a := range addrs {
-			cnt := slice
-			if i == n-1 {
-				cnt = uint32(*pages) - slice*uint32(n-1)
+			cnt, err := placement.EqualSlice(uint32(*pages), len(addrs), i)
+			if err != nil {
+				return fmt.Errorf("bad -addr: %w", err)
 			}
 			copts.Fleet = append(copts.Fleet, shoreclient.Endpoint{
 				Name:   fmt.Sprintf("srv%d", i+1),
@@ -151,27 +146,11 @@ func run(args []string) error {
 	process := "shorecli:" + *namePrefix
 
 	if *metricsAt != "" {
-		obs.PublishExpvar()
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.MetricsHandler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		mux.Handle("/debug/obs/snapshot", export.Handler(cli.System().Obs(), process, nil))
-		mln, err := net.Listen("tcp", *metricsAt)
+		bound, err := export.Serve(*metricsAt, *metricsOut, cli.System().Obs(), process, nil, false)
 		if err != nil {
-			return fmt.Errorf("metrics listen %s: %w", *metricsAt, err)
+			return err
 		}
-		if *metricsOut != "" {
-			if err := os.WriteFile(*metricsOut, []byte(mln.Addr().String()), 0o644); err != nil {
-				return fmt.Errorf("metrics-addr-file: %w", err)
-			}
-		}
-		hs := &http.Server{Handler: mux}
-		go func() {
-			if err := hs.Serve(mln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "shorecli: metrics server:", err)
-			}
-		}()
-		fmt.Printf("shorecli: introspection at http://%s/metrics and /debug/obs/snapshot\n", mln.Addr().String())
+		fmt.Printf("shorecli: introspection at http://%s/metrics and /debug/obs/snapshot\n", bound)
 	}
 
 	peers := make([]*core.Peer, *apps)

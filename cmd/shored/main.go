@@ -28,12 +28,8 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sort"
@@ -47,6 +43,7 @@ import (
 	"adaptivecc/internal/obs/audit"
 	"adaptivecc/internal/obs/critpath"
 	"adaptivecc/internal/obs/export"
+	"adaptivecc/internal/placement"
 	"adaptivecc/internal/sim"
 	"adaptivecc/internal/storage"
 	"adaptivecc/internal/transport"
@@ -105,13 +102,8 @@ func run(args []string) error {
 		if _, err := fmt.Sscanf(*shardSpec, "%d/%d", &shardIdx, &shardN); err != nil || shardIdx < 1 || shardN < 1 || shardIdx > shardN {
 			return fmt.Errorf("bad -shard %q: want i/N with 1 <= i <= N", *shardSpec)
 		}
-		slice := uint32(*pages) / uint32(shardN)
-		servedPages = slice
-		if shardIdx == shardN {
-			servedPages = uint32(*pages) - slice*uint32(shardN-1)
-		}
-		if servedPages == 0 {
-			return fmt.Errorf("-shard %s of %d pages leaves shard %d empty", *shardSpec, *pages, shardIdx)
+		if servedPages, err = placement.EqualSlice(uint32(*pages), shardN, shardIdx-1); err != nil {
+			return fmt.Errorf("bad -shard %s: %w", *shardSpec, err)
 		}
 		*volume = uint(shardIdx)
 		if *name == "" {
@@ -202,35 +194,11 @@ func run(args []string) error {
 	}
 
 	if *metricsAt != "" {
-		obs.PublishExpvar()
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.MetricsHandler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		mux.Handle("/debug/obs/snapshot", export.Handler(sys.Obs(), "shored:"+*name, auditor))
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		// Listen explicitly (rather than ListenAndServe) so ":0" works
-		// and the bound address can be written for collectors to find.
-		mln, err := net.Listen("tcp", *metricsAt)
+		bound, err := export.Serve(*metricsAt, *metricsOut, sys.Obs(), "shored:"+*name, auditor, true)
 		if err != nil {
-			return fmt.Errorf("metrics listen %s: %w", *metricsAt, err)
+			return err
 		}
-		if *metricsOut != "" {
-			if err := os.WriteFile(*metricsOut, []byte(mln.Addr().String()), 0o644); err != nil {
-				return fmt.Errorf("metrics-addr-file: %w", err)
-			}
-		}
-		hs := &http.Server{Handler: mux}
-		go func() {
-			if err := hs.Serve(mln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "shored: metrics server:", err)
-			}
-		}()
-		fmt.Printf("shored: introspection at http://%s/metrics, /debug/vars, /debug/obs/snapshot, /debug/pprof\n",
-			mln.Addr().String())
+		fmt.Printf("shored: introspection at http://%s/metrics, /debug/vars, /debug/obs/snapshot, /debug/pprof\n", bound)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,25 +13,46 @@ import (
 	"adaptivecc/internal/obs"
 	"adaptivecc/internal/sim"
 	"adaptivecc/internal/storage"
-	"adaptivecc/internal/tx"
 	"adaptivecc/internal/wal"
 )
 
-// ErrTxNotActive is returned by operations on a finished transaction. It
-// aliases the tx package's sentinel so that errors.Is matches regardless
-// of which layer rejected the operation.
-var ErrTxNotActive = tx.ErrNotActive
+// ErrTxNotActive is returned by operations on a transaction that has begun
+// to commit or has finished.
+var ErrTxNotActive = errors.New("core: transaction not active")
 
-// Tx is a transaction executing at its home peer. On any returned error
-// the caller must Abort the transaction; operations after a failure are
-// rejected.
+// txState is a local transaction's lifecycle state.
+type txState uint8
+
+const (
+	txActive txState = iota
+	txCommitting
+	txCommitted
+	txAborted
+)
+
+// Tx is a transaction executing at its home peer, and the one record of
+// its client-side state; other goroutines reach it through Peer.txs. On
+// any returned error the caller must Abort the transaction; operations
+// after a failure are rejected.
 type Tx struct {
-	p     *Peer
-	inner *tx.Tx
-	id    lock.TxID
+	p  *Peer
+	id lock.TxID
 
-	mu        sync.Mutex
-	writePerm map[storage.ItemID]bool // objects with standing server EX permission; nil until the first grant
+	// mu guards every field below. It is a leaf lock: never held across a
+	// call into the lock manager, the buffer pool, the fabric or another
+	// transaction.
+	mu     sync.Mutex
+	state  txState
+	spread []string // owners this transaction has contacted, sorted
+	// recs is the log cache (redo-at-server, §3.3): this transaction's
+	// update records in append order, until commit or a dirty-page
+	// eviction ships them.
+	recs []wal.Record
+	// replicatedTo lists the owners at which local-only locks of this
+	// transaction were replicated (callback-blocked replies, purge
+	// notices, deescalations); finish releases them there.
+	replicatedTo []string
+	writePerm    map[storage.ItemID]bool // objects with standing server EX permission; nil until the first grant
 	// chainParent is the parent of the last item under which lockImplicit
 	// took a full ancestor chain, and chainIntent the intention mode the
 	// chain was taken in (NL before the first one).
@@ -39,12 +62,73 @@ type Tx struct {
 
 // Begin starts a transaction at this peer.
 func (p *Peer) Begin() *Tx {
-	inner := p.reg.Begin()
-	return &Tx{p: p, inner: inner, id: inner.ID}
+	p.mu.Lock()
+	p.nextTx++
+	t := &Tx{p: p, id: lock.TxID{Site: p.name, Seq: p.nextTx}}
+	p.txs[t.id] = t
+	p.mu.Unlock()
+	return t
 }
 
 // ID reports the transaction's global identity.
 func (t *Tx) ID() lock.TxID { return t.id }
+
+// active reports whether the transaction may still run operations.
+func (t *Tx) active() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.state == txActive
+}
+
+// spreadTo records that the transaction contacted owner. It fails once the
+// transaction is no longer active.
+func (t *Tx) spreadTo(owner string) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state != txActive {
+		return ErrTxNotActive
+	}
+	t.spread = addSorted(t.spread, owner)
+	return nil
+}
+
+// addSorted inserts s into the sorted set set unless already present.
+func addSorted(set []string, s string) []string {
+	i, found := slices.BinarySearch(set, s)
+	if found {
+		return set
+	}
+	return slices.Insert(set, i, s)
+}
+
+// logUpdate appends one update record to the log cache.
+func (t *Tx) logUpdate(obj storage.ItemID, before, after []byte) {
+	rec := wal.Record{Tx: t.id, Object: obj, Before: before, After: append([]byte(nil), after...)}
+	t.mu.Lock()
+	t.recs = append(t.recs, rec)
+	t.mu.Unlock()
+	t.p.ctr.logRecords.Add(1)
+}
+
+// takeRecordsFor removes and returns the cached records of objects on
+// page, in order, keeping the rest. Used when a dirty page is evicted
+// before commit.
+func (t *Tx) takeRecordsFor(page storage.ItemID) []wal.Record {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var taken []wal.Record
+	kept := t.recs[:0]
+	for _, r := range t.recs {
+		if page.Contains(r.Object) {
+			taken = append(taken, r)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	clear(t.recs[len(kept):])
+	t.recs = kept
+	return taken
+}
 
 // lockTarget maps an object to the item actually locked: under PS the
 // system-wide granularity is the page.
@@ -92,7 +176,7 @@ func (t *Tx) Read(obj storage.ItemID) ([]byte, error) {
 	if obj.Level != storage.LevelObject {
 		return nil, fmt.Errorf("core: Read of non-object %v", obj)
 	}
-	if !t.inner.Active() {
+	if !t.active() {
 		return nil, ErrTxNotActive
 	}
 	p := t.p
@@ -121,7 +205,7 @@ func (t *Tx) Read(obj storage.ItemID) ([]byte, error) {
 	}
 
 	if owner == p.name {
-		if err := t.inner.Spread(owner); err != nil {
+		if err := t.spreadTo(owner); err != nil {
 			return nil, err
 		}
 		if _, err := p.serveRequest(p.name, sc, readReq{Tx: t.id, Obj: target}); err != nil {
@@ -134,7 +218,7 @@ func (t *Tx) Read(obj storage.ItemID) ([]byte, error) {
 		p.ctr.localHits.Add(1)
 		return data, nil
 	}
-	if err := t.inner.Spread(owner); err != nil {
+	if err := t.spreadTo(owner); err != nil {
 		return nil, err
 	}
 
@@ -240,7 +324,7 @@ func (p *Peer) noticeEvictions(evs []buffer.Eviction) {
 		p.cs.mu.Unlock()
 
 		var reps []lockReplica
-		txsWithLocks := make(map[lock.TxID]bool)
+		var recs []wal.Record
 		for _, info := range p.locks.LocksWithin(ev.ID) {
 			if isCallbackThread(info.Tx) {
 				continue
@@ -249,13 +333,14 @@ func (p *Peer) noticeEvictions(evs []buffer.Eviction) {
 			// replies: a genuine server EX is retained by the supremum at
 			// the server, while an in-flight write request must queue.
 			reps = append(reps, lockReplica{Tx: info.Tx, Item: info.Item, Mode: capReplicaMode(info.Mode)})
-			txsWithLocks[info.Tx] = true
 			p.noteReplicated(info.Tx, owner)
-		}
-		var recs []wal.Record
-		if ev.Dirty != 0 {
-			for txid := range txsWithLocks {
-				recs = append(recs, p.logCache.TakeForPage(txid, ev.ID)...)
+			// A transaction's first lock on the page takes all its records
+			// there; its further locks find none left.
+			if ev.Dirty == 0 {
+				continue
+			}
+			if t := p.liveTx(info.Tx); t != nil {
+				recs = append(recs, t.takeRecordsFor(ev.ID)...)
 			}
 		}
 		p.cs.queuePurge(owner, purgeNotice{Page: ev.ID, Install: install, Locks: reps, Records: recs})
@@ -278,7 +363,7 @@ func (t *Tx) Write(obj storage.ItemID, data []byte) error {
 	if obj.Level != storage.LevelObject {
 		return fmt.Errorf("core: Write of non-object %v", obj)
 	}
-	if !t.inner.Active() {
+	if !t.active() {
 		return ErrTxNotActive
 	}
 	p := t.p
@@ -314,10 +399,9 @@ func (t *Tx) Write(obj storage.ItemID, data []byte) error {
 	}
 
 	if owner == p.name {
-		if err := t.inner.Spread(owner); err != nil {
+		if err := t.spreadTo(owner); err != nil {
 			return err
 		}
-		t.inner.MarkWrote(owner)
 		if _, err := p.serveRequest(p.name, sc, writeReq{Tx: t.id, Obj: target, HavePage: true, HaveObj: true}); err != nil {
 			return err
 		}
@@ -325,12 +409,12 @@ func (t *Tx) Write(obj storage.ItemID, data []byte) error {
 		if err != nil {
 			return err
 		}
-		p.logCache.Append(wal.Record{Tx: t.id, Object: obj, Before: before, After: append([]byte(nil), data...)})
+		t.logUpdate(obj, before, data)
 		p.installBytes(obj, data, false, sc)
 		return nil
 	}
 
-	if err := t.inner.Spread(owner); err != nil {
+	if err := t.spreadTo(owner); err != nil {
 		return err
 	}
 	objCached := false
@@ -353,8 +437,7 @@ func (t *Tx) Write(obj storage.ItemID, data []byte) error {
 	if err := p.pool.WriteObject(pageID, obj.Slot, data); err != nil {
 		return err
 	}
-	p.logCache.Append(wal.Record{Tx: t.id, Object: obj, Before: before, After: append([]byte(nil), data...)})
-	t.inner.MarkWrote(owner)
+	t.logUpdate(obj, before, data)
 	p.policy.Note(consistency.EvLocalWrite, pageID)
 	return nil
 }
@@ -483,7 +566,7 @@ func (t *Tx) requestWritePermission(obj, pageID, target storage.ItemID, owner st
 // the page is fully cached (hierarchical callbacks optimization); IX/SIX
 // page locks trigger dummy-object callbacks at the owner.
 func (t *Tx) LockItem(item storage.ItemID, mode lock.Mode) error {
-	if !t.inner.Active() {
+	if !t.active() {
 		return ErrTxNotActive
 	}
 	if item.Level == storage.LevelObject {
@@ -523,7 +606,7 @@ func (t *Tx) LockItem(item storage.ItemID, mode lock.Mode) error {
 			if mode == lock.IS {
 				break // propagate as a plain lock request below
 			}
-			if err := t.inner.Spread(owner); err != nil {
+			if err := t.spreadTo(owner); err != nil {
 				return err
 			}
 			// Propagated SH page lock: served as a whole-page read so the
@@ -546,11 +629,8 @@ func (t *Tx) LockItem(item storage.ItemID, mode lock.Mode) error {
 		}
 	}
 
-	if err := t.inner.Spread(owner); err != nil {
+	if err := t.spreadTo(owner); err != nil {
 		return err
-	}
-	if mode == lock.EX || mode == lock.SIX || mode == lock.IX {
-		t.inner.MarkWrote(owner)
 	}
 	if local {
 		if _, err := p.serveRequest(p.name, sc, lockReq{Tx: t.id, Item: item, Mode: mode}); err != nil {
@@ -574,7 +654,8 @@ func (t *Tx) LockItem(item storage.ItemID, mode lock.Mode) error {
 // followed by the local locks.
 func (t *Tx) Commit() error {
 	p := t.p
-	if err := t.inner.BeginCommit(); err != nil {
+	recs, err := t.beginCommit()
+	if err != nil {
 		return err
 	}
 	// The commit span is a trace root: the critical-path analyzer treats a
@@ -590,7 +671,6 @@ func (t *Tx) Commit() error {
 			p.obs.EmitSpan(obs.EvCommit, sc, t.id.String(), d, "", "")
 		}()
 	}
-	recs := p.logCache.Take(t.id)
 	// One pass decides the shape of the commit. The coordinator is the
 	// shard owning the first-written item: deterministic from the
 	// transaction's own history, so every participant and any recovering
@@ -662,7 +742,6 @@ func (t *Tx) Commit() error {
 	// is recorded, every participant's prepare presumes abort; after
 	// it, the finish fan-out below is pure bookkeeping — a participant
 	// that misses it recovers the fate with a status query.
-	var err error
 	if coord == p.name {
 		err = p.slog.Decide(t.id, true)
 	} else if _, cerr := p.call(coord, sc, decideReq{Tx: t.id, Commit: true}); cerr != nil {
@@ -676,6 +755,20 @@ func (t *Tx) Commit() error {
 	t.finish(true, recs, sc)
 	p.stats.Inc(sim.CtrCommits)
 	return nil
+}
+
+// beginCommit moves an active transaction to committing and takes its
+// cached log records for shipping.
+func (t *Tx) beginCommit() ([]wal.Record, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state != txActive {
+		return nil, ErrTxNotActive
+	}
+	t.state = txCommitting
+	recs := t.recs
+	t.recs = nil
+	return recs, nil
 }
 
 // scrubAfterFailedCommit marks this client's cached copies of the
@@ -703,11 +796,14 @@ func (t *Tx) scrubAfterFailedCommit(recs []wal.Record) {
 // and every owner undoes shipped updates and releases its locks (§3.3).
 func (t *Tx) Abort() error {
 	p := t.p
-	state := t.inner.State()
-	if state == tx.Committed || state == tx.Aborted {
+	t.mu.Lock()
+	if t.state == txCommitted || t.state == txAborted {
+		t.mu.Unlock()
 		return ErrTxNotActive
 	}
-	recs := p.logCache.Take(t.id)
+	recs := t.recs
+	t.recs = nil
+	t.mu.Unlock()
 	for _, r := range recs {
 		owner, err := p.sys.ownerOf(r.Object)
 		if err != nil {
@@ -732,7 +828,10 @@ func (t *Tx) Abort() error {
 // state.
 func (t *Tx) finish(commit bool, recs []wal.Record, sc obs.SpanContext) {
 	p := t.p
-	for _, owner := range t.inner.SpreadSet() {
+	t.mu.Lock()
+	spread := t.spread
+	t.mu.Unlock()
+	for _, owner := range spread {
 		if owner == p.name {
 			_, _ = p.srvFinish(p.name, sc, finishReq{Tx: t.id, Commit: commit})
 			continue
@@ -754,24 +853,28 @@ func (t *Tx) finish(commit bool, recs []wal.Record, sc obs.SpanContext) {
 		}
 	}
 	p.locks.ReleaseAll(t.id)
-	if commit {
-		t.inner.Finish(tx.Committed)
-	} else {
-		t.inner.Finish(tx.Aborted)
-	}
-	p.reg.Remove(t.id)
 
-	// Release any locks replicated at owners the transaction never spread
-	// to (callback-blocked replies, purge notices). After the local
-	// ReleaseAll above, no further replication of this transaction's locks
-	// can start; late replications in flight are neutralized by the
-	// tombstone set at the owner.
-	spread := make(map[string]bool)
-	for _, o := range t.inner.SpreadSet() {
-		spread[o] = true
+	// No replication of this transaction's locks can start after the
+	// ReleaseAll above, but one that read the lock table earlier may still
+	// be noting itself. Finishing and draining replicatedTo in one critical
+	// section splits those cleanly: a replication noted before is released
+	// below, one noted after sends its own release (noteReplicated), and no
+	// entry outlives the transaction. Late replicas meet the tombstone.
+	final := txAborted
+	if commit {
+		final = txCommitted
 	}
-	for _, owner := range p.takeReplicated(t.id) {
-		if !spread[owner] {
+	t.mu.Lock()
+	t.state = final
+	replicated := t.replicatedTo
+	t.replicatedTo = nil
+	t.mu.Unlock()
+	p.mu.Lock()
+	delete(p.txs, t.id)
+	p.mu.Unlock()
+	// The finish round above already released the owners spread to.
+	for _, owner := range replicated {
+		if _, done := slices.BinarySearch(spread, owner); !done {
 			p.sendRelease(t.id, owner, sc)
 		}
 	}

@@ -140,10 +140,3 @@ func (cs *clientState) takePurges(owner string) []purgeNotice {
 	delete(cs.purgeQ, owner)
 	return out
 }
-
-// pendingPurges reports whether owner has queued notices.
-func (cs *clientState) pendingPurges(owner string) bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return len(cs.purgeQ[owner]) > 0
-}

@@ -614,7 +614,7 @@ func TestCrashUndoesShippedRecords(t *testing.T) {
 		writeVal(t, x, objID(5, 2), "uncommitted")
 		// Early log shipping (§3.3): the owner redoes the records into its
 		// buffer and keeps them active pending the transaction's fate.
-		recs := c1.logCache.Take(x.ID())
+		recs := x.takeRecordsFor(pageID(5))
 		if len(recs) == 0 {
 			t.Fatal("no log records generated")
 		}

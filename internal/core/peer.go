@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +16,6 @@ import (
 	"adaptivecc/internal/sim"
 	"adaptivecc/internal/storage"
 	"adaptivecc/internal/transport"
-	"adaptivecc/internal/tx"
 	"adaptivecc/internal/wal"
 )
 
@@ -37,18 +37,18 @@ type Peer struct {
 	// pure mechanism. Never nil.
 	policy consistency.Policy
 
-	locks    *lock.Manager
-	pool     *buffer.Pool // client role: cache of remote pages
-	srvPool  *buffer.Pool // server role: buffer over owned volumes
-	volumes  map[storage.VolumeID]*storage.Volume
-	slog     *wal.StableLog
-	logCache *wal.Cache
-	reg      *tx.Registry
+	locks   *lock.Manager
+	pool    *buffer.Pool // client role: cache of remote pages
+	srvPool *buffer.Pool // server role: buffer over owned volumes
+	volumes map[storage.VolumeID]*storage.Volume
+	slog    *wal.StableLog
 
 	cs *clientState
 	ct *copyTable
 
 	mu         sync.Mutex
+	nextTx     uint64            // sequence number of the last local transaction begun
+	txs        map[lock.TxID]*Tx // live local transactions
 	nextReq    uint64
 	pendingRPC map[uint64]chan rpcReply
 	replyChans []chan rpcReply // free list for call()'s reply channels
@@ -57,10 +57,6 @@ type Peer struct {
 	pendingCB  map[storage.ItemID]lock.TxID // object -> calling-back tx
 	cbStalls   map[string]int               // client -> consecutive silent round stalls
 
-	// replicatedAt tracks, per local transaction, the owners at which its
-	// local-only locks have been replicated (callback-blocked replies,
-	// purge notices); the transaction's finish must release them there.
-	replicatedAt map[lock.TxID]map[string]bool
 	// finished is a bounded tombstone set of transactions already finished
 	// at this peer's server role: late lock replications for them are
 	// dropped instead of installing zombie locks.
@@ -85,7 +81,7 @@ type Peer struct {
 // on every object access, resolved once per peer: a cached hit adds to two
 // cells instead of taking the stats mutex and hashing a name twice.
 type accessCounters struct {
-	objectReads, localHits, objectWrites, escalationSaved *atomic.Int64
+	objectReads, localHits, objectWrites, escalationSaved, logRecords *atomic.Int64
 }
 
 // dedupKey identifies a request across re-deliveries.
@@ -149,25 +145,24 @@ func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols 
 			localHits:       s.stats.Counter(sim.CtrLocalHits),
 			objectWrites:    s.stats.Counter(sim.CtrObjectWrites),
 			escalationSaved: s.stats.Counter(sim.CtrEscalationSaved),
+			logRecords:      s.stats.Counter(sim.CtrLogRecords),
 		},
-		policy:       consistency.PolicyFor(cfg.Protocol, s.stats),
-		waits:        waits,
-		locks:        lock.NewManager(s.stats, waits),
-		pool:         buffer.NewPool(clientPoolPages),
-		srvPool:      buffer.NewPool(serverPoolPages),
-		volumes:      make(map[storage.VolumeID]*storage.Volume, len(vols)),
-		logCache:     wal.NewCache(s.stats),
-		reg:          tx.NewRegistry(name),
-		cs:           newClientState(),
-		ct:           newCopyTable(),
-		pendingRPC:   make(map[uint64]chan rpcReply),
-		cbOps:        make(map[uint64]*cbOp),
-		pendingCB:    make(map[storage.ItemID]lock.TxID),
-		cbStalls:     make(map[string]int),
-		replicatedAt: make(map[lock.TxID]map[string]bool),
-		finished:     bounded.New[lock.TxID, struct{}](finishedSize),
-		reqSeen:      bounded.New[dedupKey, *rpcReply](reqSeenSize),
-		cbSeen:       bounded.New[cbKey, struct{}](cbSeenSize),
+		policy:     consistency.PolicyFor(cfg.Protocol, s.stats),
+		waits:      waits,
+		locks:      lock.NewManager(s.stats, waits),
+		pool:       buffer.NewPool(clientPoolPages),
+		srvPool:    buffer.NewPool(serverPoolPages),
+		volumes:    make(map[storage.VolumeID]*storage.Volume, len(vols)),
+		cs:         newClientState(),
+		ct:         newCopyTable(),
+		txs:        make(map[lock.TxID]*Tx),
+		pendingRPC: make(map[uint64]chan rpcReply),
+		cbOps:      make(map[uint64]*cbOp),
+		pendingCB:  make(map[storage.ItemID]lock.TxID),
+		cbStalls:   make(map[string]int),
+		finished:   bounded.New[lock.TxID, struct{}](finishedSize),
+		reqSeen:    bounded.New[dedupKey, *rpcReply](reqSeenSize),
+		cbSeen:     bounded.New[cbKey, struct{}](cbSeenSize),
 	}
 	if s.obsSet != nil {
 		p.obs = s.obsSet.NewRegistry(name)
@@ -586,38 +581,33 @@ func (p *Peer) newOpID() uint64 {
 	return p.nextOp
 }
 
-// noteReplicated records that txid's local-only locks were replicated at
-// owner and therefore must be released there when txid finishes. If the
-// transaction has already finished (the replication lost a race with the
-// commit), a release is sent immediately instead.
-func (p *Peer) noteReplicated(txid lock.TxID, owner string) {
-	if isCallbackThread(txid) || owner == p.name {
-		return
-	}
-	p.mu.Lock()
-	set, ok := p.replicatedAt[txid]
-	if !ok {
-		set = make(map[string]bool)
-		p.replicatedAt[txid] = set
-	}
-	set[owner] = true
-	p.mu.Unlock()
-	if _, live := p.reg.Get(txid); !live && txid.Site == p.name {
-		p.sendRelease(txid, owner, obs.SpanContext{})
-	}
-}
-
-// takeReplicated drains the replication set of a finishing transaction.
-func (p *Peer) takeReplicated(txid lock.TxID) []string {
+// liveTx looks up a live local transaction; nil once it has finished.
+func (p *Peer) liveTx(id lock.TxID) *Tx {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	set := p.replicatedAt[txid]
-	delete(p.replicatedAt, txid)
-	out := make([]string, 0, len(set))
-	for o := range set {
-		out = append(out, o)
+	return p.txs[id]
+}
+
+// noteReplicated records that txid's local-only locks were replicated at
+// owner and therefore must be released there when txid finishes. If the
+// transaction has already finished (the replication lost a race with its
+// finish, see Tx.finish), a release is sent at once instead.
+func (p *Peer) noteReplicated(txid lock.TxID, owner string) {
+	if isCallbackThread(txid) || owner == p.name || txid.Site != p.name {
+		return
 	}
-	return out
+	if t := p.liveTx(txid); t != nil {
+		t.mu.Lock()
+		live := t.state != txCommitted && t.state != txAborted
+		if live {
+			t.replicatedTo = addSorted(t.replicatedTo, owner)
+		}
+		t.mu.Unlock()
+		if live {
+			return
+		}
+	}
+	p.sendRelease(txid, owner, obs.SpanContext{})
 }
 
 // sendRelease asks owner to drop txid's locks — a fire-and-forget RPC.
@@ -757,11 +747,10 @@ func (p *Peer) peerDown(dead string) {
 
 	// Pending lock replications at the dead owner are moot.
 	p.mu.Lock()
-	for txid, set := range p.replicatedAt {
-		delete(set, dead)
-		if len(set) == 0 {
-			delete(p.replicatedAt, txid)
-		}
+	for _, t := range p.txs {
+		t.mu.Lock()
+		t.replicatedTo = slices.DeleteFunc(t.replicatedTo, func(o string) bool { return o == dead })
+		t.mu.Unlock()
 	}
 	p.mu.Unlock()
 

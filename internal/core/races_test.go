@@ -246,6 +246,37 @@ func TestTombstoneNeutralizesLateReplication(t *testing.T) {
 	}
 }
 
+// TestReplicationAfterFinishReleased: a lock replication noted at the
+// home peer after its transaction finished — a callback-blocked reply
+// racing the commit — releases the replica at the owner itself and leaves
+// no entry behind; one noted before the finish is released by the finish.
+func TestReplicationAfterFinishReleased(t *testing.T) {
+	tc := newCluster(t, PSAA, 1, 10)
+	srv, c1 := tc.srv, tc.clients[0]
+
+	x := c1.Begin()
+	srv.forceGrantReplica(lockReplica{Tx: x.ID(), Item: objID(1, 0), Mode: lock.SH})
+	if got := srv.Locks().HeldMode(x.ID(), objID(1, 0)); got != lock.SH {
+		t.Fatalf("replica not installed: %v", got)
+	}
+	mustCommit(t, x) // x never spread to srv: its finish round skips srv
+	c1.noteReplicated(x.ID(), "srv")
+	if got := srv.Locks().HeldMode(x.ID(), objID(1, 0)); got != lock.NL {
+		t.Errorf("late replica left at srv: %v", got)
+	}
+	if n := len(c1.txs); n != 0 {
+		t.Errorf("c1 keeps %d entries after its transaction finished", n)
+	}
+
+	y := c1.Begin()
+	srv.forceGrantReplica(lockReplica{Tx: y.ID(), Item: objID(2, 0), Mode: lock.SH})
+	c1.noteReplicated(y.ID(), "srv")
+	mustCommit(t, y)
+	if got := srv.Locks().HeldMode(y.ID(), objID(2, 0)); got != lock.NL {
+		t.Errorf("replica noted before the finish left at srv: %v", got)
+	}
+}
+
 func TestPreDeescalationRace(t *testing.T) {
 	// A deescalation request that overtakes the write reply must prevent
 	// the client from installing the adaptive mirror.

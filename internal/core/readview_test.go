@@ -68,13 +68,11 @@ func TestReadViewSurvivesOwnWriteAndAbort(t *testing.T) {
 	if got := readVal(t, x, obj); got != "doomed" {
 		t.Errorf("read own write: %q, want doomed", got)
 	}
-	recs := a.logCache.TakeForPage(x.ID(), obj.PageID())
+	recs := x.takeRecordsFor(obj.PageID())
 	if len(recs) != 1 || !bytes.Equal(recs[0].Before, kept) {
 		t.Fatalf("log records %+v, want one with before-image %q", recs, kept)
 	}
-	for _, r := range recs {
-		a.logCache.Append(r)
-	}
+	x.recs = append(x.recs, recs...)
 	if err := x.Abort(); err != nil {
 		t.Fatal(err)
 	}

@@ -415,6 +415,11 @@ func (p *Peer) srvFetchPage(pageID storage.ItemID, sc obs.SpanContext) (*storage
 	}
 	evs := p.srvPool.Insert(pageID, pg, storage.AllAvailable(pg.NumObjects()))
 	p.writeBackEvictions(evs)
+	// Once inserted, pg is shared with concurrent redo installs: copy it
+	// under the pool's lock.
+	if cp, _, ok := p.srvPool.ClonePage(pageID); ok {
+		return cp, nil
+	}
 	return pg.Clone(), nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"adaptivecc/internal/obs"
 	"adaptivecc/internal/obs/audit"
 	"adaptivecc/internal/obs/critpath"
+	"adaptivecc/internal/placement"
 	"adaptivecc/internal/sim"
 	"adaptivecc/internal/storage"
 	"adaptivecc/internal/transport"
@@ -221,11 +222,11 @@ func buildCluster(exp Experiment, plat Platform) (*cluster, error) {
 		cfg.ClientPoolPages = clientPool
 		cfg.ServerPoolPages = int(float64(dbPages) * plat.ServerBufFrac / float64(shards))
 		sys := core.NewSystem(cfg)
-		slice := dbPages / uint32(shards)
 		for s := 1; s <= shards; s++ {
-			cnt := slice
-			if s == shards {
-				cnt = dbPages - slice*uint32(shards-1)
+			cnt, err := placement.EqualSlice(dbPages, shards, s-1)
+			if err != nil {
+				sys.Close()
+				return nil, err
 			}
 			vol := storage.NewVolume(storage.VolumeID(s), costs, sys.Stats())
 			if _, err := vol.CreateFile(1, 0, cnt, plat.ObjectsPerPage, cfg.ObjectSize); err != nil {
@@ -255,7 +256,10 @@ func buildCluster(exp Experiment, plat Platform) (*cluster, error) {
 		// (sized to hold the peer's whole partition, which is how the
 		// paper explains the I/O savings) and the client pool.
 		n := plat.NumApplications
-		extents := partition(exp.Workload, dbPages, n)
+		extents, err := partition(exp.Workload, dbPages, n)
+		if err != nil {
+			return nil, err
+		}
 		owned := make([]uint32, n)
 		for _, e := range extents {
 			owned[e.peer] += e.count
@@ -315,38 +319,27 @@ type extent struct {
 // each peer owns the hot range of its local application plus an equal
 // slice of the globally cold remainder; otherwise the database is split
 // into equal contiguous slices.
-func partition(kind workload.Kind, dbPages uint32, n int) []extent {
+func partition(kind workload.Kind, dbPages uint32, n int) ([]extent, error) {
 	var out []extent
-	switch kind {
-	case workload.HotCold:
+	rest := dbPages // the pages split into equal slices
+	if kind == workload.HotCold {
 		hotSize := dbPages / uint32(n*5) * 2
 		if hotSize == 0 {
 			hotSize = 1
 		}
-		hotTotal := hotSize * uint32(n)
 		for i := 0; i < n; i++ {
 			out = append(out, extent{peer: i, count: hotSize})
 		}
-		cold := dbPages - hotTotal
-		slice := cold / uint32(n)
-		for i := 0; i < n; i++ {
-			cnt := slice
-			if i == n-1 {
-				cnt = cold - slice*uint32(n-1)
-			}
-			out = append(out, extent{peer: i, count: cnt})
-		}
-	default:
-		slice := dbPages / uint32(n)
-		for i := 0; i < n; i++ {
-			cnt := slice
-			if i == n-1 {
-				cnt = dbPages - slice*uint32(n-1)
-			}
-			out = append(out, extent{peer: i, count: cnt})
-		}
+		rest -= hotSize * uint32(n)
 	}
-	return out
+	for i := 0; i < n; i++ {
+		cnt, err := placement.EqualSlice(rest, n, i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, extent{peer: i, count: cnt})
+	}
+	return out, nil
 }
 
 // Run executes one experiment on a fresh cluster and returns its data

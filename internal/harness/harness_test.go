@@ -83,7 +83,10 @@ func TestRunUniformAndHicon(t *testing.T) {
 
 func TestPartitionCoversDatabase(t *testing.T) {
 	for _, kind := range []workload.Kind{workload.HotCold, workload.Uniform, workload.HiCon} {
-		exts := partition(kind, 11250, 10)
+		exts, err := partition(kind, 11250, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var total uint32
 		seen := make(map[int]uint32)
 		for _, e := range exts {
@@ -102,7 +105,10 @@ func TestPartitionCoversDatabase(t *testing.T) {
 func TestPartitionHotColdOwnership(t *testing.T) {
 	// Under HOTCOLD each peer must own its application's hot range: app i's
 	// hot pages are [i*450, (i+1)*450) and must map to volume i+1.
-	exts := partition(workload.HotCold, 11250, 10)
+	exts, err := partition(workload.HotCold, 11250, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if exts[0].count != 450 {
 		t.Fatalf("hot extent size = %d, want 450", exts[0].count)
 	}

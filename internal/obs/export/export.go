@@ -9,9 +9,13 @@ package export
 
 import (
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/pprof"
+	"os"
 	"sort"
 	"time"
 
@@ -124,6 +128,47 @@ func Handler(set *obs.Set, process string, aud *audit.Auditor) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = Write(w, Capture(set, process, aud))
 	})
+}
+
+// Serve binds addr and serves a process's live introspection on it in the
+// background, until the process exits: /metrics (Prometheus text) and /debug/vars (expvar) always,
+// /debug/obs/snapshot when set is non-nil (captured as process, with aud's
+// verdicts; aud may be nil), and /debug/pprof when withPprof is set. It
+// listens explicitly, so ":0" works, and writes the bound address to
+// addrFile, when one is named, only after the bind succeeds — collectors
+// wait for that file. It returns the bound address.
+func Serve(addr, addrFile string, set *obs.Set, process string, aud *audit.Auditor, withPprof bool) (string, error) {
+	obs.PublishExpvar()
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", obs.MetricsHandler())
+	mux.Handle("/debug/vars", expvar.Handler())
+	if set != nil {
+		mux.Handle("/debug/obs/snapshot", Handler(set, process, aud))
+	}
+	if withPprof {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", fmt.Errorf("metrics listen %s: %w", addr, err)
+	}
+	bound := ln.Addr().String()
+	if addrFile != "" {
+		if err := os.WriteFile(addrFile, []byte(bound), 0o644); err != nil {
+			ln.Close()
+			return "", fmt.Errorf("metrics-addr-file: %w", err)
+		}
+	}
+	go func() {
+		if err := http.Serve(ln, mux); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: metrics server: %v\n", process, err)
+		}
+	}()
+	return bound, nil
 }
 
 // Merged is the fleet-wide view assembled from several process snapshots:

@@ -2,7 +2,10 @@ package export
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -94,6 +97,45 @@ func TestHandler(t *testing.T) {
 	}
 	if snap.Process != "shored" || len(snap.Registries) != 1 {
 		t.Fatalf("served snapshot wrong: %+v", snap)
+	}
+}
+
+func TestServe(t *testing.T) {
+	get := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("get %s: %v", url, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	bound, err := Serve("127.0.0.1:0", addrFile, testSet(t), "shored", nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(addrFile); err != nil || string(b) != bound {
+		t.Fatalf("address file = %q, %v; want %q", b, err, bound)
+	}
+	for _, path := range []string{"/metrics", "/debug/vars", "/debug/obs/snapshot", "/debug/pprof/"} {
+		if code := get("http://" + bound + path); code != http.StatusOK {
+			t.Errorf("%s: status %d", path, code)
+		}
+	}
+
+	// Without a Set or pprof, only the metrics routes are mounted.
+	bare, err := Serve("127.0.0.1:0", "", nil, "shorebench", nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := get("http://" + bare + "/metrics"); code != http.StatusOK {
+		t.Errorf("/metrics: status %d", code)
+	}
+	for _, path := range []string{"/debug/obs/snapshot", "/debug/pprof/"} {
+		if code := get("http://" + bare + path); code != http.StatusNotFound {
+			t.Errorf("%s without a Set or pprof: status %d, want 404", path, code)
+		}
 	}
 }
 

@@ -38,6 +38,26 @@ var ErrMisdirected = errors.New("placement: request misdirected to a non-owner")
 // ErrUnplaced reports that the map has no owner for the item's location.
 var ErrUnplaced = errors.New("placement: item has no placed owner")
 
+// EqualSlice returns the page count of slice i (0-based) when pages are
+// split into n contiguous equal slices, the remainder landing on the last.
+// It is the one split rule of the deployment: shored -shard and shorecli's
+// comma-separated -addr both size shard i with it, so they agree on which
+// shard serves a page. It fails when i is out of [0, n) or n > pages
+// (some slice would be empty).
+func EqualSlice(pages uint32, n, i int) (uint32, error) {
+	if n < 1 || i < 0 || i >= n {
+		return 0, fmt.Errorf("placement: slice %d of %d out of range", i, n)
+	}
+	if uint32(n) > pages {
+		return 0, fmt.Errorf("placement: %d pages cannot fill %d slices", pages, n)
+	}
+	slice := pages / uint32(n)
+	if i == n-1 {
+		return pages - slice*uint32(n-1), nil
+	}
+	return slice, nil
+}
+
 // Map resolves the owning server of any item. Implementations must be
 // deterministic — the same item always routes to the same shard — and
 // total over the deployment's configured item space.

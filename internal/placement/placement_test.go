@@ -181,3 +181,54 @@ func TestNewHashRejectsEmptyShardList(t *testing.T) {
 		t.Fatal("NewHash(nil) should fail")
 	}
 }
+
+func TestEqualSlice(t *testing.T) {
+	slices := func(pages uint32, n int) []uint32 {
+		t.Helper()
+		out := make([]uint32, n)
+		var sum uint32
+		for i := range out {
+			c, err := EqualSlice(pages, n, i)
+			if err != nil {
+				t.Fatalf("EqualSlice(%d, %d, %d): %v", pages, n, i, err)
+			}
+			out[i] = c
+			sum += c
+		}
+		if sum != pages {
+			t.Errorf("slices of %d pages sum to %d", pages, sum)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		pages uint32
+		n     int
+		want  []uint32
+	}{
+		{1200, 2, []uint32{600, 600}},
+		{1201, 2, []uint32{600, 601}}, // remainder on the last
+		{1000, 3, []uint32{333, 333, 334}},
+		{10, 4, []uint32{2, 2, 2, 4}},
+		{3, 3, []uint32{1, 1, 1}}, // n = pages
+		{7, 1, []uint32{7}},
+	} {
+		got := slices(tc.pages, tc.n)
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("split of %d pages into %d = %v, want %v", tc.pages, tc.n, got, tc.want)
+				break
+			}
+		}
+	}
+	for _, bad := range []struct {
+		pages uint32
+		n, i  int
+	}{
+		{3, 4, 0}, {3, 4, 3}, // n > pages: some slice would be empty
+		{10, 2, 2}, {10, 2, -1}, {10, 0, 0},
+	} {
+		if _, err := EqualSlice(bad.pages, bad.n, bad.i); err == nil {
+			t.Errorf("EqualSlice(%d, %d, %d) accepted", bad.pages, bad.n, bad.i)
+		}
+	}
+}

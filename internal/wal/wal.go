@@ -1,8 +1,8 @@
 // Package wal implements SHORE's redo-at-server update propagation scheme
 // (paper §3.3). Clients never ship dirty objects or pages back to the
-// owner; they generate log records into a local log cache and ship the
-// records at commit time (or earlier, when a dirty page is evicted from
-// the client cache). The owner redoes the logged operations to install the
+// owner; they generate log records into a local log cache (a field of
+// the transaction, core.Tx) and ship the records at commit time (or
+// earlier, when a dirty page is evicted from the client cache). The owner redoes the logged operations to install the
 // updates, re-reading any non-resident pages from disk, and undoes shipped
 // records using before-images if the transaction later aborts.
 package wal
@@ -26,74 +26,6 @@ type Record struct {
 	Object storage.ItemID // object-level item
 	Before []byte         // before-image, for undo at the server
 	After  []byte         // after-image, for redo
-}
-
-// Cache is the client-side log cache: records accumulate per transaction
-// until shipped or discarded.
-type Cache struct {
-	mu    sync.Mutex
-	byTx  map[lock.TxID][]Record
-	stats *sim.Stats
-}
-
-// NewCache returns an empty log cache.
-func NewCache(stats *sim.Stats) *Cache {
-	if stats == nil {
-		stats = sim.NewStats()
-	}
-	return &Cache{byTx: make(map[lock.TxID][]Record), stats: stats}
-}
-
-// Append records one update.
-func (c *Cache) Append(rec Record) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.byTx[rec.Tx] = append(c.byTx[rec.Tx], rec)
-	c.stats.Inc(sim.CtrLogRecords)
-}
-
-// Take removes and returns all cached records of tx, in order.
-func (c *Cache) Take(tx lock.TxID) []Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	recs := c.byTx[tx]
-	delete(c.byTx, tx)
-	return recs
-}
-
-// TakeForPage removes and returns tx's cached records for objects on page,
-// preserving order. Used when a dirty page is evicted before commit.
-func (c *Cache) TakeForPage(tx lock.TxID, page storage.ItemID) []Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var taken, kept []Record
-	for _, r := range c.byTx[tx] {
-		if page.Contains(r.Object) {
-			taken = append(taken, r)
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	if len(kept) == 0 {
-		delete(c.byTx, tx)
-	} else {
-		c.byTx[tx] = kept
-	}
-	return taken
-}
-
-// Discard drops all cached records of tx (on abort).
-func (c *Cache) Discard(tx lock.TxID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.byTx, tx)
-}
-
-// Pending reports the number of unshipped records of tx.
-func (c *Cache) Pending(tx lock.TxID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byTx[tx])
 }
 
 // Decision is the coordinator-recorded fate of a distributed transaction.

@@ -21,51 +21,6 @@ func rec(tx lock.TxID, page uint32, slot uint16, after string) Record {
 	}
 }
 
-func TestCacheAppendTakeDiscard(t *testing.T) {
-	stats := sim.NewStats()
-	c := NewCache(stats)
-	c.Append(rec(txA, 1, 0, "a0"))
-	c.Append(rec(txA, 2, 1, "a1"))
-	c.Append(rec(txB, 1, 0, "b0"))
-	if got := c.Pending(txA); got != 2 {
-		t.Errorf("Pending(A) = %d", got)
-	}
-	if got := stats.Get(sim.CtrLogRecords); got != 3 {
-		t.Errorf("log records counter = %d", got)
-	}
-
-	recs := c.Take(txA)
-	if len(recs) != 2 || string(recs[0].After) != "a0" || string(recs[1].After) != "a1" {
-		t.Fatalf("Take = %v", recs)
-	}
-	if c.Pending(txA) != 0 {
-		t.Error("records remain after Take")
-	}
-	c.Discard(txB)
-	if c.Pending(txB) != 0 {
-		t.Error("records remain after Discard")
-	}
-}
-
-func TestCacheTakeForPage(t *testing.T) {
-	c := NewCache(nil)
-	c.Append(rec(txA, 1, 0, "p1a"))
-	c.Append(rec(txA, 2, 0, "p2"))
-	c.Append(rec(txA, 1, 3, "p1b"))
-
-	got := c.TakeForPage(txA, storage.PageItem(1, 1, 1))
-	if len(got) != 2 || string(got[0].After) != "p1a" || string(got[1].After) != "p1b" {
-		t.Fatalf("TakeForPage = %v", got)
-	}
-	if c.Pending(txA) != 1 {
-		t.Errorf("Pending = %d, want 1", c.Pending(txA))
-	}
-	rest := c.Take(txA)
-	if len(rest) != 1 || string(rest[0].After) != "p2" {
-		t.Fatalf("rest = %v", rest)
-	}
-}
-
 func TestStableLogAssignsLSNs(t *testing.T) {
 	l := NewStableLog(nil)
 	out := l.Append([]Record{rec(txA, 1, 0, "x"), rec(txA, 1, 1, "y")})
