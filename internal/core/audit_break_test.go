@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"adaptivecc/internal/lock"
 	"adaptivecc/internal/obs/audit"
@@ -118,8 +120,9 @@ func TestAuditCatchesAdaptiveWithRemoteCopy(t *testing.T) {
 	mustCommit(t, x)
 }
 
-// TestAuditCatchesForgottenAck arms the callback hook that makes the next
-// round complete "ok" without one client's acknowledgment.
+// TestAuditCatchesForgottenAck makes the next callback round complete
+// "ok" without one client's acknowledgment: c1's ack is cut on the wire,
+// and c1 is struck from the round's waiting set, which wakes the round.
 func TestAuditCatchesForgottenAck(t *testing.T) {
 	tc, aud := newAuditCluster(t, PSAA, 2, 4)
 	c1, c2 := tc.clients[0], tc.clients[1]
@@ -128,11 +131,16 @@ func TestAuditCatchesForgottenAck(t *testing.T) {
 	_ = readVal(t, x1, objID(0, 0)) // c1 caches the page
 	mustCommit(t, x1)
 
-	auditHookForgetOneAck.Store(true)
-	defer auditHookForgetOneAck.Store(false)
+	tc.sys.Net().PartitionLink("c1", "srv")
+	defer tc.sys.Net().HealLink("c1", "srv")
+	forgot := make(chan error, 1)
+	go func() { forgot <- forgetAck(tc.srv, "c1") }()
 	x2 := c2.Begin()
 	writeVal(t, x2, objID(0, 0), "b") // callback round to c1 forgets its ack
 	mustCommit(t, x2)
+	if err := <-forgot; err != nil {
+		t.Fatal(err)
+	}
 
 	if aud.Violations(audit.InvCallbackAcks) == 0 {
 		t.Fatalf("forgotten ack not reported:\n%s", aud.Report())
@@ -142,6 +150,25 @@ func TestAuditCatchesForgottenAck(t *testing.T) {
 			t.Errorf("%s tripped unexpectedly:\n%s", iv, aud.Report())
 		}
 	}
+}
+
+// forgetAck waits for srv's callback round, strikes client from the clients
+// it waits on, and wakes the round, which then ends without that client's
+// ack.
+func forgetAck(srv *Peer, client string) error {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		var op *cbOp
+		for _, o := range srv.cbOps {
+			op = o
+		}
+		srv.mu.Unlock()
+		if op != nil && op.clearWaiting(client) {
+			op.events <- cbEvent{}
+			return nil
+		}
+	}
+	return fmt.Errorf("no callback round waited on %s", client)
 }
 
 // TestAuditCatchesMissingAncestors force-grants a bare EX object lock with
@@ -154,8 +181,8 @@ func TestAuditCatchesMissingAncestors(t *testing.T) {
 }
 
 // TestAuditHookIdleWhenDisarmed runs the forgotten-ack scenario without
-// arming the hook: the same workload must audit clean, proving the hook
-// (not the workload) is what trips the invariant above.
+// forgetting the ack: the same workload must audit clean, proving the
+// forgotten ack (not the workload) is what trips the invariant above.
 func TestAuditHookIdleWhenDisarmed(t *testing.T) {
 	tc, aud := newAuditCluster(t, PSAA, 2, 4)
 	c1, c2 := tc.clients[0], tc.clients[1]

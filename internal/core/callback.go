@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"adaptivecc/internal/consistency"
@@ -47,8 +46,16 @@ func (op *cbOp) clearWaiting(client string) bool {
 	return true
 }
 
+// pending reports how many clients have yet to ack.
+func (op *cbOp) pending() int {
+	op.mu.Lock()
+	defer op.mu.Unlock()
+	return len(op.waiting)
+}
+
 // waitingClients snapshots the clients whose ack is still outstanding —
-// on a zero-progress stall, the suspects for dead-client detection.
+// on a zero-progress stall, the suspects for dead-client detection; on a
+// crash, whether the round needs the dead client's synthetic ack.
 func (op *cbOp) waitingClients() []string {
 	op.mu.Lock()
 	defer op.mu.Unlock()
@@ -58,13 +65,6 @@ func (op *cbOp) waitingClients() []string {
 	}
 	return out
 }
-
-// auditHookForgetOneAck, when armed, makes the next callback round forget
-// one client's outstanding ack right after the callbacks are sent: the
-// round completes "ok" without having heard from the lexicographically
-// first client, which is exactly the protocol damage the callback-acks
-// invariant exists to catch. Test-only; fires once, then disarms itself.
-var auditHookForgetOneAck atomic.Bool
 
 // blockedKey dedups callback-blocked replies: a client reports each item
 // it blocks on at most once per operation, so a second (Client, Item)
@@ -223,23 +223,11 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 	}
 
 	var (
-		pendingAcks = len(clients)
 		convCh      = make(chan error, len(clients)*2+2)
 		convOut     = 0
 		firstErr    error
 		blockedSeen = make(map[blockedKey]bool)
 	)
-	if auditHookForgetOneAck.CompareAndSwap(true, false) && len(clients) > 0 {
-		victim := ""
-		for c := range clients {
-			if victim == "" || c < victim {
-				victim = c
-			}
-		}
-		if op.clearWaiting(victim) {
-			pendingAcks-- // the real ack now dedups away; the round "succeeds" short one ack
-		}
-	}
 	// The round must not hang forever on a client that will never answer
 	// (lost callback, lost ack, silent death): a timer that resets on every
 	// event aborts the blocking request when the round stops making
@@ -256,7 +244,9 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 		}
 		timer.Reset(stall)
 	}
-	for pendingAcks > 0 || convOut > 0 {
+	// The round ends when every client has acked and no conversion is
+	// outstanding.
+	for op.pending() > 0 || convOut > 0 {
 		select {
 		case ev := <-op.events:
 			progress()
@@ -278,7 +268,6 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 					}
 					p.obs.EmitSpan(obs.EvCallbackAcked, rsc.Under(), item.String(), 0, ev.ack.Client, note)
 				}
-				pendingAcks--
 				if ev.ack.Invalidated {
 					// The removal is guarded by the install count recorded
 					// when this round's callback was sent: if the page was
@@ -517,20 +506,15 @@ func (p *Peer) handleCallback(rq callbackReq) {
 	// Page-first ("adaptive", §4.2) callbacks: try to take the whole page,
 	// unless the server demoted this operation to object grain.
 	if (p.policy.PageFirstCallbacks(page) && !rq.ObjectGrain) || pageLevel {
-		err := p.locks.Lock(cbid, page, lock.EX, lock.Options{NoWait: true, SkipAncestors: true})
-		if err == nil {
-			p.purgeWholePage(rq, page, pageLevel)
-			return
-		}
 		if pageLevel || !p.policy.ObjectFallback() {
 			// An explicit EX page lock — or a protocol with no object grain
-			// to fall back to (PS) — must take the whole page; block at the
-			// page level after reporting the conflict.
-			p.sendBlocked(rq, page, lock.EX, cbid)
-			if err := p.locks.Lock(cbid, page, lock.EX, lock.Options{SkipAncestors: true, Span: hsc}); err != nil {
-				p.sendAck(rq, false)
-				return
+			// to fall back to (PS) — must take the whole page.
+			if p.cbLock(rq, cbid, page, lock.EX, hsc) {
+				p.purgeWholePage(rq, page, pageLevel)
 			}
+			return
+		}
+		if p.locks.Lock(cbid, page, lock.EX, lock.Options{NoWait: true, SkipAncestors: true}) == nil {
 			p.purgeWholePage(rq, page, pageLevel)
 			return
 		}
@@ -538,19 +522,8 @@ func (p *Peer) handleCallback(rq callbackReq) {
 
 	// Object-level invalidation: IX on the page (may block on a local-only
 	// SH page lock — hierarchical callbacks), then EX on the object.
-	if err := p.locks.Lock(cbid, page, lock.IX, lock.Options{NoWait: true, SkipAncestors: true}); err != nil {
-		p.sendBlocked(rq, page, lock.IX, cbid)
-		if err := p.locks.Lock(cbid, page, lock.IX, lock.Options{SkipAncestors: true, Span: hsc}); err != nil {
-			p.sendAck(rq, false)
-			return
-		}
-	}
-	if err := p.locks.Lock(cbid, rq.Item, lock.EX, lock.Options{NoWait: true, SkipAncestors: true}); err != nil {
-		p.sendBlocked(rq, rq.Item, lock.EX, cbid)
-		if err := p.locks.Lock(cbid, rq.Item, lock.EX, lock.Options{SkipAncestors: true, Span: hsc}); err != nil {
-			p.sendAck(rq, false)
-			return
-		}
+	if !p.cbLock(rq, cbid, page, lock.IX, hsc) || !p.cbLock(rq, cbid, rq.Item, lock.EX, hsc) {
+		return
 	}
 
 	p.cs.mu.Lock()
@@ -603,21 +576,33 @@ func (p *Peer) handleFileCallback(rq callbackReq, hsc obs.SpanContext) {
 	cbid := cbThreadID(rq.Server, rq.OpID)
 	defer p.locks.ReleaseAll(cbid)
 
-	file := rq.Item
-	if err := p.locks.Lock(cbid, file, lock.EX, lock.Options{NoWait: true, SkipAncestors: true}); err != nil {
-		p.sendBlocked(rq, file, lock.EX, cbid)
-		if err := p.locks.Lock(cbid, file, lock.EX, lock.Options{SkipAncestors: true, Span: hsc}); err != nil {
-			p.sendAck(rq, false)
-			return
-		}
+	if !p.cbLock(rq, cbid, rq.Item, lock.EX, hsc) {
+		return
 	}
 	p.cs.mu.Lock()
-	for _, id := range p.pool.PagesOf(file) {
+	for _, id := range p.pool.PagesOf(rq.Item) {
 		p.pool.Remove(id)
 		p.cs.takeInstallLocked(id)
 	}
 	p.cs.mu.Unlock()
 	p.sendAck(rq, true)
+}
+
+// cbLock takes the callback thread cbid's lock on item. When a local
+// transaction holds a conflicting lock, the conflict is reported to the
+// calling-back server first ("callback-blocked", §4.1–4.2) and only then
+// does the thread wait; a failed wait acks "not invalidated" and reports
+// false.
+func (p *Peer) cbLock(rq callbackReq, cbid lock.TxID, item storage.ItemID, mode lock.Mode, hsc obs.SpanContext) bool {
+	if p.locks.Lock(cbid, item, mode, lock.Options{NoWait: true, SkipAncestors: true}) == nil {
+		return true
+	}
+	p.sendBlocked(rq, item, mode, cbid)
+	if err := p.locks.Lock(cbid, item, mode, lock.Options{SkipAncestors: true, Span: hsc}); err != nil {
+		p.sendAck(rq, false)
+		return false
+	}
+	return true
 }
 
 // sendBlocked reports a local lock conflict to the calling-back server so

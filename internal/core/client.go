@@ -208,7 +208,7 @@ func (t *Tx) Read(obj storage.ItemID) ([]byte, error) {
 		if err := t.spreadTo(owner); err != nil {
 			return nil, err
 		}
-		if _, err := p.serveRequest(p.name, sc, readReq{Tx: t.id, Obj: target}); err != nil {
+		if _, err := p.call(owner, sc, readReq{Tx: t.id, Obj: target}); err != nil {
 			return nil, err
 		}
 		return p.srvObjectBytes(obj, sc)
@@ -222,34 +222,43 @@ func (t *Tx) Read(obj storage.ItemID) ([]byte, error) {
 		return nil, err
 	}
 
-	p.cs.beginRead(pageID)
-	body, err := p.call(owner, sc, readReq{Tx: t.id, Obj: target, WholePage: target.Level == storage.LevelPage})
-	if err != nil {
-		p.cs.mu.Lock()
-		p.cs.endReadLocked(pageID)
-		p.cs.takeRacesLocked(pageID)
-		p.cs.mu.Unlock()
+	if err := t.fetch(owner, target, obj.Slot, sc); err != nil {
 		return nil, err
 	}
-	rr, ok := body.(readResp)
-	if !ok {
-		return nil, fmt.Errorf("core: bad read reply %T", body)
-	}
-	if rr.ObjData != nil {
-		t.applyObjectReply(pageID, obj.Slot, rr.ObjData, rr.Install)
-	} else {
-		reqSlot := obj.Slot
-		if target.Level == storage.LevelPage {
-			reqSlot = storage.DummySlot
-		}
-		t.applyPageReply(pageID, rr.Page, rr.Avail, rr.Install, reqSlot)
-	}
-
 	data, ok := p.pool.ReadObject(pageID, obj.Slot)
 	if !ok {
 		return nil, fmt.Errorf("core: object %v unavailable after fetch", obj)
 	}
 	return data, nil
+}
+
+// fetch asks owner to ship target — an object, or a whole page — and
+// installs the reply in the client cache. slot names the object the
+// transaction asked for, which no callback race may veto: it is SH-locked
+// at the owner. A whole-page target has no such object.
+func (t *Tx) fetch(owner string, target storage.ItemID, slot uint16, sc obs.SpanContext) error {
+	p := t.p
+	pageID := target.PageID()
+	whole := target.Level == storage.LevelPage
+	p.cs.beginRead(pageID)
+	body, err := p.call(owner, sc, readReq{Tx: t.id, Obj: target, WholePage: whole})
+	rr, ok := body.(readResp)
+	if err == nil && !ok {
+		err = fmt.Errorf("core: bad read reply %T", body)
+	}
+	if err != nil {
+		p.cs.abandonRead(pageID)
+		return err
+	}
+	if rr.ObjData != nil {
+		t.applyObjectReply(pageID, slot, rr.ObjData, rr.Install)
+		return nil
+	}
+	if whole {
+		slot = storage.DummySlot
+	}
+	t.applyPageReply(pageID, rr.Page, rr.Avail, rr.Install, slot)
+	return nil
 }
 
 // applyObjectReply installs a single shipped object (OS protocol) into the
@@ -402,7 +411,7 @@ func (t *Tx) Write(obj storage.ItemID, data []byte) error {
 		if err := t.spreadTo(owner); err != nil {
 			return err
 		}
-		if _, err := p.serveRequest(p.name, sc, writeReq{Tx: t.id, Obj: target, HavePage: true, HaveObj: true}); err != nil {
+		if _, err := p.call(owner, sc, writeReq{Tx: t.id, Obj: target, HavePage: true, HaveObj: true}); err != nil {
 			return err
 		}
 		before, err := p.srvObjectBytes(obj, sc)
@@ -493,18 +502,15 @@ func (t *Tx) requestWritePermission(obj, pageID, target storage.ItemID, owner st
 	}
 	body, err := p.call(owner, sc, writeReq{Tx: t.id, Obj: target, HavePage: havePage, HaveObj: haveObj})
 	p.cs.endWrite(pageID)
+	wr, ok := body.(writeResp)
+	if err == nil && !ok {
+		err = fmt.Errorf("core: bad write reply %T", body)
+	}
 	if err != nil {
 		if !havePage {
-			p.cs.mu.Lock()
-			p.cs.endReadLocked(pageID)
-			p.cs.takeRacesLocked(pageID)
-			p.cs.mu.Unlock()
+			p.cs.abandonRead(pageID)
 		}
 		return err
-	}
-	wr, ok := body.(writeResp)
-	if !ok {
-		return fmt.Errorf("core: bad write reply %T", body)
 	}
 
 	if wr.Page != nil {
@@ -514,10 +520,7 @@ func (t *Tx) requestWritePermission(obj, pageID, target storage.ItemID, owner st
 		}
 		t.applyPageReply(pageID, wr.Page, wr.Avail, wr.Install, reqSlot)
 	} else if !havePage {
-		p.cs.mu.Lock()
-		p.cs.endReadLocked(pageID)
-		p.cs.takeRacesLocked(pageID)
-		p.cs.mu.Unlock()
+		p.cs.abandonRead(pageID)
 	}
 	if wr.ObjData != nil {
 		p.cs.mu.Lock()
@@ -611,32 +614,14 @@ func (t *Tx) LockItem(item storage.ItemID, mode lock.Mode) error {
 			}
 			// Propagated SH page lock: served as a whole-page read so the
 			// page becomes fully cached here.
-			p.cs.beginRead(item)
-			body, err := p.call(owner, sc, readReq{Tx: t.id, Obj: item, WholePage: true})
-			if err != nil {
-				p.cs.mu.Lock()
-				p.cs.endReadLocked(item)
-				p.cs.takeRacesLocked(item)
-				p.cs.mu.Unlock()
-				return err
-			}
-			rr, ok := body.(readResp)
-			if !ok {
-				return fmt.Errorf("core: bad read reply %T", body)
-			}
-			t.applyPageReply(item, rr.Page, rr.Avail, rr.Install, storage.DummySlot)
-			return nil
+			return t.fetch(owner, item, storage.DummySlot, sc)
 		}
 	}
 
 	if err := t.spreadTo(owner); err != nil {
 		return err
 	}
-	if local {
-		if _, err := p.serveRequest(p.name, sc, lockReq{Tx: t.id, Item: item, Mode: mode}); err != nil {
-			return err
-		}
-	} else if _, err := p.call(owner, sc, lockReq{Tx: t.id, Item: item, Mode: mode}); err != nil {
+	if _, err := p.call(owner, sc, lockReq{Tx: t.id, Item: item, Mode: mode}); err != nil {
 		return err
 	}
 	if !local && item.Level == storage.LevelPage && mode == lock.EX {
@@ -704,11 +689,8 @@ func (t *Tx) Commit() error {
 					}
 				}
 			}
-			if coord == p.name {
-				p.appendAndRedo(rs, sc)
-			} else if _, err := p.call(coord, sc, prepareReq{Tx: t.id, Records: rs}); err != nil {
-				t.finish(false, recs, sc)
-				t.scrubAfterFailedCommit(recs)
+			if _, err := p.call(coord, sc, prepareReq{Tx: t.id, Records: rs}); err != nil {
+				t.rollback(recs, sc)
 				return fmt.Errorf("core: prepare at %s: %w", coord, err)
 			}
 		}
@@ -723,15 +705,8 @@ func (t *Tx) Commit() error {
 		}
 	}
 	for owner, rs := range byOwner {
-		if owner == p.name {
-			p.appendAndRedo(rs, sc)
-			p.slog.Prepare(t.id, coord)
-			p.stats.Inc(sim.Ctr2PCPrepares)
-			continue
-		}
 		if _, err := p.call(owner, sc, prepareReq{Tx: t.id, Records: rs, Coord: coord}); err != nil {
-			t.finish(false, recs, sc)
-			t.scrubAfterFailedCommit(recs)
+			t.rollback(recs, sc)
 			return fmt.Errorf("core: prepare at %s: %w", owner, err)
 		}
 	}
@@ -742,14 +717,8 @@ func (t *Tx) Commit() error {
 	// is recorded, every participant's prepare presumes abort; after
 	// it, the finish fan-out below is pure bookkeeping — a participant
 	// that misses it recovers the fate with a status query.
-	if coord == p.name {
-		err = p.slog.Decide(t.id, true)
-	} else if _, cerr := p.call(coord, sc, decideReq{Tx: t.id, Commit: true}); cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		t.finish(false, recs, sc)
-		t.scrubAfterFailedCommit(recs)
+	if _, err := p.call(coord, sc, decideReq{Tx: t.id, Commit: true}); err != nil {
+		t.rollback(recs, sc)
 		return fmt.Errorf("core: decide at %s: %w", coord, err)
 	}
 	t.finish(true, recs, sc)
@@ -771,31 +740,8 @@ func (t *Tx) beginCommit() ([]wal.Record, error) {
 	return recs, nil
 }
 
-// scrubAfterFailedCommit marks this client's cached copies of the
-// transaction's remotely-owned updates unavailable after a commit attempt
-// aborted mid-flight: the owners undo the shipped records from
-// before-images, and the stale local bytes must not be served to a later
-// transaction. Locally-owned records need no scrub — the local srvFinish
-// abort undoes them in the server buffer, which is the authority here.
-func (t *Tx) scrubAfterFailedCommit(recs []wal.Record) {
-	p := t.p
-	for _, r := range recs {
-		if owner, err := p.sys.ownerOf(r.Object); err != nil || owner == p.name {
-			continue
-		}
-		pageID := r.Object.PageID()
-		p.cs.mu.Lock()
-		p.pool.SetAvail(pageID, r.Object.Slot, false)
-		p.pool.SetDirtySlot(pageID, r.Object.Slot, false)
-		p.cs.mu.Unlock()
-	}
-}
-
-// Abort rolls the transaction back: local log records are discarded, its
-// updated objects are purged from the local cache (marked unavailable),
-// and every owner undoes shipped updates and releases its locks (§3.3).
+// Abort rolls the transaction back (§3.3); see rollback.
 func (t *Tx) Abort() error {
-	p := t.p
 	t.mu.Lock()
 	if t.state == txCommitted || t.state == txAborted {
 		t.mu.Unlock()
@@ -804,7 +750,22 @@ func (t *Tx) Abort() error {
 	recs := t.recs
 	t.recs = nil
 	t.mu.Unlock()
-	for _, r := range recs {
+	t.rollback(recs, obs.SpanContext{})
+	t.p.stats.Inc(sim.CtrAborts)
+	return nil
+}
+
+// rollback undoes the updates recs hold bytes for here, then has every
+// owner abort the transaction: a locally owned record is undone in the
+// server buffer, in reverse order so that an object written twice ends at
+// its first before-image, and a remotely owned one is marked unavailable
+// in the client cache — its owner undoes any shipped copy, and the stale
+// local bytes must not be served to a later transaction. Both happen
+// before the locks go.
+func (t *Tx) rollback(recs []wal.Record, sc obs.SpanContext) {
+	p := t.p
+	for i := len(recs) - 1; i >= 0; i-- {
+		r := recs[i]
 		owner, err := p.sys.ownerOf(r.Object)
 		if err != nil {
 			continue
@@ -819,9 +780,7 @@ func (t *Tx) Abort() error {
 		p.pool.SetDirtySlot(pageID, r.Object.Slot, false)
 		p.cs.mu.Unlock()
 	}
-	t.finish(false, nil, obs.SpanContext{})
-	p.stats.Inc(sim.CtrAborts)
-	return nil
+	t.finish(false, nil, sc)
 }
 
 // finish runs 2PC phase two (or abort) at every owner and releases local
@@ -832,18 +791,12 @@ func (t *Tx) finish(commit bool, recs []wal.Record, sc obs.SpanContext) {
 	spread := t.spread
 	t.mu.Unlock()
 	for _, owner := range spread {
-		if owner == p.name {
-			_, _ = p.srvFinish(p.name, sc, finishReq{Tx: t.id, Commit: commit})
-			continue
-		}
-		if _, err := p.call(owner, sc, finishReq{Tx: t.id, Commit: commit}); err != nil {
-			// The owner is unreachable: either it crashed (its whole lock
-			// table died with it, and crash reclamation presumes this
-			// transaction aborted) or the retries were exhausted against a
-			// lossy link, in which case its locks clear when the owner
-			// eventually processes a retried finish or reclaims our crash.
-			continue
-		}
+		// An unreachable owner either crashed (its whole lock table died
+		// with it, and crash reclamation presumes this transaction aborted)
+		// or exhausted the retries against a lossy link, in which case its
+		// locks clear when it eventually processes a retried finish or
+		// reclaims our crash.
+		_, _ = p.call(owner, sc, finishReq{Tx: t.id, Commit: commit})
 	}
 	if commit {
 		for _, r := range recs {

@@ -59,6 +59,15 @@ func (cs *clientState) hasPendingReadLocked(page storage.ItemID) bool {
 	return cs.pendingReads[page] > 0
 }
 
+// abandonRead ends a read whose reply will not be installed and drops the
+// race entries registered against it.
+func (cs *clientState) abandonRead(page storage.ItemID) {
+	cs.mu.Lock()
+	cs.endReadLocked(page)
+	cs.takeRacesLocked(page)
+	cs.mu.Unlock()
+}
+
 // registerRaceLocked records a callback race for slot of page.
 func (cs *clientState) registerRaceLocked(page storage.ItemID, slot uint16) {
 	cs.races[page] = cs.races[page].With(slot)

@@ -219,9 +219,7 @@ func (p *Peer) ServerPool() *buffer.Pool { return p.srvPool }
 func (p *Peer) Detach() {
 	p.noticeEvictions(p.pool.EvictAll())
 	for _, owner := range p.sys.place.Shards() {
-		if owner != p.name {
-			p.flushPurges(owner)
-		}
+		p.flushPurges(owner)
 	}
 }
 
@@ -418,10 +416,11 @@ func replyCarriesPage(body any) bool {
 // attempt is bounded by RPCTimeout and the same envelope — same ReqID,
 // same piggyback, same span — is resent up to rpcMaxRetries times with
 // exponential backoff, relying on the receiver's dedup table for
-// at-least-once → exactly-once semantics.
+// at-least-once → exactly-once semantics. A request to this peer itself
+// is served in place, under sc, with no message.
 func (p *Peer) call(dest string, sc obs.SpanContext, body any) (any, error) {
 	if dest == p.name {
-		return nil, fmt.Errorf("core: self-call at %s", p.name)
+		return p.serveRequest(dest, sc, body)
 	}
 	p.mu.Lock()
 	p.nextReq++
@@ -685,9 +684,10 @@ func (p *Peer) noteCbAlive(client string) {
 // come. Callback rounds waiting on the dead client are completed with a
 // synthetic ack (dropping its copies below makes the invalidation true);
 // its cached copies are dropped from the copy table; and each of its
-// transactions is presumed aborted — tombstoned, its shipped uncommitted
-// updates rolled back from WAL before-images, and its locks (granted and
-// waiting) released.
+// transactions is settled (see settle) — presumed aborted unless it is a
+// prepared one this peer coordinates and recorded as committed — except a
+// transaction prepared here under another coordinator, which waits for
+// the resolver.
 func (p *Peer) peerDown(dead string) {
 	reclaimed := false
 
@@ -698,7 +698,7 @@ func (p *Peer) peerDown(dead string) {
 	}
 	p.mu.Unlock()
 	for _, op := range ops {
-		if op.clearWaiting(dead) {
+		if slices.Contains(op.waitingClients(), dead) {
 			select {
 			case op.events <- cbEvent{ack: &callbackAck{OpID: op.id, Client: dead, Invalidated: true}}:
 			default:
@@ -714,27 +714,31 @@ func (p *Peer) peerDown(dead string) {
 	for _, txid := range p.locks.TxsBySite(dead) {
 		txs[txid] = true
 	}
+	coordOf := make(map[lock.TxID]string)
 	if p.slog != nil {
 		for _, txid := range p.slog.ActiveTxs() {
 			if txid.Site == dead {
 				txs[txid] = true
 			}
 		}
+		for _, pt := range p.slog.PreparedTxs() {
+			coordOf[pt.Tx] = pt.Coord
+		}
 	}
 	for txid := range txs {
-		p.markFinished(txid)
-		if p.slog != nil {
-			if p.slog.IsPrepared(txid) {
-				// A prepared transaction homed at the dead peer can never be
-				// decided — its home drove the decide/finish rounds. Presumed
-				// abort reclaims it.
-				p.stats.Inc(sim.Ctr2PCPresumedAborts)
-			}
-			for _, rec := range p.slog.Abort(txid) {
-				p.undoOne(rec)
-			}
+		// A prepared transaction is decided by its coordinator alone: a
+		// participant keeps it, locks and all, until the resolver asks;
+		// the coordinator settles it now, since its dead home will never
+		// drive the decide round, recording abort unless commit was
+		// already recorded.
+		coord, prepared := coordOf[txid]
+		if prepared && coord != p.name {
+			continue
 		}
-		p.locks.ReleaseAll(txid)
+		commit := prepared && p.slog.ResolveStatus(txid) == wal.DecisionCommit
+		if !p.settle(txid, commit, obs.SpanContext{}) && prepared {
+			p.stats.Inc(sim.Ctr2PCPresumedAborts)
+		}
 		reclaimed = true
 	}
 
@@ -801,41 +805,25 @@ func (p *Peer) resolveLoop() {
 	}
 }
 
-// resolvePrepared settles one aged in-doubt transaction. The coordinator's
+// resolvePrepared settles one aged in-doubt transaction by asking its
+// coordinator — possibly this peer — for the fate. The coordinator's
 // recorded decision is authoritative: commit applies phase two here, and
 // anything else — a recorded abort, an unreachable coordinator, a dead
-// one — is presumed abort. When this peer is itself the coordinator, an
-// aged undecided prepare means the home never drove the decide round; the
-// abort decision is recorded first so a late commit request fails instead
-// of splitting the fate.
+// one — is presumed abort. A coordinator with no decision records abort
+// before answering, so a late commit request fails instead of splitting
+// the fate.
 func (p *Peer) resolvePrepared(pt wal.PreparedTx) {
 	if !p.slog.IsPrepared(pt.Tx) {
 		return // decided while the snapshot aged
 	}
-	commit := false
-	if pt.Coord == p.name {
-		commit = p.slog.DecisionOf(pt.Tx) == wal.DecisionCommit
-		if !commit {
-			_ = p.slog.Decide(pt.Tx, false)
-		}
-	} else if body, err := p.call(pt.Coord, obs.SpanContext{}, statusReq{Tx: pt.Tx}); err == nil {
-		if sr, ok := body.(statusResp); ok {
-			commit = sr.Commit
-		}
-	}
+	body, _ := p.call(pt.Coord, obs.SpanContext{}, statusReq{Tx: pt.Tx})
+	sr, _ := body.(statusResp) // no answer: presumed abort
 	if !p.slog.IsPrepared(pt.Tx) {
 		return // a finish arrived while we asked around
 	}
-	p.markFinished(pt.Tx)
-	if commit {
-		p.slog.CommitForce(pt.Tx)
-	} else {
+	if !p.settle(pt.Tx, sr.Commit, obs.SpanContext{}) {
 		p.stats.Inc(sim.Ctr2PCPresumedAborts)
-		for _, rec := range p.slog.Abort(pt.Tx) {
-			p.undoOne(rec)
-		}
 	}
-	p.locks.ReleaseAll(pt.Tx)
 }
 
 // setPendingCB marks an in-progress callback operation on an object, used

@@ -15,11 +15,10 @@ import (
 )
 
 // serveRequest dispatches one incoming request. It runs in the receiving
-// thread's goroutine and is also invoked directly (with from == p.name)
-// when a local transaction accesses data this peer owns. sc is the serve
-// span for remote requests, or the client operation's span for local
-// calls; server-side work (lock waits, callback rounds, disk reads, WAL
-// forces) is traced under it.
+// thread's goroutine, or in the caller's when call is asked to reach this
+// peer itself (from == p.name). sc is the serve span for remote requests,
+// or the caller's span for local ones; server-side work (lock waits,
+// callback rounds, disk reads, WAL forces) is traced under it.
 func (p *Peer) serveRequest(from string, sc obs.SpanContext, body any) (any, error) {
 	switch rq := body.(type) {
 	case readReq:
@@ -35,7 +34,7 @@ func (p *Peer) serveRequest(from string, sc obs.SpanContext, body any) (any, err
 	case statusReq:
 		return p.srvStatus(rq)
 	case finishReq:
-		return p.srvFinish(from, sc, rq)
+		return p.srvFinish(sc, rq)
 	case releaseReq:
 		return p.srvRelease(rq)
 	case deescReq:
@@ -91,19 +90,31 @@ func (p *Peer) srvRead(from string, sc obs.SpanContext, rq readReq) (any, error)
 		install := p.ct.addCopy(pageID, from)
 		return readResp{ObjData: data, Install: install}, nil
 	}
-	page, err := p.srvFetchPage(pageID, sc)
+	page, avail, install, err := p.shipPage(obj, from, sc)
 	if err != nil {
 		return nil, err
 	}
-	avail := storage.AllAvailable(page.NumObjects())
-	if !rq.WholePage {
-		avail = p.availMaskFor(pageID, obj, from, page.NumObjects())
-	}
-	install := p.ct.addCopy(pageID, from)
-	if p.obs.Active() {
-		p.obs.EmitSpan(obs.EvPageShip, sc.Under(), pageID.String(), 0, from, "read ship")
-	}
 	return readResp{Page: page, Avail: avail, Install: install}, nil
+}
+
+// shipPage fetches the page holding item for shipment to client, with the
+// availability mask the client may trust (§4.2.3): the whole page when
+// item is the page itself, else the mask of availMaskFor. The shipment
+// becomes a copy-table entry; its install count is returned.
+func (p *Peer) shipPage(item storage.ItemID, client string, sc obs.SpanContext) (*storage.Page, storage.AvailMask, uint64, error) {
+	pageID := item.PageID()
+	page, err := p.srvFetchPage(pageID, sc)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	avail := storage.AllAvailable(page.NumObjects())
+	if item.Level == storage.LevelObject {
+		avail = p.availMaskFor(pageID, item, client, page.NumObjects())
+	}
+	if p.obs.Active() {
+		p.obs.EmitSpan(obs.EvPageShip, sc.Under(), pageID.String(), 0, client, "")
+	}
+	return page, avail, p.ct.addCopy(pageID, client), nil
 }
 
 // srvWrite serves a write-permission request: deescalate, lock EX, run the
@@ -150,20 +161,10 @@ func (p *Peer) srvWrite(from string, sc obs.SpanContext, rq writeReq) (any, erro
 
 	if remote {
 		if !rq.HavePage {
-			page, err := p.srvFetchPage(pageID, sc)
+			resp.Page, resp.Avail, resp.Install, err = p.shipPage(obj, from, sc)
 			if err != nil {
 				return nil, err
 			}
-			if p.obs.Active() {
-				p.obs.EmitSpan(obs.EvPageShip, sc.Under(), pageID.String(), 0, from, "write ship")
-			}
-			resp.Page = page
-			if obj.Level == storage.LevelObject {
-				resp.Avail = p.availMaskFor(pageID, obj, from, page.NumObjects())
-			} else {
-				resp.Avail = storage.AllAvailable(page.NumObjects())
-			}
-			resp.Install = p.ct.addCopy(pageID, from)
 		} else if !rq.HaveObj && obj.Level == storage.LevelObject {
 			data, err := p.srvObjectBytes(obj, sc)
 			if err != nil {
@@ -264,32 +265,41 @@ func (p *Peer) srvStatus(rq statusReq) (any, error) {
 }
 
 // srvFinish is 2PC phase two (commit) or an abort at an owner.
-func (p *Peer) srvFinish(from string, sc obs.SpanContext, rq finishReq) (any, error) {
-	// Decision wins: if this peer coordinated the transaction and durably
-	// recorded commit, a late abort (e.g. the home site died after the
-	// decide round and a survivor guessed wrong) must not undo it.
-	if !rq.Commit && p.slog != nil && p.slog.DecisionOf(rq.Tx) == wal.DecisionCommit {
-		rq.Commit = true
+func (p *Peer) srvFinish(sc obs.SpanContext, rq finishReq) (any, error) {
+	p.settle(rq.Tx, rq.Commit, sc)
+	return finishResp{}, nil
+}
+
+// settle ends a transaction at this owner, the one place its shipped
+// records are committed or undone (redo-at-server, §3.3): it is tombstoned,
+// then a commit forces its commit record and an abort undoes its records
+// from their before-images, and last its locks are released. A commit this
+// peer recorded as coordinator wins over an abort — a survivor may guess
+// abort for a transaction whose home died after the decide round. settle
+// reports whether the transaction committed.
+func (p *Peer) settle(txid lock.TxID, commit bool, sc obs.SpanContext) bool {
+	if !commit && p.slog != nil && p.slog.DecisionOf(txid) == wal.DecisionCommit {
+		commit = true
 	}
-	p.markFinished(rq.Tx)
-	if rq.Commit {
-		if p.slog != nil {
+	p.markFinished(txid)
+	if p.slog != nil {
+		if commit {
 			var start time.Time
 			if p.obs.Active() {
 				start = time.Now()
 			}
-			fi := p.slog.CommitForce(rq.Tx)
+			fi := p.slog.CommitForce(txid)
 			if p.cfg.GroupCommit && p.obs.Active() {
-				p.emitGroupCommit(sc, rq.Tx.String(), time.Since(start), fi, "commit force")
+				p.emitGroupCommit(sc, txid.String(), time.Since(start), fi, "commit force")
+			}
+		} else {
+			for _, rec := range p.slog.Abort(txid) {
+				p.undoOne(rec)
 			}
 		}
-	} else if p.slog != nil {
-		for _, rec := range p.slog.Abort(rq.Tx) {
-			p.undoOne(rec)
-		}
 	}
-	p.locks.ReleaseAll(rq.Tx)
-	return finishResp{}, nil
+	p.locks.ReleaseAll(txid)
+	return commit
 }
 
 // srvRelease drops the replicated locks of a transaction that finished at
@@ -321,15 +331,7 @@ func (p *Peer) srvDeescalate(pageID storage.ItemID, requester string, sc obs.Spa
 	if p.obs.Active() {
 		p.obs.EmitSpan(obs.EvDeescalation, sc.Under(), pageID.String(), 0, client, "adaptive lock torn down")
 	}
-	var (
-		body any
-		err  error
-	)
-	if client == p.name {
-		body, err = p.clientDeescalate(p.name, deescReq{Page: pageID})
-	} else {
-		body, err = p.call(client, sc, deescReq{Page: pageID})
-	}
+	body, err := p.call(client, sc, deescReq{Page: pageID})
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adaptivecc/internal/lock"
+	"adaptivecc/internal/obs"
 	"adaptivecc/internal/placement"
 	"adaptivecc/internal/sim"
 	"adaptivecc/internal/storage"
@@ -217,6 +218,88 @@ func TestResolverPresumesAbortOnSilentHome(t *testing.T) {
 			t.Error("aborted cross-shard write visible on shard 2")
 		}
 		mustCommit(t, y)
+	})
+}
+
+// preparedAcrossShards builds a two-shard fleet and drives one
+// transaction homed at c1 through the prepare round by hand: each shard
+// holds a prepared record writing "v" to page 2, slot 0 of its volume,
+// with s1 as coordinator. The timings are TestResolverPresumesAbortOnSilentHome's.
+func preparedAcrossShards(t *testing.T) (*shardCluster, lock.TxID) {
+	t.Helper()
+	tc := newShardCluster(t, PSAA, 2, 2, 4, func(c *Config) {
+		c.RPCTimeout = 20 * time.Millisecond
+		c.FixedTimeout = 500 * time.Millisecond
+	})
+	home := tc.clients[0]
+	id := home.Begin().ID()
+	for i, s := range tc.shards {
+		obj := shardObj(storage.VolumeID(i+1), 2, 0)
+		before, err := s.srvObjectBytes(obj, obs.SpanContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := wal.Record{Tx: id, Object: obj, Before: before, After: []byte("v")}
+		if _, err := home.call(s.Name(), obs.SpanContext{}, prepareReq{Tx: id, Records: []wal.Record{rec}, Coord: "s1"}); err != nil {
+			t.Fatalf("prepare at %s: %v", s.Name(), err)
+		}
+	}
+	return tc, id
+}
+
+// crashHomeExpectCommitted crashes the home of preparedAcrossShards'
+// transaction, waits until neither shard holds it in doubt, and requires
+// its write on both shards.
+func crashHomeExpectCommitted(t *testing.T, tc *shardCluster) {
+	t.Helper()
+	if err := tc.sys.CrashPeer(tc.clients[0].Name()); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 10*time.Second, func() bool {
+		return tc.shards[0].slog.PreparedCount() == 0 && tc.shards[1].slog.PreparedCount() == 0
+	}, "both shards to settle the prepared transaction")
+	y := tc.clients[1].Begin()
+	for i, s := range tc.shards {
+		if got := readVal(t, y, shardObj(storage.VolumeID(i+1), 2, 0)); got != "v" {
+			t.Errorf("%s holds %q after the home crash, want the committed %q", s.Name(), got, "v")
+		}
+	}
+	mustCommit(t, y)
+}
+
+// TestCoordinatorCommitSurvivesHomeCrash records the commit decision at
+// the coordinator and crashes the home before any finish. Crash
+// reclamation must not presume abort for a transaction the coordinator's
+// own log decided: s1 keeps the write, and s2 learns the fate from s1.
+func TestCoordinatorCommitSurvivesHomeCrash(t *testing.T) {
+	watchdog(t, time.Minute, func() {
+		tc, id := preparedAcrossShards(t)
+		if _, err := tc.clients[0].call("s1", obs.SpanContext{}, decideReq{Tx: id, Commit: true}); err != nil {
+			t.Fatalf("decide: %v", err)
+		}
+		crashHomeExpectCommitted(t, tc)
+		if d := tc.shards[0].slog.DecisionOf(id); d != wal.DecisionCommit {
+			t.Errorf("coordinator decision = %v, want commit", d)
+		}
+	})
+}
+
+// TestParticipantAsksLiveCoordinatorAfterHomeCrash lets the finish(commit)
+// reach s1 only, then crashes the home. s2 holds a prepared transaction
+// whose coordinator is alive and committed it: only the coordinator
+// decides it, so s2 must not presume abort but commit once its resolver
+// asks s1.
+func TestParticipantAsksLiveCoordinatorAfterHomeCrash(t *testing.T) {
+	watchdog(t, time.Minute, func() {
+		tc, id := preparedAcrossShards(t)
+		home := tc.clients[0]
+		if _, err := home.call("s1", obs.SpanContext{}, decideReq{Tx: id, Commit: true}); err != nil {
+			t.Fatalf("decide: %v", err)
+		}
+		if _, err := home.call("s1", obs.SpanContext{}, finishReq{Tx: id, Commit: true}); err != nil {
+			t.Fatalf("finish at s1: %v", err)
+		}
+		crashHomeExpectCommitted(t, tc)
 	})
 }
 

@@ -140,3 +140,57 @@ func TestCacheTakeForPage(t *testing.T) {
 		t.Fatalf("rest = %v", afters(rest))
 	}
 }
+
+// TestAbortUndoesRepeatedLocalWrite aborts a transaction that wrote an
+// object of its own peer twice: the undo must leave the value from before
+// the first write, not the first write's.
+func TestAbortUndoesRepeatedLocalWrite(t *testing.T) {
+	tc := newCluster(t, PSAA, 1, 4)
+	obj := objID(0, 0)
+	r := tc.srv.Begin()
+	orig := readVal(t, r, obj)
+	mustCommit(t, r)
+
+	x := tc.srv.Begin()
+	writeVal(t, x, obj, "a")
+	writeVal(t, x, obj, "b")
+	if err := x.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	y := tc.srv.Begin()
+	if got := readVal(t, y, obj); got != orig {
+		t.Errorf("after abort %v holds %q, want %q", obj, got, orig)
+	}
+	mustCommit(t, y)
+}
+
+// TestFailedCommitUndoesLocalWrites commits a cross-shard transaction
+// homed at shard s1 after s2 has crashed, so the prepare at s2 fails
+// whether or not s1's own prepare ran first. The write s1 installed in its
+// own buffer must be undone either way. The fleet is rebuilt a few times
+// because the two prepares go out in no fixed order.
+func TestFailedCommitUndoesLocalWrites(t *testing.T) {
+	for i := 0; i < 6; i++ {
+		tc := newShardCluster(t, PSAA, 2, 0, 4)
+		s1 := tc.shards[0]
+		obj := shardObj(1, 0, 0)
+		r := s1.Begin()
+		orig := readVal(t, r, obj)
+		mustCommit(t, r)
+
+		x := s1.Begin()
+		writeVal(t, x, obj, "v")
+		writeVal(t, x, shardObj(2, 0, 0), "v")
+		if err := tc.sys.CrashPeer("s2"); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Commit(); err == nil {
+			t.Fatal("commit succeeded with a crashed participant")
+		}
+		y := s1.Begin()
+		if got := readVal(t, y, obj); got != orig {
+			t.Fatalf("run %d: after the failed commit %v holds %q, want %q", i, obj, got, orig)
+		}
+		mustCommit(t, y)
+	}
+}
