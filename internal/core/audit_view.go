@@ -54,7 +54,12 @@ func (v peerView) CachedAvail(page storage.ItemID) (storage.AvailMask, bool) {
 }
 
 func (v peerView) CopyClients(page storage.ItemID) []string {
-	return v.p.ct.clientsOf(page, "")
+	copies, _ := v.p.ct.copiesOf(page, "")
+	out := make([]string, 0, len(copies))
+	for c := range copies {
+		out = append(out, c)
+	}
+	return out
 }
 
 func (v peerView) HasCopy(page storage.ItemID, client string) bool {

@@ -109,36 +109,32 @@ func isCallbackThread(t lock.TxID) bool { return strings.HasPrefix(t.Site, "#cb/
 
 // runCallbackOp executes the callback side of a write-permission grant for
 // item (an object — possibly a dummy object — or a whole page) on behalf
-// of txid, excluding the requesting client. It returns whether the page
-// ended up invalidated at every other client (the PS-AA adaptive-lock
-// precondition).
+// of txid, excluding the requesting client.
 //
 // The operation loops: if the calling-back transaction had to downgrade
 // its locks to replicate client conflicts, other transactions may have
 // "sneaked in" and been shipped the page, violating the serializability
-// objective of §4.2.2; the ship-counter comparison detects this and the
-// callbacks are repeated (§4.3.2).
-func (p *Peer) runCallbackOp(txid lock.TxID, item, pageID storage.ItemID, requester string, sc obs.SpanContext) (bool, error) {
+// objective of §4.2.2; the ship epoch, read in the same latched snapshot
+// as the copies, detects this and the callbacks are repeated (§4.3.2).
+func (p *Peer) runCallbackOp(txid lock.TxID, item, pageID storage.ItemID, requester string, sc obs.SpanContext) error {
 	if item.Level == storage.LevelObject {
-		p.setPendingCB(item, txid)
-		defer p.clearPendingCB(item)
+		p.ct.setPending(item, txid)
+		defer p.ct.clearPending(item)
 	}
+	var shipsBefore uint64
 	for round := 0; ; round++ {
-		clients := p.ct.copiesOf(pageID, requester)
-		if len(clients) == 0 {
-			return true, nil
+		clients, ships := p.ct.copiesOf(pageID, requester)
+		if len(clients) == 0 || round > 0 && ships == shipsBefore {
+			return nil
 		}
 		if round > 0 {
 			p.stats.Inc(sim.CtrCallbackRounds)
 			p.policy.Note(consistency.EvExtraRound, pageID)
 		}
-		shipsBefore := p.ct.shipCount(pageID)
+		shipsBefore = ships
 		downgraded, err := p.callbackRound(txid, item, pageID, pageID, clients, sc)
-		if err != nil {
-			return false, err
-		}
-		if !downgraded || p.ct.shipCount(pageID) == shipsBefore {
-			return len(p.ct.clientsOf(pageID, requester)) == 0, nil
+		if err != nil || !downgraded {
+			return err
 		}
 	}
 }
@@ -258,9 +254,6 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 				if !op.clearWaiting(ev.ack.Client) {
 					break // duplicate delivery (or raced a crash's synthetic ack)
 				}
-				if debugOn() {
-					debugLog("callback ack", "op", op.id, "client", ev.ack.Client, "invalidated", ev.ack.Invalidated)
-				}
 				if p.obs.Active() {
 					note := ""
 					if ev.ack.Invalidated {
@@ -348,7 +341,7 @@ func (p *Peer) dropCopies(scope storage.ItemID, client string, install uint64) {
 		p.ct.removeCopy(scope, client, install)
 		return
 	}
-	p.ct.removeFileCopies(scope, client)
+	p.ct.removeCopies(client, scope.Contains)
 }
 
 // handleBlocked processes a callback-blocked reply: project the client's
@@ -541,9 +534,6 @@ func (p *Peer) handleCallback(rq callbackReq) {
 // purgeWholePage drops the page from the client cache under an EX page
 // lock, handling the pending-read race.
 func (p *Peer) purgeWholePage(rq callbackReq, page storage.ItemID, pageLevel bool) {
-	if debugOn() {
-		debugLog("purge whole page", "site", p.name, "page", page.String(), "op", rq.OpID)
-	}
 	p.cs.mu.Lock()
 	invalidated := true
 	if p.cs.hasPendingReadLocked(page) {

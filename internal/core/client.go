@@ -306,10 +306,6 @@ func (t *Tx) applyPageReply(pageID storage.ItemID, page *storage.Page, avail sto
 	}
 	var evs []buffer.Eviction
 	if page != nil {
-		if debugOn() {
-			debugLog("merge page", "site", p.name, "page", pageID.String(),
-				"avail", uint64(avail), "veto", uint64(veto))
-		}
 		evs = p.pool.Merge(pageID, page, avail, veto)
 		p.cs.setInstallLocked(pageID, install)
 	}

@@ -1,31 +1,40 @@
 package core
 
 import (
+	"maps"
 	"sync"
 
+	"adaptivecc/internal/lock"
 	"adaptivecc/internal/storage"
 )
 
-// copyTable is the server-side record of which clients cache which pages
-// (paper §4.1). It also tracks, per file, how many pages of the file each
-// client caches, so that file-level callbacks know whom to contact; and a
-// per-page ship counter used both for purge-race detection (install counts)
-// and for detecting serializability-objective violations during hierarchical
-// callbacks (§4.3.2).
+// copyTable is the owner's index of its per-page records (paper §4.1),
+// plus, per file, how many pages of the file each client caches, so that
+// file-level callbacks know whom to contact. Its mutex guards only the two
+// maps and is never held while a page latch is taken.
 type copyTable struct {
 	mu    sync.Mutex
-	pages map[storage.ItemID]*pageCopies
+	pages map[storage.ItemID]*pageEntry
 	files map[storage.ItemID]map[string]int
 }
 
-type pageCopies struct {
-	clients map[string]uint64 // client -> install count of its newest copy
-	ships   uint64            // total times this page has been shipped
+// pageEntry is the owner's consistency state for one page. Every per-page
+// decision of §4.2.3 — ship, callback snapshot, adaptive grant, purge —
+// reads and changes it under latch in one critical section, together with
+// the lock-table scan the decision needs (DESIGN.md §3, "One latch per
+// page"). The latch is never held across an RPC, a lock wait or a callback
+// round. Lock order: latch, then a lock-table shard, srvPool.mu or
+// copyTable.mu.
+type pageEntry struct {
+	latch   sync.Mutex
+	copies  map[string]uint64    // client -> install count of its newest copy
+	ships   uint64               // ship epoch: times the page has been shipped
+	pending map[uint16]lock.TxID // object slot -> transaction calling it back
 }
 
 func newCopyTable() *copyTable {
 	return &copyTable{
-		pages: make(map[storage.ItemID]*pageCopies),
+		pages: make(map[storage.ItemID]*pageEntry),
 		files: make(map[storage.ItemID]map[string]int),
 	}
 }
@@ -34,18 +43,26 @@ func fileOf(page storage.ItemID) storage.ItemID {
 	return storage.FileItem(page.Vol, page.File)
 }
 
-// addCopy records a ship of page to client and returns the install count
-// the client must remember for purge notices.
-func (ct *copyTable) addCopy(page storage.ItemID, client string) uint64 {
+// entry returns page's record, creating it on first use. Records are never
+// deleted: the ship epoch is compared across callback rounds.
+func (ct *copyTable) entry(page storage.ItemID) *pageEntry {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	pc, ok := ct.pages[page]
+	e, ok := ct.pages[page]
 	if !ok {
-		pc = &pageCopies{clients: make(map[string]uint64)}
-		ct.pages[page] = pc
+		e = &pageEntry{copies: make(map[string]uint64)}
+		ct.pages[page] = e
 	}
-	pc.ships++
-	if _, had := pc.clients[client]; !had {
+	return e
+}
+
+// addCopyLocked records a ship of page to client and returns the install
+// count the client must remember for purge notices. The caller holds e's
+// latch.
+func (ct *copyTable) addCopyLocked(e *pageEntry, page storage.ItemID, client string) uint64 {
+	e.ships++
+	if _, had := e.copies[client]; !had {
+		ct.mu.Lock()
 		f := fileOf(page)
 		fc, ok := ct.files[f]
 		if !ok {
@@ -53,38 +70,17 @@ func (ct *copyTable) addCopy(page storage.ItemID, client string) uint64 {
 			ct.files[f] = fc
 		}
 		fc[client]++
+		ct.mu.Unlock()
 	}
-	pc.clients[client] = pc.ships
-	if debugOn() {
-		debugLog("copytable add", "page", page.String(), "client", client, "install", pc.ships)
-	}
-	return pc.ships
+	e.copies[client] = e.ships
+	return e.ships
 }
 
-// removeCopy deletes client's entry for page. When install is nonzero the
-// removal only happens if it matches the recorded install count — a stale
-// purge notice (purge race, §4.2.4) is rejected and false is returned.
-// install zero forces removal (callback invalidations).
-func (ct *copyTable) removeCopy(page storage.ItemID, client string, install uint64) bool {
+// dropLocked deletes client's copy of page. The caller holds e's latch.
+func (ct *copyTable) dropLocked(e *pageEntry, page storage.ItemID, client string) {
+	delete(e.copies, client)
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	pc, ok := ct.pages[page]
-	if !ok {
-		return false
-	}
-	got, had := pc.clients[client]
-	if !had {
-		return false
-	}
-	if install != 0 && got != install {
-		return false // stale: the client re-fetched the page meanwhile
-	}
-	// The entry is kept even with no clients so that the ship counter
-	// survives (it is an epoch, compared across callback rounds).
-	delete(pc.clients, client)
-	if debugOn() {
-		debugLog("copytable remove", "page", page.String(), "client", client, "install", install, "had", got)
-	}
 	f := fileOf(page)
 	if fc, ok := ct.files[f]; ok {
 		fc[client]--
@@ -95,24 +91,81 @@ func (ct *copyTable) removeCopy(page storage.ItemID, client string, install uint
 			delete(ct.files, f)
 		}
 	}
-	return true
 }
 
-// clientsOf lists the clients caching page, excluding except.
-func (ct *copyTable) clientsOf(page storage.ItemID, except string) []string {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	pc, ok := ct.pages[page]
-	if !ok {
-		return nil
+// addCopy records a ship of page to client in one latched step (an OS
+// object ship, which needs no mask).
+func (ct *copyTable) addCopy(page storage.ItemID, client string) uint64 {
+	e := ct.entry(page)
+	e.latch.Lock()
+	defer e.latch.Unlock()
+	return ct.addCopyLocked(e, page, client)
+}
+
+// removeCopy deletes client's copy of page. A nonzero install must match
+// the recorded install count: a purge notice older than the client's
+// newest copy lost the purge race (§4.2.4), keeps that copy, and is
+// reported by a true result. install zero forces removal.
+func (ct *copyTable) removeCopy(page storage.ItemID, client string, install uint64) (raced bool) {
+	e := ct.entry(page)
+	e.latch.Lock()
+	defer e.latch.Unlock()
+	got, had := e.copies[client]
+	if !had {
+		return false
 	}
-	out := make([]string, 0, len(pc.clients))
-	for c := range pc.clients {
+	if install != 0 && got != install {
+		return true // stale: the client re-fetched the page meanwhile
+	}
+	ct.dropLocked(e, page, client)
+	return false
+}
+
+// copiesOf snapshots, in one latched read, the clients caching page
+// (excluding except) with the install counts of their copies, and the
+// page's ship epoch. A callback round guards each "invalidated" ack with
+// the captured count, so the ack cannot erase a copy re-shipped while it
+// was in flight; the epoch tells the round whether any ship landed while
+// the calling-back transaction's locks were downgraded (§4.3.2).
+func (ct *copyTable) copiesOf(page storage.ItemID, except string) (map[string]uint64, uint64) {
+	e := ct.entry(page)
+	e.latch.Lock()
+	defer e.latch.Unlock()
+	out := make(map[string]uint64, len(e.copies))
+	for c, inst := range e.copies {
 		if c != except {
-			out = append(out, c)
+			out[c] = inst
 		}
 	}
-	return out
+	return out, e.ships
+}
+
+// hasCopy reports whether client is recorded as caching page.
+func (ct *copyTable) hasCopy(page storage.ItemID, client string) bool {
+	e := ct.entry(page)
+	e.latch.Lock()
+	defer e.latch.Unlock()
+	_, had := e.copies[client]
+	return had
+}
+
+// setPending marks a callback operation by t on obj as in progress, for
+// the unavailable-object rule (§4.2.3 condition 3); clearPending ends it.
+func (ct *copyTable) setPending(obj storage.ItemID, t lock.TxID) {
+	e := ct.entry(obj.PageID())
+	e.latch.Lock()
+	defer e.latch.Unlock()
+	if e.pending == nil {
+		e.pending = make(map[uint16]lock.TxID)
+	}
+	e.pending[obj.Slot] = t
+}
+
+func (ct *copyTable) clearPending(obj storage.ItemID) {
+	e := ct.entry(obj.PageID())
+	e.latch.Lock()
+	defer e.latch.Unlock()
+	delete(e.pending, obj.Slot)
 }
 
 // fileClientsOf lists the clients caching at least one page under scope
@@ -138,109 +191,29 @@ func (ct *copyTable) fileClientsOf(scope storage.ItemID, except string) []string
 	return out
 }
 
-// hasCopy reports whether client is recorded as caching page.
-func (ct *copyTable) hasCopy(page storage.ItemID, client string) bool {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	pc, ok := ct.pages[page]
-	if !ok {
-		return false
-	}
-	_, had := pc.clients[client]
-	return had
-}
-
-// shipCount reports the ship epoch of page, used to detect ships that
-// happen during a window where a calling-back transaction had downgraded
-// its locks.
-func (ct *copyTable) shipCount(page storage.ItemID) uint64 {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if pc, ok := ct.pages[page]; ok {
-		return pc.ships
-	}
-	return 0
-}
-
-// numPages reports the number of pages with at least one cached copy.
-func (ct *copyTable) numPages() int {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
+// removeCopies drops client's copy of every page for which in holds: the
+// pages of a file or volume after a file callback, or every page when the
+// client has crashed. It reports how many copies were dropped.
+func (ct *copyTable) removeCopies(client string, in func(page storage.ItemID) bool) int {
 	n := 0
-	for _, pc := range ct.pages {
-		if len(pc.clients) > 0 {
+	for page, e := range ct.entries() {
+		if !in(page) {
+			continue
+		}
+		e.latch.Lock()
+		if _, had := e.copies[client]; had {
+			ct.dropLocked(e, page, client)
 			n++
 		}
+		e.latch.Unlock()
 	}
 	return n
 }
 
-// removeFileCopies drops every page entry of client under file (a file or
-// volume item), after a successful file callback.
-func (ct *copyTable) removeFileCopies(file storage.ItemID, client string) {
+// entries snapshots the index, so that the caller can take each record's
+// latch without holding the index mutex.
+func (ct *copyTable) entries() map[storage.ItemID]*pageEntry {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	for page, pc := range ct.pages {
-		if !file.Contains(page) {
-			continue
-		}
-		if _, had := pc.clients[client]; !had {
-			continue
-		}
-		delete(pc.clients, client)
-		f := fileOf(page)
-		if fc, ok := ct.files[f]; ok {
-			fc[client]--
-			if fc[client] <= 0 {
-				delete(fc, client)
-			}
-			if len(fc) == 0 {
-				delete(ct.files, f)
-			}
-		}
-	}
-}
-
-// removeClientCopies drops every page entry of one client (crash reclaim:
-// a dead client caches nothing). Returns how many entries were dropped.
-func (ct *copyTable) removeClientCopies(client string) int {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	n := 0
-	for _, pc := range ct.pages {
-		if _, had := pc.clients[client]; had {
-			delete(pc.clients, client)
-			n++
-		}
-	}
-	for f, fc := range ct.files {
-		if _, had := fc[client]; had {
-			delete(fc, client)
-			if len(fc) == 0 {
-				delete(ct.files, f)
-			}
-		}
-	}
-	return n
-}
-
-// copiesOf returns the clients caching page (excluding except) together
-// with the install counts of their copies at this moment. Callback
-// operations capture these counts when sending callbacks so that an
-// "invalidated" acknowledgment cannot erase a copy that was re-shipped to
-// the same client while the acknowledgment was in flight.
-func (ct *copyTable) copiesOf(page storage.ItemID, except string) map[string]uint64 {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	pc, ok := ct.pages[page]
-	if !ok {
-		return nil
-	}
-	out := make(map[string]uint64, len(pc.clients))
-	for c, inst := range pc.clients {
-		if c != except {
-			out[c] = inst
-		}
-	}
-	return out
+	return maps.Clone(ct.pages)
 }

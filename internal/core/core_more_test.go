@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"adaptivecc/internal/lock"
+	"adaptivecc/internal/obs"
 	"adaptivecc/internal/sim"
 	"adaptivecc/internal/storage"
 )
@@ -132,7 +133,7 @@ func TestEvictionGeneratesPurgeNoticeAndRaceGuard(t *testing.T) {
 	// The server's copy table should be close to the real cache size, not
 	// the 20 pages once shipped (notices may still be queued for pages not
 	// re-contacted, so allow slack).
-	if got := tc.srv.ct.numPages(); got > 12 {
+	if got := copiedPages(tc.srv.ct); got > 12 {
 		t.Errorf("copy table tracks %d pages after evictions, want pruned", got)
 	}
 	if stats.Get(sim.CtrMessages) == 0 {
@@ -328,69 +329,112 @@ func TestPropagateSHPageAblation(t *testing.T) {
 	}
 }
 
+// copiedPages counts the pages of which ct records at least one copy.
+func copiedPages(ct *copyTable) int {
+	n := 0
+	for _, e := range ct.entries() {
+		e.latch.Lock()
+		if len(e.copies) > 0 {
+			n++
+		}
+		e.latch.Unlock()
+	}
+	return n
+}
+
 func TestBankTransferInvariant(t *testing.T) {
 	// Property: concurrent transfers between accounts never create or
 	// destroy money, under every protocol. Accounts are objects spread
 	// over shared pages to maximize page-level false sharing.
 	for _, proto := range []Protocol{PS, PSOO, PSOA, PSAA, OS} {
-		t.Run(proto.String(), func(t *testing.T) {
-			tc := newCluster(t, proto, 3, 5)
-			const accounts = 20 // 5 pages x 4 slots
-			const initial = 100
+		t.Run(proto.String(), func(t *testing.T) { runBank(t, proto, nil) })
+	}
+}
 
-			seedTx := tc.clients[0].Begin()
-			for acc := 0; acc < accounts; acc++ {
-				writeVal(t, seedTx, objID(uint32(acc/4), uint16(acc%4)), itoa(initial))
-			}
-			mustCommit(t, seedTx)
+// TestBankWidenedShip runs the bank workload on the object-grain
+// protocols with every page ship widened by 1 ms, through an obs sink
+// that sleeps on EvPageShip (delay injection; no production hook). When
+// a ship's steps ran under separate locks, a writer of another object on
+// the page could commit between the clone and the availability scan, or
+// take EX between the scan and the copy record, and the client cached a
+// stale object as available: about half of these runs lost money. Under
+// the page latch a ship is one step, and no run may.
+func TestBankWidenedShip(t *testing.T) {
+	sleepOnShip := func(ev obs.Event) {
+		if ev.Kind == obs.EvPageShip {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, proto := range []Protocol{PSOO, PSOA, PSAA} {
+		for run := 0; run < 5; run++ {
+			t.Run(fmt.Sprintf("%v/%d", proto, run), func(t *testing.T) { runBank(t, proto, sleepOnShip) })
+		}
+	}
+}
 
-			var wg sync.WaitGroup
-			for ci, c := range tc.clients {
-				wg.Add(1)
-				go func(ci int, p *Peer) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(ci) + 42))
-					for i := 0; i < 25; i++ {
-						from := rng.Intn(accounts)
-						to := rng.Intn(accounts)
-						if from == to {
-							continue
-						}
-						amount := 1 + rng.Intn(10)
-						for {
-							x := p.Begin()
-							fv, err := x.Read(objID(uint32(from/4), uint16(from%4)))
-							var tv []byte
-							if err == nil {
-								tv, err = x.Read(objID(uint32(to/4), uint16(to%4)))
-							}
-							if err == nil {
-								err = x.Write(objID(uint32(from/4), uint16(from%4)), []byte(itoa(atoi(string(fv))-amount)))
-							}
-							if err == nil {
-								err = x.Write(objID(uint32(to/4), uint16(to%4)), []byte(itoa(atoi(string(tv))+amount)))
-							}
-							if err == nil && x.Commit() == nil {
-								break
-							}
-							_ = x.Abort()
-							time.Sleep(time.Duration(rng.Intn(3)+1) * time.Millisecond)
-						}
+// runBank runs concurrent transfers among 20 accounts (5 pages x 4 slots)
+// from three clients and checks that the total is conserved. A non-nil
+// sink receives every obs event.
+func runBank(t *testing.T, proto Protocol, sink func(obs.Event)) {
+	tc := newCluster(t, proto, 3, 5, func(c *Config) {
+		if sink != nil {
+			c.Obs = obs.Config{Enabled: true, Sink: sink}
+		}
+	})
+	const accounts = 20
+	const initial = 100
+
+	seedTx := tc.clients[0].Begin()
+	for acc := 0; acc < accounts; acc++ {
+		writeVal(t, seedTx, objID(uint32(acc/4), uint16(acc%4)), itoa(initial))
+	}
+	mustCommit(t, seedTx)
+
+	var wg sync.WaitGroup
+	for ci, c := range tc.clients {
+		wg.Add(1)
+		go func(ci int, p *Peer) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(ci) + 42))
+			for i := 0; i < 25; i++ {
+				from := rng.Intn(accounts)
+				to := rng.Intn(accounts)
+				if from == to {
+					continue
+				}
+				amount := 1 + rng.Intn(10)
+				for {
+					x := p.Begin()
+					fv, err := x.Read(objID(uint32(from/4), uint16(from%4)))
+					var tv []byte
+					if err == nil {
+						tv, err = x.Read(objID(uint32(to/4), uint16(to%4)))
 					}
-				}(ci, c)
+					if err == nil {
+						err = x.Write(objID(uint32(from/4), uint16(from%4)), []byte(itoa(atoi(string(fv))-amount)))
+					}
+					if err == nil {
+						err = x.Write(objID(uint32(to/4), uint16(to%4)), []byte(itoa(atoi(string(tv))+amount)))
+					}
+					if err == nil && x.Commit() == nil {
+						break
+					}
+					_ = x.Abort()
+					time.Sleep(time.Duration(rng.Intn(3)+1) * time.Millisecond)
+				}
 			}
-			wg.Wait()
+		}(ci, c)
+	}
+	wg.Wait()
 
-			check := tc.clients[0].Begin()
-			total := 0
-			for acc := 0; acc < accounts; acc++ {
-				total += atoi(readVal(t, check, objID(uint32(acc/4), uint16(acc%4))))
-			}
-			mustCommit(t, check)
-			if total != accounts*initial {
-				t.Errorf("%v: total = %d, want %d (money %+d)", proto, total, accounts*initial, total-accounts*initial)
-			}
-		})
+	check := tc.clients[0].Begin()
+	total := 0
+	for acc := 0; acc < accounts; acc++ {
+		total += atoi(readVal(t, check, objID(uint32(acc/4), uint16(acc%4))))
+	}
+	mustCommit(t, check)
+	if total != accounts*initial {
+		t.Errorf("%v: total = %d, want %d (money %+d)", proto, total, accounts*initial, total-accounts*initial)
 	}
 }
 

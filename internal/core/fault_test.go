@@ -82,7 +82,7 @@ func parseProtocol(t *testing.T, s string) Protocol {
 // mode a fault plan switches on.
 func TestFaultMatrix(t *testing.T) {
 	kinds := []string{"drop", "dup", "delay", "crash", "shardcrash"}
-	protos := []Protocol{PS, PSOA, PSAA, PSAH}
+	protos := []Protocol{PS, PSOO, PSOA, PSAA, PSAH}
 	txsPerClient := 12
 	if k := os.Getenv("FAULT_KIND"); k != "" {
 		kinds = []string{k}
@@ -763,6 +763,55 @@ func TestDeadClientFencedAfterStalls(t *testing.T) {
 		}
 		if !tc.sys.Net().Crashed("c2") {
 			t.Error("silent client not fenced at the transport")
+		}
+	})
+}
+
+// TestAnsweringClientNotFenced pins that fencing counts consecutive
+// silent rounds only: a client that misses one callback round, answers the
+// next, and later misses one more has a streak of one, not two, and stays
+// a member of the fleet at DeadClientStalls 2.
+func TestAnsweringClientNotFenced(t *testing.T) {
+	watchdog(t, time.Minute, func() {
+		tc := newCluster(t, PSOA, 2, 10, func(c *Config) {
+			c.RPCTimeout = 40 * time.Millisecond // callback stall = 4× = 160ms
+			c.DeadClientStalls = 2
+		})
+		c1, c2 := tc.clients[0], tc.clients[1]
+		cache := func() {
+			x := c2.Begin()
+			readVal(t, x, objID(2, 0))
+			mustCommit(t, x)
+		}
+		// write runs c1's write of the object c2 caches; silent cuts the
+		// callback's link, so the round stalls and the write fails.
+		write := func(silent bool) {
+			if silent {
+				tc.sys.Net().PartitionLink("srv", "c2")
+				defer tc.sys.Net().HealLink("srv", "c2")
+			}
+			x := c1.Begin()
+			err := x.Write(objID(2, 0), []byte("v"))
+			if err == nil {
+				err = x.Commit()
+			} else {
+				_ = x.Abort()
+			}
+			if silent != (err != nil) {
+				t.Fatalf("write past a silent=%v client: err = %v", silent, err)
+			}
+		}
+
+		cache()
+		write(true)  // streak 1
+		write(false) // c2 acks: streak reset
+		cache()
+		write(true) // streak 1 again, below the threshold
+		if tc.sys.Net().Crashed("c2") {
+			t.Fatal("client fenced although it answered between its two silent rounds")
+		}
+		if got := tc.sys.Stats().Get(sim.CtrCrashRecoveries); got != 0 {
+			t.Errorf("crash_recoveries = %d, want 0", got)
 		}
 	})
 }

@@ -54,8 +54,7 @@ type Peer struct {
 	replyChans []chan rpcReply // free list for call()'s reply channels
 	nextOp     uint64
 	cbOps      map[uint64]*cbOp
-	pendingCB  map[storage.ItemID]lock.TxID // object -> calling-back tx
-	cbStalls   map[string]int               // client -> consecutive silent round stalls
+	cbStalls   map[string]int // client -> consecutive silent round stalls
 
 	// finished is a bounded tombstone set of transactions already finished
 	// at this peer's server role: late lock replications for them are
@@ -158,7 +157,6 @@ func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols 
 		txs:        make(map[lock.TxID]*Tx),
 		pendingRPC: make(map[uint64]chan rpcReply),
 		cbOps:      make(map[uint64]*cbOp),
-		pendingCB:  make(map[storage.ItemID]lock.TxID),
 		cbStalls:   make(map[string]int),
 		finished:   bounded.New[lock.TxID, struct{}](finishedSize),
 		reqSeen:    bounded.New[dedupKey, *rpcReply](reqSeenSize),
@@ -532,12 +530,10 @@ func (p *Peer) processPiggyback(from string, pig []purgeNotice) {
 		p.stats.Add(sim.CtrPurgeApplied, int64(len(pig)))
 	}
 	for _, n := range pig {
-		if !p.ct.removeCopy(n.Page, from, n.Install) {
-			if p.ct.hasCopy(n.Page, from) {
-				// The client re-fetched the page after sending this notice:
-				// the purge request lost the race and must be ignored.
-				p.stats.Inc(sim.CtrPurgeRaces)
-			}
+		if p.ct.removeCopy(n.Page, from, n.Install) {
+			// The client re-fetched the page after sending this notice:
+			// the purge request lost the race and is ignored.
+			p.stats.Inc(sim.CtrPurgeRaces)
 		}
 		for _, r := range n.Locks {
 			p.forceGrantReplica(r)
@@ -706,7 +702,7 @@ func (p *Peer) peerDown(dead string) {
 		}
 	}
 
-	if p.ct.removeClientCopies(dead) > 0 {
+	if p.ct.removeCopies(dead, func(storage.ItemID) bool { return true }) > 0 {
 		reclaimed = true
 	}
 
@@ -824,30 +820,4 @@ func (p *Peer) resolvePrepared(pt wal.PreparedTx) {
 	if !p.settle(pt.Tx, sr.Commit, obs.SpanContext{}) {
 		p.stats.Inc(sim.Ctr2PCPresumedAborts)
 	}
-}
-
-// setPendingCB marks an in-progress callback operation on an object, used
-// by the unavailable-object rule (§4.2.3 condition 3).
-func (p *Peer) setPendingCB(obj storage.ItemID, t lock.TxID) {
-	p.mu.Lock()
-	p.pendingCB[obj] = t
-	p.mu.Unlock()
-}
-
-// clearPendingCB removes the pending-callback mark.
-func (p *Peer) clearPendingCB(obj storage.ItemID) {
-	p.mu.Lock()
-	delete(p.pendingCB, obj)
-	p.mu.Unlock()
-}
-
-// pendingCBHolders snapshots the pending callback registry.
-func (p *Peer) pendingCBSnapshot() map[storage.ItemID]lock.TxID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[storage.ItemID]lock.TxID, len(p.pendingCB))
-	for k, v := range p.pendingCB {
-		out[k] = v
-	}
-	return out
 }

@@ -159,31 +159,37 @@ func TestAvailMaskConditions(t *testing.T) {
 	ta := a.Begin()
 	writeVal(t, ta, objID(5, 1), "dirty")
 
-	mask := srv.availMaskFor(pageID(5), objID(5, 0), "c2", 4)
+	maskFor := func(req storage.ItemID, client string) storage.AvailMask {
+		e := srv.ct.entry(pageID(5))
+		e.latch.Lock()
+		defer e.latch.Unlock()
+		return srv.availMaskLocked(e, pageID(5), req, client)
+	}
+	mask := maskFor(objID(5, 0), "c2")
 	if mask.Has(1) {
 		t.Error("EX-locked object available to another client")
 	}
 	if !mask.Has(0) || !mask.Has(2) {
 		t.Error("unrelated objects not available")
 	}
-	mask = srv.availMaskFor(pageID(5), objID(5, 1), "c2", 4)
+	mask = maskFor(objID(5, 1), "c2")
 	if !mask.Has(1) {
 		t.Error("condition 1 violated: requested object must be available")
 	}
-	mask = srv.availMaskFor(pageID(5), objID(5, 0), "c1", 4)
+	mask = maskFor(objID(5, 0), "c1")
 	if !mask.Has(1) {
 		t.Error("writer's own client denied its object")
 	}
 
 	// Condition 3: a pending callback operation also hides the object.
 	foreign := lock.TxID{Site: "c2", Seq: 9}
-	srv.setPendingCB(objID(5, 2), foreign)
-	mask = srv.availMaskFor(pageID(5), objID(5, 0), "c1", 4)
+	srv.ct.setPending(objID(5, 2), foreign)
+	mask = maskFor(objID(5, 0), "c1")
 	if mask.Has(2) {
 		t.Error("object with pending callback available")
 	}
-	srv.clearPendingCB(objID(5, 2))
-	mask = srv.availMaskFor(pageID(5), objID(5, 0), "c1", 4)
+	srv.ct.clearPending(objID(5, 2))
+	mask = maskFor(objID(5, 0), "c1")
 	if !mask.Has(2) {
 		t.Error("object still hidden after callback cleared")
 	}

@@ -97,24 +97,29 @@ func (p *Peer) srvRead(from string, sc obs.SpanContext, rq readReq) (any, error)
 	return readResp{Page: page, Avail: avail, Install: install}, nil
 }
 
-// shipPage fetches the page holding item for shipment to client, with the
-// availability mask the client may trust (§4.2.3): the whole page when
-// item is the page itself, else the mask of availMaskFor. The shipment
-// becomes a copy-table entry; its install count is returned.
+// shipPage ships the page holding item to client as one step under the
+// page latch (DESIGN.md §3, "One latch per page"): the availability mask
+// the client may trust (§4.2.3) — the whole page when item is the page
+// itself, else the mask of availMaskLocked — then the clone, then the copy
+// record, whose install count is returned. The mask is taken before the
+// clone, so a writer that commits in between is already in the bytes.
 func (p *Peer) shipPage(item storage.ItemID, client string, sc obs.SpanContext) (*storage.Page, storage.AvailMask, uint64, error) {
 	pageID := item.PageID()
+	e := p.ct.entry(pageID)
+	e.latch.Lock()
+	defer e.latch.Unlock()
+	avail := ^storage.AvailMask(0)
+	if item.Level == storage.LevelObject {
+		avail = p.availMaskLocked(e, pageID, item, client)
+	}
 	page, err := p.srvFetchPage(pageID, sc)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	avail := storage.AllAvailable(page.NumObjects())
-	if item.Level == storage.LevelObject {
-		avail = p.availMaskFor(pageID, item, client, page.NumObjects())
-	}
 	if p.obs.Active() {
 		p.obs.EmitSpan(obs.EvPageShip, sc.Under(), pageID.String(), 0, client, "")
 	}
-	return page, avail, p.ct.addCopy(pageID, client), nil
+	return page, avail & storage.AllAvailable(page.NumObjects()), p.ct.addCopyLocked(e, pageID, client), nil
 }
 
 // srvWrite serves a write-permission request: deescalate, lock EX, run the
@@ -137,8 +142,7 @@ func (p *Peer) srvWrite(from string, sc obs.SpanContext, rq writeReq) (any, erro
 		return nil, err
 	}
 
-	allInvalidated, err := p.runCallbackOp(rq.Tx, obj, pageID, from, sc)
-	if err != nil {
+	if err := p.runCallbackOp(rq.Tx, obj, pageID, from, sc); err != nil {
 		return nil, err
 	}
 
@@ -149,8 +153,7 @@ func (p *Peer) srvWrite(from string, sc obs.SpanContext, rq writeReq) (any, erro
 		// standing write permission for the whole page.
 		resp.Adaptive = true
 	case p.policy.EscalateOnWrite(pageID):
-		if allInvalidated && !p.foreignObjectLocks(pageID, from, rq.Tx) {
-			p.locks.SetAdaptive(rq.Tx, pageID, true)
+		if p.grantAdaptive(rq.Tx, pageID, from) {
 			p.stats.Inc(sim.CtrAdaptiveGrants)
 			if p.obs.Active() {
 				p.obs.EmitSpan(obs.EvEscalation, sc.Under(), pageID.String(), 0, from, "adaptive page lock granted")
@@ -161,6 +164,7 @@ func (p *Peer) srvWrite(from string, sc obs.SpanContext, rq writeReq) (any, erro
 
 	if remote {
 		if !rq.HavePage {
+			var err error
 			resp.Page, resp.Avail, resp.Install, err = p.shipPage(obj, from, sc)
 			if err != nil {
 				return nil, err
@@ -200,7 +204,7 @@ func (p *Peer) srvLock(from string, sc obs.SpanContext, rq lockReq) (any, error)
 	case storage.LevelPage:
 		switch rq.Mode {
 		case lock.EX:
-			if _, err := p.runCallbackOp(rq.Tx, rq.Item, rq.Item, from, sc); err != nil {
+			if err := p.runCallbackOp(rq.Tx, rq.Item, rq.Item, from, sc); err != nil {
 				return nil, err
 			}
 		case lock.IX, lock.SIX:
@@ -211,7 +215,7 @@ func (p *Peer) srvLock(from string, sc obs.SpanContext, rq lockReq) (any, error)
 			if err := p.lockGuarded(rq.Tx, dummy, lock.EX, lock.Options{SkipAncestors: true, Timeout: p.waitTimeout(), Span: sc}); err != nil {
 				return nil, err
 			}
-			if _, err := p.runCallbackOp(rq.Tx, dummy, rq.Item, from, sc); err != nil {
+			if err := p.runCallbackOp(rq.Tx, dummy, rq.Item, from, sc); err != nil {
 				return nil, err
 			}
 		}
@@ -350,6 +354,26 @@ func (p *Peer) srvDeescalate(pageID storage.ItemID, requester string, sc obs.Spa
 	return nil
 }
 
+// grantAdaptive grants tx, homed at client, an adaptive page lock on
+// pageID (§4.1.2) when no other client caches the page and no transaction
+// homed elsewhere holds an object lock under it. The check and the grant
+// are one step under the page latch, so no ship lands between them.
+func (p *Peer) grantAdaptive(tx lock.TxID, pageID storage.ItemID, client string) bool {
+	e := p.ct.entry(pageID)
+	e.latch.Lock()
+	defer e.latch.Unlock()
+	for c := range e.copies {
+		if c != client {
+			return false
+		}
+	}
+	if p.foreignObjectLocks(pageID, client, tx) {
+		return false
+	}
+	p.locks.SetAdaptive(tx, pageID, true)
+	return true
+}
+
 // foreignObjectLocks reports whether any transaction homed at a client
 // other than `client` holds an object-level lock under pageID. An adaptive
 // page lock must not be granted in that case.
@@ -368,13 +392,14 @@ func (p *Peer) foreignObjectLocks(pageID storage.ItemID, client string, self loc
 	return foreign
 }
 
-// availMaskFor computes the unavailable-object mask of §4.2.3: before
+// availMaskLocked computes the unavailable-object mask of §4.2.3: before
 // shipping page P to a client, an object X in P is marked unavailable if
 // (1) X is not the requested object, and either (2) X is EX-locked by a
 // transaction homed at another client, or (3) a callback operation on X by
-// such a transaction is pending.
-func (p *Peer) availMaskFor(pageID, reqObj storage.ItemID, client string, numObjects int) storage.AvailMask {
-	mask := storage.AllAvailable(numObjects)
+// such a transaction is pending. The caller holds e's latch. Bits beyond
+// the page's objects stay set; shipPage clips them.
+func (p *Peer) availMaskLocked(e *pageEntry, pageID, reqObj storage.ItemID, client string) storage.AvailMask {
+	mask := ^storage.AvailMask(0)
 	p.locks.ForEachLockWithin(pageID, func(info lock.Info) bool {
 		if info.Item.Level != storage.LevelObject || info.Item == reqObj {
 			return true
@@ -384,9 +409,9 @@ func (p *Peer) availMaskFor(pageID, reqObj storage.ItemID, client string, numObj
 		}
 		return true
 	})
-	for obj, t := range p.pendingCBSnapshot() {
-		if pageID.Contains(obj) && obj != reqObj && t.Site != client {
-			mask = mask.Without(obj.Slot)
+	for slot, t := range e.pending {
+		if slot != reqObj.Slot && t.Site != client {
+			mask = mask.Without(slot)
 		}
 	}
 	return mask

@@ -1,8 +1,8 @@
 // Micro-benchmarks for the lock manager hot paths the protocol leans on:
 // uncontended grant/release (every local object access), mixed read-write
 // traffic from many goroutines (the server side under load), and
-// LocksWithin on a large standing table (availMaskFor / foreignObjectLocks
-// run it per remote read and write). The benchmarks use only the public
+// LocksWithin on a large standing table (the ship's availability mask and
+// the adaptive grant run it per remote read and write). The benchmarks use only the public
 // Manager API so the same file measures any implementation.
 package lock_test
 
@@ -63,8 +63,8 @@ func BenchmarkUncontendedGrantRelease(b *testing.B) {
 
 // benchmarkMixed runs `workers` goroutines over a shared page range doing
 // 75% SH / 25% EX object locks with immediate release, and a LocksWithin
-// page scan every fourth operation (the availMaskFor pattern), on top of a
-// 10 000-lock resident table. A non-nil registry is attached to the
+// page scan every fourth operation (the availability-mask pattern), on top
+// of a 10 000-lock resident table. A non-nil registry is attached to the
 // manager, measuring the instrumented (or disabled-instrumentation) path.
 func benchmarkMixed(b *testing.B, workers int, reg *obs.Registry) {
 	const (
