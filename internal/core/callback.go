@@ -485,11 +485,7 @@ func (p *Peer) handleCallback(rq callbackReq) {
 	// the called-back item instead of acking a full invalidation.
 	p.cs.mu.Lock()
 	if !p.pool.Contains(page) {
-		invalidated := true
-		if p.cs.hasPendingReadLocked(page) {
-			p.registerRaceLocked(page, rq.Item, pageLevel)
-			invalidated = false
-		}
+		invalidated := !p.vetoLocked(page, rq.Item, pageLevel)
 		p.cs.mu.Unlock()
 		p.sendAck(rq, invalidated)
 		return
@@ -520,13 +516,8 @@ func (p *Peer) handleCallback(rq callbackReq) {
 	}
 
 	p.cs.mu.Lock()
-	stillCached := p.pool.Contains(page)
-	if stillCached {
-		p.pool.SetAvail(page, slot, false)
-	}
-	if p.cs.hasPendingReadLocked(page) {
-		p.registerRaceLocked(page, rq.Item, false)
-	}
+	stillCached := p.pool.SetAvail(page, slot, false)
+	p.vetoLocked(page, rq.Item, false)
 	p.cs.mu.Unlock()
 	p.sendAck(rq, !stillCached)
 }
@@ -535,30 +526,29 @@ func (p *Peer) handleCallback(rq callbackReq) {
 // lock, handling the pending-read race.
 func (p *Peer) purgeWholePage(rq callbackReq, page storage.ItemID, pageLevel bool) {
 	p.cs.mu.Lock()
-	invalidated := true
-	if p.cs.hasPendingReadLocked(page) {
-		p.registerRaceLocked(page, rq.Item, pageLevel)
-		invalidated = false
-	}
+	invalidated := !p.vetoLocked(page, rq.Item, pageLevel)
 	p.pool.Remove(page)
-	p.cs.takeInstallLocked(page)
+	p.cs.dropLocked(page)
 	p.cs.mu.Unlock()
 	p.sendAck(rq, invalidated)
 }
 
-// registerRaceLocked vetoes the called-back item in any read reply that is
-// still in flight (callback race table, §4.2.4). A page-level callback
-// vetoes every slot. Callers hold cs.mu.
-func (p *Peer) registerRaceLocked(page storage.ItemID, item storage.ItemID, pageLevel bool) {
+// vetoLocked records a callback race (§4.2.4) on page's record when a read
+// reply for the page is in flight: no outstanding reply may make the
+// called-back item available — every slot, for a page-level callback. It
+// reports whether it did. Callers hold cs.mu.
+func (p *Peer) vetoLocked(page, item storage.ItemID, pageLevel bool) bool {
+	e := p.cs.pages[page]
+	if e == nil || e.reads == 0 {
+		return false
+	}
 	p.stats.Inc(sim.CtrCallbackRaces)
 	if pageLevel {
-		for s := 0; s < p.cfg.ObjectsPerPage; s++ {
-			p.cs.registerRaceLocked(page, uint16(s))
-		}
-		p.cs.registerRaceLocked(page, storage.DummySlot)
-		return
+		e.veto |= storage.AllAvailable(p.cfg.ObjectsPerPage)
+	} else {
+		e.veto = e.veto.With(item.Slot)
 	}
-	p.cs.registerRaceLocked(page, item.Slot)
+	return true
 }
 
 // handleFileCallback purges every cached page of a file (§4.3.1).
@@ -572,7 +562,7 @@ func (p *Peer) handleFileCallback(rq callbackReq, hsc obs.SpanContext) {
 	p.cs.mu.Lock()
 	for _, id := range p.pool.PagesOf(rq.Item) {
 		p.pool.Remove(id)
-		p.cs.takeInstallLocked(id)
+		p.cs.dropLocked(id)
 	}
 	p.cs.mu.Unlock()
 	p.sendAck(rq, true)

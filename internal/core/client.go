@@ -238,96 +238,85 @@ func (t *Tx) Read(obj storage.ItemID) ([]byte, error) {
 // at the owner. A whole-page target has no such object.
 func (t *Tx) fetch(owner string, target storage.ItemID, slot uint16, sc obs.SpanContext) error {
 	p := t.p
-	pageID := target.PageID()
-	whole := target.Level == storage.LevelPage
-	p.cs.beginRead(pageID)
-	body, err := p.call(owner, sc, readReq{Tx: t.id, Obj: target, WholePage: whole})
+	if target.Level == storage.LevelPage {
+		slot = storage.DummySlot
+	}
+	rq := request{page: target.PageID(), slot: slot, read: true}
+	p.cs.mu.Lock()
+	p.cs.startLocked(rq)
+	p.cs.mu.Unlock()
+	body, err := p.call(owner, sc, readReq{Tx: t.id, Obj: target, WholePage: target.Level == storage.LevelPage})
 	rr, ok := body.(readResp)
 	if err == nil && !ok {
 		err = fmt.Errorf("core: bad read reply %T", body)
 	}
-	if err != nil {
-		p.cs.abandonRead(pageID)
-		return err
-	}
-	if rr.ObjData != nil {
-		t.applyObjectReply(pageID, slot, rr.ObjData, rr.Install)
-		return nil
-	}
-	if whole {
-		slot = storage.DummySlot
-	}
-	t.applyPageReply(pageID, rr.Page, rr.Avail, rr.Install, slot)
-	return nil
+	// A failed request applies the zero reply: it ends the read, installs
+	// nothing.
+	p.noticeEvictions(t.applyReply(rq, writeResp{Page: rr.Page, Avail: rr.Avail, Install: rr.Install, ObjData: rr.ObjData}))
+	return err
 }
 
-// applyObjectReply installs a single shipped object (OS protocol) into the
-// client cache, creating an empty frame for its page if needed. The
-// requested object cannot be vetoed by a callback race (it is SH-locked at
-// the server), but race entries for it are consumed.
-func (t *Tx) applyObjectReply(pageID storage.ItemID, slot uint16, data []byte, install uint64) {
+// applyReply is the reply step of a read or write request, in one section
+// of cs.mu. It installs what the reply ships — a page merged per the
+// final-availability rules of §4.2.3 under the callback race vetoes, or
+// one object into its page's frame (created empty if absent) — records
+// the copy's install count and ends the read and the write rq registered.
+// A write's adaptive decision is taken in the same section: the mirror is
+// installed unless a deescalation overtook the reply. It returns the pages
+// the install evicted, for noticeEvictions.
+func (t *Tx) applyReply(rq request, wr writeResp) []victim {
 	p := t.p
 	p.cs.mu.Lock()
-	veto := p.cs.takeRacesLocked(pageID)
-	veto = veto.Without(slot)
-	// Re-register the other vetoes: only this slot's fate is decided here.
-	for s := 0; s < p.cfg.ObjectsPerPage; s++ {
-		if veto.Has(uint16(s)) {
-			p.cs.registerRaceLocked(pageID, uint16(s))
+	defer p.cs.mu.Unlock()
+	e := p.cs.recordLocked(rq.page)
+	var evs []buffer.Eviction
+	if wr.Page != nil {
+		veto := e.veto
+		if rq.slot != storage.DummySlot {
+			veto = veto.Without(rq.slot)
+		}
+		evs = p.pool.Merge(rq.page, wr.Page, wr.Avail, veto)
+	} else if wr.ObjData != nil {
+		if !p.pool.Contains(rq.page) {
+			evs = p.pool.Insert(rq.page, storage.NewPage(rq.page, p.cfg.ObjectsPerPage, p.cfg.ObjectSize), 0)
+		}
+		if avail, _ := p.pool.Avail(rq.page); !avail.Has(rq.slot) {
+			_ = p.pool.InstallObject(rq.page, rq.slot, wr.ObjData)
+			p.pool.SetAvail(rq.page, rq.slot, true)
 		}
 	}
-	if veto.Has(storage.DummySlot) {
-		p.cs.registerRaceLocked(pageID, storage.DummySlot)
+	if wr.Install != 0 {
+		e.install = wr.Install
 	}
-	var evs []buffer.Eviction
-	if !p.pool.Contains(pageID) {
-		empty := storage.NewPage(pageID, p.cfg.ObjectsPerPage, p.cfg.ObjectSize)
-		evs = p.pool.Insert(pageID, empty, 0)
+	if rq.read {
+		if e.reads--; e.reads == 0 {
+			e.veto = 0
+		}
 	}
-	_ = p.pool.InstallObject(pageID, slot, data)
-	p.pool.SetAvail(pageID, slot, true)
-	p.cs.setInstallLocked(pageID, install)
-	p.cs.endReadLocked(pageID)
-	p.cs.mu.Unlock()
-	p.noticeEvictions(evs)
-}
-
-// applyPageReply merges an incoming page copy into the client cache per
-// the final-availability rules of §4.2.3, consuming callback race entries
-// and generating purge notices for any evicted pages.
-func (t *Tx) applyPageReply(pageID storage.ItemID, page *storage.Page, avail storage.AvailMask, install uint64, reqSlot uint16) {
-	p := t.p
-	p.cs.mu.Lock()
-	veto := p.cs.takeRacesLocked(pageID)
-	if reqSlot != storage.DummySlot {
-		// The requested object is SH-locked at the server by this
-		// transaction before the rule is applied, so it is always valid.
-		veto = veto.Without(reqSlot)
+	if rq.write {
+		if wr.Adaptive && !e.deescalated {
+			p.locks.SetAdaptive(t.id, rq.page, true)
+		}
+		if e.writes--; e.writes == 0 {
+			e.deescalated = false
+		}
 	}
-	var evs []buffer.Eviction
-	if page != nil {
-		evs = p.pool.Merge(pageID, page, avail, veto)
-		p.cs.setInstallLocked(pageID, install)
-	}
-	p.cs.endReadLocked(pageID)
-	p.cs.mu.Unlock()
-	p.noticeEvictions(evs)
+	p.cs.tidyLocked(rq.page, e)
+	return p.cs.victimsLocked(evs)
 }
 
 // noticeEvictions turns buffer-pool evictions into purge notices: the
 // owner must drop its copy-table entry, replicate any local locks still
 // held on the page, and redo early-shipped log records for dirty objects
-// (§3.3, §4.1.1).
-func (p *Peer) noticeEvictions(evs []buffer.Eviction) {
+// (§3.3, §4.1.1). Each notice carries the install count taken when the page
+// was evicted: a later re-fetch's count would make the owner drop the
+// newer copy (the purge race).
+func (p *Peer) noticeEvictions(evs []victim) {
 	for _, ev := range evs {
 		owner, err := p.sys.ownerOf(ev.ID)
 		if err != nil {
 			continue
 		}
-		p.cs.mu.Lock()
-		install := p.cs.takeInstallLocked(ev.ID)
-		p.cs.mu.Unlock()
-
 		var reps []lockReplica
 		var recs []wal.Record
 		for _, info := range p.locks.LocksWithin(ev.ID) {
@@ -348,7 +337,7 @@ func (p *Peer) noticeEvictions(evs []buffer.Eviction) {
 				recs = append(recs, t.takeRecordsFor(ev.ID)...)
 			}
 		}
-		p.cs.queuePurge(owner, purgeNotice{Page: ev.ID, Install: install, Locks: reps, Records: recs})
+		p.cs.queuePurge(owner, purgeNotice{Page: ev.ID, Install: ev.install, Locks: reps, Records: recs})
 		if len(recs) > 0 {
 			// Early log shipping: the owner should redo promptly since the
 			// client no longer holds the bytes.
@@ -422,29 +411,44 @@ func (t *Tx) Write(obj storage.ItemID, data []byte) error {
 	if err := t.spreadTo(owner); err != nil {
 		return err
 	}
-	objCached := false
-	if avail, ok := p.pool.Avail(pageID); ok {
-		objCached = avail.Has(obj.Slot)
+	// The before-image is the slot's old slice itself: the write replaces
+	// it, never rewrites it.
+	var before []byte
+	ok := false
+	if t.hasWritePermission(obj, pageID) {
+		before, ok = p.writeCached(pageID, obj.Slot, data)
 	}
-	if t.hasWritePermission(obj, pageID) && objCached {
+	if ok {
 		p.ctr.escalationSaved.Add(1)
-	} else if err := t.requestWritePermission(obj, pageID, target, owner, sc); err != nil {
-		return err
-	}
-
-	// Perform the update in the local cache and log it. The before-image
-	// is the slot's old slice itself: WriteObject replaces it, never
-	// rewrites it.
-	before, ok := p.pool.ReadObject(pageID, obj.Slot)
-	if !ok {
-		return fmt.Errorf("core: object %v not cached at write time", obj)
-	}
-	if err := p.pool.WriteObject(pageID, obj.Slot, data); err != nil {
-		return err
+	} else {
+		if err := t.requestWritePermission(obj, pageID, target, owner, sc); err != nil {
+			return err
+		}
+		if before, ok = p.writeCached(pageID, obj.Slot, data); !ok {
+			return fmt.Errorf("core: object %v not cached at write time", obj)
+		}
 	}
 	t.logUpdate(obj, before, data)
 	p.policy.Note(consistency.EvLocalWrite, pageID)
 	return nil
+}
+
+// writeCached overwrites a cached, available object in one section of
+// cs.mu and returns its previous bytes; ok is false if it is not cached.
+func (p *Peer) writeCached(page storage.ItemID, slot uint16, data []byte) (before []byte, ok bool) {
+	p.cs.mu.Lock()
+	defer p.cs.mu.Unlock()
+	if before, ok = p.pool.ReadObject(page, slot); ok {
+		ok = p.pool.WriteObject(page, slot, data) == nil
+	}
+	return before, ok
+}
+
+// cachedAvail reports the availability mask of a cached page.
+func (p *Peer) cachedAvail(page storage.ItemID) (storage.AvailMask, bool) {
+	p.cs.mu.Lock()
+	defer p.cs.mu.Unlock()
+	return p.pool.Avail(page)
 }
 
 // pageGrainSafe reports whether an advised page-grain write lock is sound
@@ -454,7 +458,7 @@ func (t *Tx) Write(obj storage.ItemID, data []byte) error {
 // the wider lock would wrongly cover.
 func (t *Tx) pageGrainSafe(pageID storage.ItemID) bool {
 	p := t.p
-	if avail, ok := p.pool.Avail(pageID); ok && !avail.FullFor(p.cfg.ObjectsPerPage) {
+	if avail, ok := p.cachedAvail(pageID); ok && !avail.FullFor(p.cfg.ObjectsPerPage) {
 		return false
 	}
 	return !p.locks.OthersHoldWithin(pageID, t.id, isCallbackThread)
@@ -471,91 +475,45 @@ func (t *Tx) hasWritePermission(obj, pageID storage.ItemID) bool {
 	return t.writePerm[obj]
 }
 
-// requestWritePermission performs the server round trip of Fig. 3.
+// requestWritePermission performs the server round trip of Fig. 3. Its
+// start step decides, in the section that registers the request, what the
+// request claims to hold: the page and the object.
 func (t *Tx) requestWritePermission(obj, pageID, target storage.ItemID, owner string, sc obs.SpanContext) error {
 	p := t.p
-	havePage := p.pool.Contains(pageID)
-	if havePage && target.Level == storage.LevelPage {
-		// A page-grain permission covers the whole page, and the fix-up
-		// below marks the written slot available: claiming a partially
-		// available copy would set that bit over bytes that were never
-		// shipped (or were undone by an abort). Re-fetch instead.
-		if avail, ok := p.pool.Avail(pageID); !ok || !avail.FullFor(p.cfg.ObjectsPerPage) {
-			havePage = false
-		}
+	p.cs.mu.Lock()
+	avail, havePage := p.pool.Avail(pageID)
+	if havePage && target.Level == storage.LevelPage && !avail.FullFor(p.cfg.ObjectsPerPage) {
+		// A page-grain permission covers the whole page: claiming a
+		// partially available copy would make slots available over bytes
+		// that were never shipped (or were undone by an abort). Re-fetch
+		// instead.
+		havePage = false
 	}
 	if p.policy.TransferUnit() == consistency.UnitObject {
 		havePage = true // OS never ships pages; the object travels instead
 	}
-	haveObj := false
-	if avail, ok := p.pool.Avail(pageID); ok {
-		haveObj = avail.Has(obj.Slot)
-	}
-
-	p.cs.beginWrite(pageID)
-	if !havePage {
-		p.cs.beginRead(pageID) // the reply will carry the page
-	}
-	body, err := p.call(owner, sc, writeReq{Tx: t.id, Obj: target, HavePage: havePage, HaveObj: haveObj})
-	p.cs.endWrite(pageID)
+	// The written object is EX-locked at the owner once the reply comes, so
+	// it is the request's slot whatever the grain: no race vetoes it, and
+	// under a page-grain permission it is available after the install.
+	rq := request{page: pageID, slot: obj.Slot, read: !havePage, write: true}
+	p.cs.startLocked(rq)
+	p.cs.mu.Unlock()
+	body, err := p.call(owner, sc, writeReq{Tx: t.id, Obj: target, HavePage: havePage, HaveObj: avail.Has(obj.Slot)})
 	wr, ok := body.(writeResp)
 	if err == nil && !ok {
 		err = fmt.Errorf("core: bad write reply %T", body)
 	}
+	p.noticeEvictions(t.applyReply(rq, wr)) // a failed request installs nothing
 	if err != nil {
-		if !havePage {
-			p.cs.abandonRead(pageID)
-		}
 		return err
 	}
-
-	if wr.Page != nil {
-		reqSlot := obj.Slot
-		if target.Level == storage.LevelPage {
-			reqSlot = storage.DummySlot
-		}
-		t.applyPageReply(pageID, wr.Page, wr.Avail, wr.Install, reqSlot)
-	} else if !havePage {
-		p.cs.abandonRead(pageID)
-	}
-	if wr.ObjData != nil {
-		p.cs.mu.Lock()
-		if !p.pool.Contains(pageID) {
-			empty := storage.NewPage(pageID, p.cfg.ObjectsPerPage, p.cfg.ObjectSize)
-			evs := p.pool.Insert(pageID, empty, 0)
-			p.cs.mu.Unlock()
-			p.noticeEvictions(evs)
-			p.cs.mu.Lock()
-		}
-		if avail, ok := p.pool.Avail(pageID); ok && !avail.Has(obj.Slot) {
-			_ = p.pool.InstallObject(pageID, obj.Slot, wr.ObjData)
-			p.pool.SetAvail(pageID, obj.Slot, true)
-		}
-		if wr.Install != 0 {
-			p.cs.setInstallLocked(pageID, wr.Install)
-		}
-		p.cs.mu.Unlock()
-	}
-
-	if wr.Adaptive {
-		if !p.cs.consumePreDeescalated(pageID) {
-			p.locks.SetAdaptive(t.id, pageID, true)
-		}
-	} else if target.Level == storage.LevelObject {
+	if !wr.Adaptive && target.Level == storage.LevelObject {
 		t.mu.Lock()
 		if t.writePerm == nil {
 			t.writePerm = make(map[storage.ItemID]bool)
 		}
 		t.writePerm[obj] = true
 		t.mu.Unlock()
-	}
-
-	// Under PS the write permission covers the whole page; make sure the
-	// requested object is addressable even if the page copy predates it.
-	if target.Level == storage.LevelPage {
-		if avail, ok := p.pool.Avail(pageID); ok && !avail.Has(obj.Slot) {
-			p.pool.SetAvail(pageID, obj.Slot, true)
-		}
 	}
 	return nil
 }
@@ -593,11 +551,7 @@ func (t *Tx) LockItem(item storage.ItemID, mode lock.Mode) error {
 	if item.Level == storage.LevelPage && !local {
 		switch mode {
 		case lock.IS, lock.SH:
-			fully := false
-			if avail, ok := p.pool.Avail(item); ok {
-				fully = avail.FullFor(p.cfg.ObjectsPerPage)
-			}
-			if fully && !p.cfg.PropagateSHPage {
+			if avail, _ := p.cachedAvail(item); avail.FullFor(p.cfg.ObjectsPerPage) && !p.cfg.PropagateSHPage {
 				// Local-only (§4.3.2): the owner is not contacted, so the
 				// transaction does not spread to it.
 				return nil
@@ -795,11 +749,13 @@ func (t *Tx) finish(commit bool, recs []wal.Record, sc obs.SpanContext) {
 		_, _ = p.call(owner, sc, finishReq{Tx: t.id, Commit: commit})
 	}
 	if commit {
+		p.cs.mu.Lock()
 		for _, r := range recs {
 			if owner, err := p.sys.ownerOf(r.Object); err == nil && owner != p.name {
 				p.pool.SetDirtySlot(r.Object.PageID(), r.Object.Slot, false)
 			}
 		}
+		p.cs.mu.Unlock()
 	}
 	p.locks.ReleaseAll(t.id)
 
@@ -832,22 +788,24 @@ func (t *Tx) finish(commit bool, recs []wal.Record, sc obs.SpanContext) {
 // clientDeescalate handles a deescalation request from an owner (§4.1.2):
 // every local adaptive lock on the page is torn down and the EX object
 // locks of local transactions on the page's objects are reported for
-// replication at the server. The pre-deescalation flag handles the race
-// where this request overtakes the write reply that would have installed
-// the adaptive lock.
+// replication at the server. The teardown and the pre-deescalation mark
+// share one section of cs.mu with a write reply's adaptive decision, so
+// either the reply installs the mirror first and it is torn down here, or
+// this request overtakes the reply and the mark stops the install.
 func (p *Peer) clientDeescalate(from string, rq deescReq) (any, error) {
 	page := rq.Page
 	p.policy.Note(consistency.EvDeescalated, page)
-	if p.cs.hasPendingWrite(page) {
-		p.cs.markPreDeescalated(page)
-	}
 	// Clear the adaptive bits first: object EX locks acquired after this
 	// point route their writes through the server again, and EX locks
 	// acquired before it are included in the collection below.
-	holders := p.locks.AdaptiveHolders(page)
-	for _, t := range holders {
+	p.cs.mu.Lock()
+	if e := p.cs.pages[page]; e != nil && e.writes > 0 {
+		e.deescalated = true
+	}
+	for _, t := range p.locks.AdaptiveHolders(page) {
 		p.locks.SetAdaptive(t, page, false)
 	}
+	p.cs.mu.Unlock()
 	var reps []lockReplica
 	for _, info := range p.locks.LocksWithin(page) {
 		if isCallbackThread(info.Tx) || info.Item.Level != storage.LevelObject {

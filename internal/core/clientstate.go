@@ -3,134 +3,115 @@ package core
 import (
 	"sync"
 
+	"adaptivecc/internal/buffer"
 	"adaptivecc/internal/storage"
 )
 
-// clientState holds the client-role bookkeeping of a peer: outstanding
-// remote read requests (used to detect callback races), the callback race
-// table itself (§4.2.4), install counts of cached page copies (for purge
-// notices), outstanding write requests (for deescalation races), and the
-// queue of purge notices waiting to be piggybacked to owners.
+// clientState is the client role's bookkeeping: one record per page
+// (DESIGN.md §3, "One record per page at the client") and the queue of
+// purge notices waiting to be piggybacked to owners.
 //
-// Its mutex also serializes compound updates of the client page cache:
-// callback invalidations and read-reply merges both run under mu so that
-// their interleavings are well defined.
+// mu guards the records and every change to the client pool's frames:
+// residency, availability and dirty bits. Each client protocol step —
+// request start, reply install, the adaptive decision on either side,
+// eviction and callback invalidation — reads and changes its page's record
+// and frame in one section of mu. Only the cached-read hit reads the pool
+// without it. Lock order: mu, then pool.mu or a lock-table shard.
 type clientState struct {
-	mu sync.Mutex
+	mu     sync.Mutex
+	pages  map[storage.ItemID]*clientPage
+	purgeQ map[string][]purgeNotice // owner -> queued notices
+}
 
-	pendingReads  map[storage.ItemID]int               // page -> outstanding read requests
-	races         map[storage.ItemID]storage.AvailMask // page -> vetoed slots
-	installs      map[storage.ItemID]uint64            // page -> install count of cached copy
-	pendingWrites map[storage.ItemID]int               // page -> outstanding write requests
-	preDeesc      map[storage.ItemID]bool              // deescalation raced ahead of write reply
-	purgeQ        map[string][]purgeNotice             // owner -> queued notices
+// clientPage is the client's record of one page, deleted once idle.
+type clientPage struct {
+	reads  int // outstanding requests whose reply may carry the page
+	writes int // outstanding write-permission requests
+	// veto is the callback race table (§4.2.4): slots called back while a
+	// read was outstanding, which no reply may make available. It clears
+	// when the last outstanding read is answered.
+	veto    storage.AvailMask
+	install uint64 // install count of the cached copy, for purge notices
+	// deescalated records a deescalation that arrived while a write
+	// request was outstanding: no reply may install the adaptive mirror
+	// until the last outstanding write is answered.
+	deescalated bool
+}
+
+// request is a client request's claim on its page's record: the object the
+// transaction asked for (DummySlot for a whole page), which it holds locked
+// at the owner so that no callback race vetoes it, and whether the request
+// counts as a read (its reply may carry the page) and as a write.
+type request struct {
+	page        storage.ItemID
+	slot        uint16
+	read, write bool
+}
+
+// victim is a page evicted from the client cache with the install count
+// of its copy, both taken in the section that evicted it.
+type victim struct {
+	buffer.Eviction
+	install uint64
 }
 
 func newClientState() *clientState {
 	return &clientState{
-		pendingReads:  make(map[storage.ItemID]int),
-		races:         make(map[storage.ItemID]storage.AvailMask),
-		installs:      make(map[storage.ItemID]uint64),
-		pendingWrites: make(map[storage.ItemID]int),
-		preDeesc:      make(map[storage.ItemID]bool),
-		purgeQ:        make(map[string][]purgeNotice),
+		pages:  make(map[storage.ItemID]*clientPage),
+		purgeQ: make(map[string][]purgeNotice),
 	}
 }
 
-// beginRead registers an outstanding read request for page.
-func (cs *clientState) beginRead(page storage.ItemID) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.pendingReads[page]++
+// recordLocked returns page's record, creating it; callers hold mu and
+// call tidyLocked when done.
+func (cs *clientState) recordLocked(page storage.ItemID) *clientPage {
+	e := cs.pages[page]
+	if e == nil {
+		e = &clientPage{}
+		cs.pages[page] = e
+	}
+	return e
 }
 
-// endReadLocked deregisters an outstanding read; callers hold cs.mu.
-func (cs *clientState) endReadLocked(page storage.ItemID) {
-	if n := cs.pendingReads[page]; n <= 1 {
-		delete(cs.pendingReads, page)
-	} else {
-		cs.pendingReads[page] = n - 1
+// tidyLocked deletes page's record once it is idle; callers hold mu.
+func (cs *clientState) tidyLocked(page storage.ItemID, e *clientPage) {
+	if *e == (clientPage{}) {
+		delete(cs.pages, page)
 	}
 }
 
-// hasPendingReadLocked reports an outstanding read for page; callers hold
-// cs.mu.
-func (cs *clientState) hasPendingReadLocked(page storage.ItemID) bool {
-	return cs.pendingReads[page] > 0
-}
-
-// abandonRead ends a read whose reply will not be installed and drops the
-// race entries registered against it.
-func (cs *clientState) abandonRead(page storage.ItemID) {
-	cs.mu.Lock()
-	cs.endReadLocked(page)
-	cs.takeRacesLocked(page)
-	cs.mu.Unlock()
-}
-
-// registerRaceLocked records a callback race for slot of page.
-func (cs *clientState) registerRaceLocked(page storage.ItemID, slot uint16) {
-	cs.races[page] = cs.races[page].With(slot)
-}
-
-// takeRacesLocked consumes the race entries of page.
-func (cs *clientState) takeRacesLocked(page storage.ItemID) storage.AvailMask {
-	v := cs.races[page]
-	delete(cs.races, page)
-	return v
-}
-
-// beginWrite / endWrite track outstanding write-permission requests.
-func (cs *clientState) beginWrite(page storage.ItemID) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.pendingWrites[page]++
-}
-
-func (cs *clientState) endWrite(page storage.ItemID) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if n := cs.pendingWrites[page]; n <= 1 {
-		delete(cs.pendingWrites, page)
-	} else {
-		cs.pendingWrites[page] = n - 1
+// startLocked registers rq on its page's record; callers hold mu.
+func (cs *clientState) startLocked(rq request) {
+	e := cs.recordLocked(rq.page)
+	if rq.read {
+		e.reads++
+	}
+	if rq.write {
+		e.writes++
 	}
 }
 
-// hasPendingWrite reports an outstanding write request for page.
-func (cs *clientState) hasPendingWrite(page storage.ItemID) bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.pendingWrites[page] > 0
+// dropLocked forgets the cached copy of page and returns its install
+// count; callers hold mu.
+func (cs *clientState) dropLocked(page storage.ItemID) uint64 {
+	e := cs.pages[page]
+	if e == nil {
+		return 0
+	}
+	install := e.install
+	e.install = 0
+	cs.tidyLocked(page, e)
+	return install
 }
 
-// markPreDeescalated records that a deescalation request arrived before
-// the write reply that would have installed the adaptive lock.
-func (cs *clientState) markPreDeescalated(page storage.ItemID) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.preDeesc[page] = true
-}
-
-// consumePreDeescalated reports and clears the pre-deescalation flag.
-func (cs *clientState) consumePreDeescalated(page storage.ItemID) bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	v := cs.preDeesc[page]
-	delete(cs.preDeesc, page)
-	return v
-}
-
-// setInstallLocked records the install count of the cached copy of page.
-func (cs *clientState) setInstallLocked(page storage.ItemID, install uint64) {
-	cs.installs[page] = install
-}
-
-// takeInstallLocked removes and returns the install count of page.
-func (cs *clientState) takeInstallLocked(page storage.ItemID) uint64 {
-	v := cs.installs[page]
-	delete(cs.installs, page)
-	return v
+// victimsLocked pairs the evictions of the caller's section with the
+// install counts of the evicted copies; callers hold mu.
+func (cs *clientState) victimsLocked(evs []buffer.Eviction) []victim {
+	var out []victim
+	for _, ev := range evs {
+		out = append(out, victim{ev, cs.dropLocked(ev.ID)})
+	}
+	return out
 }
 
 // queuePurge enqueues a purge notice for owner.

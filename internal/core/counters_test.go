@@ -301,7 +301,7 @@ func scenarioRaces(t *testing.T, add func(*sim.Stats)) {
 	a := tc.clients[0]
 
 	cachePage(t, a, 1)
-	a.cs.beginRead(pageID(1))
+	startRead(a, pageID(1), 0)
 	foreign := lock.TxID{Site: "cx", Seq: 1}
 	a.handleCallback(callbackReq{OpID: 7001, Server: "srv", Tx: foreign, Item: objID(1, 2), Page: pageID(1)})
 

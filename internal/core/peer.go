@@ -215,7 +215,10 @@ func (p *Peer) ServerPool() *buffer.Pool { return p.srvPool }
 // transactions have drained — a remote client process shutting down after
 // its work is done; the peer must not run further transactions afterwards.
 func (p *Peer) Detach() {
-	p.noticeEvictions(p.pool.EvictAll())
+	p.cs.mu.Lock()
+	evs := p.cs.victimsLocked(p.pool.EvictAll())
+	p.cs.mu.Unlock()
+	p.noticeEvictions(evs)
 	for _, owner := range p.sys.place.Shards() {
 		p.flushPurges(owner)
 	}

@@ -24,22 +24,40 @@ func cachePage(t *testing.T, c *Peer, page uint32) {
 	mustCommit(t, x)
 }
 
+// startRead registers an outstanding read of slot on page, as a fetch's
+// start step does.
+func startRead(c *Peer, page storage.ItemID, slot uint16) request {
+	rq := request{page: page, slot: slot, read: true}
+	c.cs.mu.Lock()
+	c.cs.startLocked(rq)
+	c.cs.mu.Unlock()
+	return rq
+}
+
+// record returns a copy of c's record of page; the zero record if it has
+// none.
+func record(c *Peer, page storage.ItemID) clientPage {
+	c.cs.mu.Lock()
+	defer c.cs.mu.Unlock()
+	if e := c.cs.pages[page]; e != nil {
+		return *e
+	}
+	return clientPage{}
+}
+
 func TestCallbackRaceVetoesInFlightReply(t *testing.T) {
 	tc := newCluster(t, PSAA, 1, 10)
 	a := tc.clients[0]
 	cachePage(t, a, 1)
 
 	// Simulate an outstanding read for page 1 ...
-	a.cs.beginRead(pageID(1))
+	rq := startRead(a, pageID(1), 0)
 	// ... and deliver a callback for object (1,2) that "overtook" the
 	// reply. Slot 2 is not locked locally, so the callback completes.
 	foreign := lock.TxID{Site: "c9", Seq: 1}
 	a.handleCallback(callbackReq{OpID: 999, Server: "srv", Tx: foreign, Item: objID(1, 2), Page: pageID(1)})
 
-	a.cs.mu.Lock()
-	races := a.cs.races[pageID(1)]
-	a.cs.mu.Unlock()
-	if !races.Has(2) {
+	if !record(a, pageID(1)).veto.Has(2) {
 		t.Fatal("callback race not registered for the called-back slot")
 	}
 	if avail, _ := a.pool.Avail(pageID(1)); avail.Has(2) {
@@ -53,16 +71,13 @@ func TestCallbackRaceVetoesInFlightReply(t *testing.T) {
 	// must win (the reply predates the invalidation).
 	x := a.Begin()
 	fresh, _ := tc.srv.srvFetchPage(pageID(1), obs.SpanContext{})
-	x.applyPageReply(pageID(1), fresh, storage.AllAvailable(4), 7, 0)
+	x.applyReply(rq, writeResp{Page: fresh, Avail: storage.AllAvailable(4), Install: 7})
 	if avail, _ := a.pool.Avail(pageID(1)); avail.Has(2) {
 		t.Error("vetoed slot became available from the stale reply")
 	}
-	// And the race entry is consumed.
-	a.cs.mu.Lock()
-	left := a.cs.races[pageID(1)]
-	a.cs.mu.Unlock()
-	if left != 0 {
-		t.Errorf("race entries remain: %x", left)
+	// And the race entry is consumed with the last outstanding read.
+	if r := record(a, pageID(1)); r != (clientPage{install: 7}) {
+		t.Errorf("record after the reply: %+v", r)
 	}
 	_ = x.Abort()
 }
@@ -74,7 +89,7 @@ func TestCallbackOnAbsentPageWithPendingRead(t *testing.T) {
 	tc := newCluster(t, PSAA, 1, 10)
 	a := tc.clients[0]
 
-	a.cs.beginRead(pageID(2))
+	startRead(a, pageID(2), 0)
 	foreign := lock.TxID{Site: "c9", Seq: 2}
 
 	// Capture the ack by registering a fake op at the server.
@@ -95,10 +110,7 @@ func TestCallbackOnAbsentPageWithPendingRead(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("no ack")
 	}
-	a.cs.mu.Lock()
-	races := a.cs.races[pageID(2)]
-	a.cs.mu.Unlock()
-	if !races.Has(1) {
+	if !record(a, pageID(2)).veto.Has(1) {
 		t.Error("race not registered on the absent-page path")
 	}
 }
@@ -283,22 +295,129 @@ func TestReplicationAfterFinishReleased(t *testing.T) {
 	}
 }
 
-func TestPreDeescalationRace(t *testing.T) {
-	// A deescalation request that overtakes the write reply must prevent
-	// the client from installing the adaptive mirror.
+// TestTwoReadersKeepVeto: a callback race vetoes every read reply that was
+// outstanding when the callback arrived, not only the first one answered.
+// Two transactions of one client fetch page 1; a callback for (1,2)
+// overtakes both replies, which were shipped before the writer's update.
+// The second reply must not make slot 2 available either.
+func TestTwoReadersKeepVeto(t *testing.T) {
 	tc := newCluster(t, PSAA, 1, 10)
 	a := tc.clients[0]
+	first, second := startRead(a, pageID(1), 0), startRead(a, pageID(1), 1)
+	stale, _ := tc.srv.srvFetchPage(pageID(1), obs.SpanContext{})
+	foreign := lock.TxID{Site: "c9", Seq: 4}
+	a.handleCallback(callbackReq{OpID: 998, Server: "srv", Tx: foreign, Item: objID(1, 2), Page: pageID(1)})
 
-	a.cs.beginWrite(pageID(6))
-	if _, err := a.clientDeescalate("srv", deescReq{Page: pageID(6)}); err != nil {
+	x := a.Begin()
+	for _, rq := range []request{first, second} {
+		x.applyReply(rq, writeResp{Page: stale, Avail: storage.AllAvailable(4), Install: 1})
+		if avail, _ := a.pool.Avail(pageID(1)); avail.Has(2) {
+			t.Fatalf("slot 2 available after the reply for slot %d", rq.slot)
+		}
+	}
+	if r := record(a, pageID(1)); r.veto != 0 || r.reads != 0 {
+		t.Errorf("record after both replies: %+v", r)
+	}
+	_ = x.Abort()
+}
+
+// TestPreDeescalationRace drives the two orders of a write reply granting
+// an adaptive lock and a deescalation of the same page (§4.1.2). The
+// deescalation tears down the mirrors it finds; one that overtakes the
+// reply marks the record so that the reply does not install the mirror.
+// The reply's adaptive decision and the deescalation each take one section
+// of cs.mu, so no third order exists. One would if the write request were
+// deregistered in one section and the decision taken in a later one: a
+// deescalation in between would find neither a pending write nor a mirror,
+// and the mirror installed after it would outlive the owner's teardown.
+func TestPreDeescalationRace(t *testing.T) {
+	tc := newCluster(t, PSAA, 1, 10)
+	a := tc.clients[0]
+	x := a.Begin()
+	if err := x.lockImplicit(objID(6, 0), lock.EX, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	a.cs.endWrite(pageID(6))
-	if !a.cs.consumePreDeescalated(pageID(6)) {
+	rq := request{page: pageID(6), slot: 0, write: true}
+	start := func() {
+		a.cs.mu.Lock()
+		a.cs.startLocked(rq)
+		a.cs.mu.Unlock()
+	}
+	deescalate := func() {
+		if _, err := a.clientDeescalate("srv", deescReq{Page: pageID(6)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The deescalation overtakes the reply.
+	start()
+	deescalate()
+	if !record(a, pageID(6)).deescalated {
 		t.Fatal("pre-deescalation not recorded")
 	}
-	if a.cs.consumePreDeescalated(pageID(6)) {
-		t.Error("flag not consumed")
+	x.applyReply(rq, writeResp{Adaptive: true})
+	if a.locks.IsAdaptive(x.ID(), pageID(6)) {
+		t.Error("adaptive mirror installed after an overtaking deescalation")
+	}
+	if r := record(a, pageID(6)); r != (clientPage{}) {
+		t.Errorf("record not idle after the reply: %+v", r)
+	}
+
+	// The deescalation lands after the reply's adaptive decision.
+	start()
+	x.applyReply(rq, writeResp{Adaptive: true})
+	if !a.locks.IsAdaptive(x.ID(), pageID(6)) {
+		t.Fatal("adaptive mirror not installed")
+	}
+	deescalate()
+	if a.locks.IsAdaptive(x.ID(), pageID(6)) {
+		t.Error("adaptive mirror left after the deescalation")
+	}
+	if r := record(a, pageID(6)); r.deescalated {
+		t.Error("deescalation with no pending write marked the record")
+	}
+	_ = x.Abort()
+}
+
+// TestEvictionPurgeKeepsNewerCopy: a reply's install evicts page 1, and
+// before the purge notice for it is built, a second transaction of the same
+// client re-fetches the page. The notice must carry the install count of
+// the evicted copy, so that the owner reports a purge race and keeps the
+// re-fetched copy. Were the count read after the install's section, the
+// notice would carry the re-fetch's count: the owner would drop the live
+// copy, a later writer's callback round would skip this client, and the
+// client would read a stale value from its cache.
+func TestEvictionPurgeKeepsNewerCopy(t *testing.T) {
+	for _, proto := range []Protocol{PS, PSOA, PSAA} {
+		t.Run(proto.String(), func(t *testing.T) {
+			tc := newCluster(t, proto, 2, 10, func(c *Config) { c.ClientPoolPages = 1 })
+			a, b := tc.clients[0], tc.clients[1]
+			cachePage(t, a, 1)
+
+			x := a.Begin()
+			rq := startRead(a, pageID(2), 0)
+			page, avail, install, err := tc.srv.shipPage(objID(2, 0), a.name, obs.SpanContext{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs := x.applyReply(rq, writeResp{Page: page, Avail: avail, Install: install})
+			if len(evs) != 1 || evs[0].ID != pageID(1) {
+				t.Fatalf("evictions %+v, want page 1", evs)
+			}
+			cachePage(t, a, 1)
+			a.noticeEvictions(evs)
+			a.flushPurges("srv")
+			_ = x.Abort()
+
+			w := b.Begin()
+			writeVal(t, w, objID(1, 0), "new")
+			mustCommit(t, w)
+			r := a.Begin()
+			if got := readVal(t, r, objID(1, 0)); got != "new" {
+				t.Errorf("read %q after a newer commit", got)
+			}
+			mustCommit(t, r)
+		})
 	}
 }
 
