@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"adaptivecc/internal/lock"
+	"adaptivecc/internal/obs"
 	"adaptivecc/internal/obs/audit"
 )
 
@@ -114,7 +115,9 @@ func TestAuditCatchesAdaptiveWithRemoteCopy(t *testing.T) {
 	if !c1.locks.IsAdaptive(x.ID(), page) {
 		t.Fatal("setup: write did not escalate to an adaptive page lock")
 	}
-	tc.srv.ct.addCopy(page, "c2") // c2 never actually received the page
+	if _, err := tc.srv.ship(page, "c2", false, obs.SpanContext{}); err != nil { // c2 never receives the page
+		t.Fatal(err)
+	}
 	aud.Check()
 	expectOnly(t, aud, audit.InvAdaptiveSolo, 1)
 	mustCommit(t, x)

@@ -499,12 +499,12 @@ func (p *Peer) handleCallback(rq callbackReq) {
 			// An explicit EX page lock — or a protocol with no object grain
 			// to fall back to (PS) — must take the whole page.
 			if p.cbLock(rq, cbid, page, lock.EX, hsc) {
-				p.purgeWholePage(rq, page, pageLevel)
+				p.purgePage(rq, page, pageLevel)
 			}
 			return
 		}
 		if p.locks.Lock(cbid, page, lock.EX, lock.Options{NoWait: true, SkipAncestors: true}) == nil {
-			p.purgeWholePage(rq, page, pageLevel)
+			p.purgePage(rq, page, pageLevel)
 			return
 		}
 	}
@@ -522,9 +522,9 @@ func (p *Peer) handleCallback(rq callbackReq) {
 	p.sendAck(rq, !stillCached)
 }
 
-// purgeWholePage drops the page from the client cache under an EX page
+// purgePage drops the page from the client cache under an EX page
 // lock, handling the pending-read race.
-func (p *Peer) purgeWholePage(rq callbackReq, page storage.ItemID, pageLevel bool) {
+func (p *Peer) purgePage(rq callbackReq, page storage.ItemID, pageLevel bool) {
 	p.cs.mu.Lock()
 	invalidated := !p.vetoLocked(page, rq.Item, pageLevel)
 	p.pool.Remove(page)

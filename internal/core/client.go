@@ -237,23 +237,33 @@ func (t *Tx) Read(obj storage.ItemID) ([]byte, error) {
 // transaction asked for, which no callback race may veto: it is SH-locked
 // at the owner. A whole-page target has no such object.
 func (t *Tx) fetch(owner string, target storage.ItemID, slot uint16, sc obs.SpanContext) error {
-	p := t.p
 	if target.Level == storage.LevelPage {
 		slot = storage.DummySlot
 	}
-	rq := request{page: target.PageID(), slot: slot, read: true}
+	_, err := t.access(owner, sc, func() (request, any) {
+		return request{page: target.PageID(), slot: slot, read: true}, readReq{Tx: t.id, Obj: target}
+	})
+	return err
+}
+
+// access runs one read or write request to owner: start, in the section of
+// cs.mu that registers the request on its page's record, decides the
+// record's claim and the request body; the reply is installed by
+// applyReply and its evictions noticed. A failed request applies the zero
+// reply: it ends the request's read and write, installs nothing.
+func (t *Tx) access(owner string, sc obs.SpanContext, start func() (request, any)) (accessResp, error) {
+	p := t.p
 	p.cs.mu.Lock()
+	rq, body := start()
 	p.cs.startLocked(rq)
 	p.cs.mu.Unlock()
-	body, err := p.call(owner, sc, readReq{Tx: t.id, Obj: target, WholePage: target.Level == storage.LevelPage})
-	rr, ok := body.(readResp)
+	reply, err := p.call(owner, sc, body)
+	ar, ok := reply.(accessResp)
 	if err == nil && !ok {
-		err = fmt.Errorf("core: bad read reply %T", body)
+		err = fmt.Errorf("core: bad %s reply %T", reqName(body), reply)
 	}
-	// A failed request applies the zero reply: it ends the read, installs
-	// nothing.
-	p.noticeEvictions(t.applyReply(rq, writeResp{Page: rr.Page, Avail: rr.Avail, Install: rr.Install, ObjData: rr.ObjData}))
-	return err
+	p.noticeEvictions(t.applyReply(rq, ar))
+	return ar, err
 }
 
 // applyReply is the reply step of a read or write request, in one section
@@ -264,7 +274,7 @@ func (t *Tx) fetch(owner string, target storage.ItemID, slot uint16, sc obs.Span
 // A write's adaptive decision is taken in the same section: the mirror is
 // installed unless a deescalation overtook the reply. It returns the pages
 // the install evicted, for noticeEvictions.
-func (t *Tx) applyReply(rq request, wr writeResp) []victim {
+func (t *Tx) applyReply(rq request, wr accessResp) []victim {
 	p := t.p
 	p.cs.mu.Lock()
 	defer p.cs.mu.Unlock()
@@ -479,31 +489,26 @@ func (t *Tx) hasWritePermission(obj, pageID storage.ItemID) bool {
 // start step decides, in the section that registers the request, what the
 // request claims to hold: the page and the object.
 func (t *Tx) requestWritePermission(obj, pageID, target storage.ItemID, owner string, sc obs.SpanContext) error {
-	p := t.p
-	p.cs.mu.Lock()
-	avail, havePage := p.pool.Avail(pageID)
-	if havePage && target.Level == storage.LevelPage && !avail.FullFor(p.cfg.ObjectsPerPage) {
-		// A page-grain permission covers the whole page: claiming a
-		// partially available copy would make slots available over bytes
-		// that were never shipped (or were undone by an abort). Re-fetch
-		// instead.
-		havePage = false
-	}
-	if p.policy.TransferUnit() == consistency.UnitObject {
-		havePage = true // OS never ships pages; the object travels instead
-	}
-	// The written object is EX-locked at the owner once the reply comes, so
-	// it is the request's slot whatever the grain: no race vetoes it, and
-	// under a page-grain permission it is available after the install.
-	rq := request{page: pageID, slot: obj.Slot, read: !havePage, write: true}
-	p.cs.startLocked(rq)
-	p.cs.mu.Unlock()
-	body, err := p.call(owner, sc, writeReq{Tx: t.id, Obj: target, HavePage: havePage, HaveObj: avail.Has(obj.Slot)})
-	wr, ok := body.(writeResp)
-	if err == nil && !ok {
-		err = fmt.Errorf("core: bad write reply %T", body)
-	}
-	p.noticeEvictions(t.applyReply(rq, wr)) // a failed request installs nothing
+	wr, err := t.access(owner, sc, func() (request, any) {
+		p := t.p
+		avail, havePage := p.pool.Avail(pageID)
+		if havePage && target.Level == storage.LevelPage && !avail.FullFor(p.cfg.ObjectsPerPage) {
+			// A page-grain permission covers the whole page: claiming a
+			// partially available copy would make slots available over
+			// bytes that were never shipped (or were undone by an abort).
+			// Re-fetch instead.
+			havePage = false
+		}
+		if p.policy.TransferUnit() == consistency.UnitObject {
+			havePage = true // OS never ships pages; the object travels instead
+		}
+		// The written object is EX-locked at the owner once the reply comes,
+		// so it is the request's slot whatever the grain: no race vetoes it,
+		// and under a page-grain permission it is available after the
+		// install.
+		return request{page: pageID, slot: obj.Slot, read: !havePage, write: true},
+			writeReq{Tx: t.id, Obj: target, HavePage: havePage, HaveObj: avail.Has(obj.Slot)}
+	})
 	if err != nil {
 		return err
 	}

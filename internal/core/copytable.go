@@ -19,16 +19,16 @@ type copyTable struct {
 }
 
 // pageEntry is the owner's consistency state for one page. Every per-page
-// decision of §4.2.3 — ship, callback snapshot, adaptive grant, purge —
-// reads and changes it under latch in one critical section, together with
-// the lock-table scan the decision needs (DESIGN.md §3, "One latch per
-// page"). The latch is never held across an RPC, a lock wait or a callback
-// round. Lock order: latch, then a lock-table shard, srvPool.mu or
-// copyTable.mu.
+// decision of §4.2.3 — ship of the page or of one object, callback
+// snapshot, adaptive grant, purge — reads and changes it under latch in
+// one critical section, together with the lock-table scan the decision
+// needs (DESIGN.md §3, "One latch per page"). The latch is never held
+// across an RPC, a lock wait or a callback round. Lock order: latch, then
+// a lock-table shard, srvPool.mu or copyTable.mu.
 type pageEntry struct {
 	latch   sync.Mutex
 	copies  map[string]uint64    // client -> install count of its newest copy
-	ships   uint64               // ship epoch: times the page has been shipped
+	ships   uint64               // ship epoch: ships of the page or of its objects
 	pending map[uint16]lock.TxID // object slot -> transaction calling it back
 }
 
@@ -56,9 +56,9 @@ func (ct *copyTable) entry(page storage.ItemID) *pageEntry {
 	return e
 }
 
-// addCopyLocked records a ship of page to client and returns the install
-// count the client must remember for purge notices. The caller holds e's
-// latch.
+// addCopyLocked records a ship of page, or of one of its objects, to
+// client and returns the install count the client must remember for purge
+// notices. Peer.ship is its one caller, holding e's latch.
 func (ct *copyTable) addCopyLocked(e *pageEntry, page storage.ItemID, client string) uint64 {
 	e.ships++
 	if _, had := e.copies[client]; !had {
@@ -91,15 +91,6 @@ func (ct *copyTable) dropLocked(e *pageEntry, page storage.ItemID, client string
 			delete(ct.files, f)
 		}
 	}
-}
-
-// addCopy records a ship of page to client in one latched step (an OS
-// object ship, which needs no mask).
-func (ct *copyTable) addCopy(page storage.ItemID, client string) uint64 {
-	e := ct.entry(page)
-	e.latch.Lock()
-	defer e.latch.Unlock()
-	return ct.addCopyLocked(e, page, client)
 }
 
 // removeCopy deletes client's copy of page. A nonzero install must match

@@ -306,7 +306,9 @@ func scenarioRaces(t *testing.T, add func(*sim.Stats)) {
 	a.handleCallback(callbackReq{OpID: 7001, Server: "srv", Tx: foreign, Item: objID(1, 2), Page: pageID(1)})
 
 	cachePage(t, a, 4)
-	_ = tc.srv.ct.addCopy(pageID(4), a.name) // the re-fetch bumps the install count
+	if _, err := tc.srv.ship(objID(4, 0), a.name, false, obs.SpanContext{}); err != nil { // the re-fetch bumps the install count
+		t.Fatal(err)
+	}
 	tc.srv.processPiggyback(a.name, []purgeNotice{{Page: pageID(4), Install: 1}})
 
 	stats := tc.sys.Stats()

@@ -101,7 +101,8 @@ type rpcEnvelope struct {
 	Body  any
 }
 
-// rpcReply frames the response.
+// rpcReply frames the response. A request answered by success or failure
+// alone — lock, prepare, decide, finish, release — has a nil Body.
 type rpcReply struct {
 	ReqID  uint64
 	Code   errCode
@@ -109,21 +110,12 @@ type rpcReply struct {
 	Body   any
 }
 
-// readReq asks the owner for read access to Obj (an object item, or a page
-// item when WholePage — PS reads and explicit SH page locks).
+// readReq asks the owner for read access to Obj: an object item, or a
+// page item (PS reads and explicit SH page locks), which asks for the
+// whole page.
 type readReq struct {
-	Tx        lock.TxID
-	Obj       storage.ItemID
-	WholePage bool
-}
-
-// readResp ships the containing page — or, under the OS protocol, just
-// the requested object's bytes.
-type readResp struct {
-	Page    *storage.Page
-	Avail   storage.AvailMask
-	Install uint64
-	ObjData []byte
+	Tx  lock.TxID
+	Obj storage.ItemID
 }
 
 // writeReq asks the owner for write permission on Obj (object item; page
@@ -135,9 +127,11 @@ type writeReq struct {
 	HaveObj  bool
 }
 
-// writeResp grants write permission. Page is set when the client lacked
-// the page; ObjData is set when the client lacked the object's bytes.
-type writeResp struct {
+// accessResp answers a read or a write request. Page is set when the owner
+// shipped the page, ObjData when it shipped one object (OS reads, and
+// writes of an object the client's copy lacks); either way Install is the
+// copy's install count. Adaptive grants a write an adaptive page lock.
+type accessResp struct {
 	Adaptive bool
 	Page     *storage.Page
 	Avail    storage.AvailMask
@@ -146,15 +140,12 @@ type writeResp struct {
 }
 
 // lockReq propagates an explicit hierarchical lock request (file, volume,
-// or page IS/IX/SIX; SH page locks travel as readReq{WholePage}).
+// or page IS/IX/SIX; SH page locks travel as a readReq of the page item).
 type lockReq struct {
 	Tx   lock.TxID
 	Item storage.ItemID
 	Mode lock.Mode
 }
-
-// lockResp acknowledges an explicit lock.
-type lockResp struct{}
 
 // prepareReq ships a transaction's log records to one owner (2PC phase 1).
 // Coord names the coordinator shard for a cross-shard transaction: the
@@ -168,9 +159,6 @@ type prepareReq struct {
 	Coord   string
 }
 
-// prepareResp is the owner's vote.
-type prepareResp struct{}
-
 // decideReq records a cross-shard transaction's fate at its coordinator
 // (the shard owning the first-written item). The coordinator's decision
 // record is the transaction's commit point; it refuses a decision that
@@ -180,9 +168,6 @@ type decideReq struct {
 	Tx     lock.TxID
 	Commit bool
 }
-
-// decideResp acknowledges the recorded decision.
-type decideResp struct{}
 
 // statusReq asks a coordinator for a prepared transaction's fate. Under
 // presumed abort, a coordinator with no recorded decision answers — and
@@ -202,18 +187,12 @@ type finishReq struct {
 	Commit bool
 }
 
-// finishResp acknowledges the finish.
-type finishResp struct{}
-
 // releaseReq releases a transaction's locks at a peer where they were
 // replicated (via callback-blocked replies or purge notices) without the
 // transaction having spread there. It is idempotent.
 type releaseReq struct {
 	Tx lock.TxID
 }
-
-// releaseResp acknowledges the release.
-type releaseResp struct{}
 
 // deescReq asks a client to deescalate all adaptive locks on Page.
 type deescReq struct {

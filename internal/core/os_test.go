@@ -1,7 +1,7 @@
 // Direct coverage for the OS baseline's object-transfer write paths: the
 // forced HavePage in requestWritePermission (the object travels instead of
 // the page), the server's object ship on a write miss, and the copy-table
-// registration that ship performs (server.go's addCopy on ObjData replies)
+// registration that ship performs (server.go's Peer.ship on ObjData replies)
 // — exercised end to end via the callback it must later trigger.
 package core
 

@@ -400,14 +400,8 @@ func (p *Peer) handle(m transport.Message) {
 }
 
 func replyCarriesPage(body any) bool {
-	switch b := body.(type) {
-	case readResp:
-		return b.Page != nil
-	case writeResp:
-		return b.Page != nil
-	default:
-		return false
-	}
+	r, ok := body.(accessResp)
+	return ok && r.Page != nil
 }
 
 // call performs a synchronous request to another peer, piggybacking any

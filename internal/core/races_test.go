@@ -71,7 +71,7 @@ func TestCallbackRaceVetoesInFlightReply(t *testing.T) {
 	// must win (the reply predates the invalidation).
 	x := a.Begin()
 	fresh, _ := tc.srv.srvFetchPage(pageID(1), obs.SpanContext{})
-	x.applyReply(rq, writeResp{Page: fresh, Avail: storage.AllAvailable(4), Install: 7})
+	x.applyReply(rq, accessResp{Page: fresh, Avail: storage.AllAvailable(4), Install: 7})
 	if avail, _ := a.pool.Avail(pageID(1)); avail.Has(2) {
 		t.Error("vetoed slot became available from the stale reply")
 	}
@@ -144,7 +144,10 @@ func TestPurgeRaceStaleNoticeIgnored(t *testing.T) {
 	// The server shipped page 4 once: install count 1. Simulate the purge
 	// racing with a re-fetch: the client re-reads (install 2) and the old
 	// notice (install 1) arrives afterwards.
-	install2 := srv.ct.addCopy(pageID(4), a.name) // the re-fetch
+	refetch, err := srv.ship(objID(4, 0), a.name, false, obs.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv.processPiggyback(a.name, []purgeNotice{{Page: pageID(4), Install: 1}})
 
 	if !srv.ct.hasCopy(pageID(4), a.name) {
@@ -154,7 +157,7 @@ func TestPurgeRaceStaleNoticeIgnored(t *testing.T) {
 		t.Error("purge race counter not incremented")
 	}
 	// A current notice does remove it.
-	srv.processPiggyback(a.name, []purgeNotice{{Page: pageID(4), Install: install2}})
+	srv.processPiggyback(a.name, []purgeNotice{{Page: pageID(4), Install: refetch.Install}})
 	if srv.ct.hasCopy(pageID(4), a.name) {
 		t.Error("current purge notice ignored")
 	}
@@ -310,7 +313,7 @@ func TestTwoReadersKeepVeto(t *testing.T) {
 
 	x := a.Begin()
 	for _, rq := range []request{first, second} {
-		x.applyReply(rq, writeResp{Page: stale, Avail: storage.AllAvailable(4), Install: 1})
+		x.applyReply(rq, accessResp{Page: stale, Avail: storage.AllAvailable(4), Install: 1})
 		if avail, _ := a.pool.Avail(pageID(1)); avail.Has(2) {
 			t.Fatalf("slot 2 available after the reply for slot %d", rq.slot)
 		}
@@ -355,7 +358,7 @@ func TestPreDeescalationRace(t *testing.T) {
 	if !record(a, pageID(6)).deescalated {
 		t.Fatal("pre-deescalation not recorded")
 	}
-	x.applyReply(rq, writeResp{Adaptive: true})
+	x.applyReply(rq, accessResp{Adaptive: true})
 	if a.locks.IsAdaptive(x.ID(), pageID(6)) {
 		t.Error("adaptive mirror installed after an overtaking deescalation")
 	}
@@ -365,7 +368,7 @@ func TestPreDeescalationRace(t *testing.T) {
 
 	// The deescalation lands after the reply's adaptive decision.
 	start()
-	x.applyReply(rq, writeResp{Adaptive: true})
+	x.applyReply(rq, accessResp{Adaptive: true})
 	if !a.locks.IsAdaptive(x.ID(), pageID(6)) {
 		t.Fatal("adaptive mirror not installed")
 	}
@@ -396,11 +399,11 @@ func TestEvictionPurgeKeepsNewerCopy(t *testing.T) {
 
 			x := a.Begin()
 			rq := startRead(a, pageID(2), 0)
-			page, avail, install, err := tc.srv.shipPage(objID(2, 0), a.name, obs.SpanContext{})
+			reply, err := tc.srv.ship(objID(2, 0), a.name, false, obs.SpanContext{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			evs := x.applyReply(rq, writeResp{Page: page, Avail: avail, Install: install})
+			evs := x.applyReply(rq, reply)
 			if len(evs) != 1 || evs[0].ID != pageID(1) {
 				t.Fatalf("evictions %+v, want page 1", evs)
 			}
@@ -414,6 +417,69 @@ func TestEvictionPurgeKeepsNewerCopy(t *testing.T) {
 			mustCommit(t, w)
 			r := a.Begin()
 			if got := readVal(t, r, objID(1, 0)); got != "new" {
+				t.Errorf("read %q after a newer commit", got)
+			}
+			mustCommit(t, r)
+		})
+	}
+}
+
+// TestObjectShipAfterEvictionKeepsCopy: a write request for an object the
+// client's cached copy lacks ships the object alone, and the client evicts
+// the page before the reply arrives. The reply re-creates the frame with
+// the object available, so the owner must list the client as caching the
+// page even though the purge notice for the evicted copy reached it
+// first. Were the object ship to record no copy, a later writer's callback
+// round would skip this client, and the client would read its own older
+// value from its cache.
+func TestObjectShipAfterEvictionKeepsCopy(t *testing.T) {
+	for _, proto := range []Protocol{PSOO, PSOA, PSAA} {
+		t.Run(proto.String(), func(t *testing.T) {
+			tc := newCluster(t, proto, 2, 10, func(c *Config) { c.ClientPoolPages = 1 })
+			a, b := tc.clients[0], tc.clients[1]
+			obj := objID(1, 1)
+
+			// b's uncommitted write masks obj out of a's copy (§4.2.3).
+			w := b.Begin()
+			writeVal(t, w, obj, "old")
+			cachePage(t, a, 1)
+			mustCommit(t, w)
+			if avail, ok := a.pool.Avail(pageID(1)); !ok || avail.Has(obj.Slot) {
+				t.Fatalf("setup: page 1 cached %v, object available %v", ok, avail.Has(obj.Slot))
+			}
+
+			// x's write request claims the page but not the object; the
+			// owner serves it before the client evicts the page.
+			x := a.Begin()
+			if err := x.lockImplicit(obj, lock.EX, obs.SpanContext{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.spreadTo("srv"); err != nil {
+				t.Fatal(err)
+			}
+			rq := request{page: pageID(1), slot: obj.Slot, write: true}
+			a.cs.mu.Lock()
+			a.cs.startLocked(rq)
+			a.cs.mu.Unlock()
+			reply, err := tc.srv.srvWrite(a.name, obs.SpanContext{}, writeReq{Tx: x.ID(), Obj: obj, HavePage: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ar := reply.(accessResp)
+			if ar.ObjData == nil || ar.Page != nil {
+				t.Fatalf("setup: reply %+v ships more than the object", ar)
+			}
+			cachePage(t, a, 2) // evicts page 1
+			a.flushPurges("srv")
+			a.noticeEvictions(x.applyReply(rq, ar))
+			writeVal(t, x, obj, "mine")
+			mustCommit(t, x)
+
+			w = b.Begin()
+			writeVal(t, w, obj, "new")
+			mustCommit(t, w)
+			r := a.Begin()
+			if got := readVal(t, r, obj); got != "new" {
 				t.Errorf("read %q after a newer commit", got)
 			}
 			mustCommit(t, r)

@@ -56,19 +56,18 @@ func (p *Peer) checkOwns(item storage.ItemID) error {
 }
 
 // srvRead serves a read request: deescalate foreign adaptive locks, lock
-// the item on behalf of the requesting transaction, and ship the page.
+// the item on behalf of the requesting transaction, and ship the page — or,
+// under OS, the object.
 func (p *Peer) srvRead(from string, sc obs.SpanContext, rq readReq) (any, error) {
 	remote := from != p.name
 	if remote {
 		p.stats.Inc(sim.CtrReadRequests)
 	}
 	obj := rq.Obj
-	pageID := obj.PageID()
-
 	if err := p.checkOwns(obj); err != nil {
 		return nil, err
 	}
-	if err := p.srvDeescalate(pageID, from, sc); err != nil {
+	if err := p.srvDeescalate(obj.PageID(), from, sc); err != nil {
 		return nil, err
 	}
 	if err := p.lockGuarded(rq.Tx, obj, lock.SH, lock.Options{Timeout: p.waitTimeout(), Span: sc}); err != nil {
@@ -77,53 +76,54 @@ func (p *Peer) srvRead(from string, sc obs.SpanContext, rq readReq) (any, error)
 	if !remote {
 		// The owner's own transactions read the server buffer directly; no
 		// page is shipped and no copy-table entry is made.
-		return readResp{}, nil
+		return accessResp{}, nil
 	}
-	if p.policy.TransferUnit() == consistency.UnitObject && !rq.WholePage {
-		// OS: ship only the requested object. The copy table still tracks
-		// the page so callbacks reach every client caching any of its
-		// objects.
-		data, err := p.srvObjectBytes(obj, sc)
-		if err != nil {
-			return nil, err
-		}
-		install := p.ct.addCopy(pageID, from)
-		return readResp{ObjData: data, Install: install}, nil
-	}
-	page, avail, install, err := p.shipPage(obj, from, sc)
-	if err != nil {
-		return nil, err
-	}
-	return readResp{Page: page, Avail: avail, Install: install}, nil
+	objOnly := p.policy.TransferUnit() == consistency.UnitObject && obj.Level == storage.LevelObject
+	return p.ship(obj, from, objOnly, sc)
 }
 
-// shipPage ships the page holding item to client as one step under the
-// page latch (DESIGN.md §3, "One latch per page"): the availability mask
-// the client may trust (§4.2.3) — the whole page when item is the page
-// itself, else the mask of availMaskLocked — then the clone, then the copy
-// record, whose install count is returned. The mask is taken before the
-// clone, so a writer that commits in between is already in the bytes.
-func (p *Peer) shipPage(item storage.ItemID, client string, sc obs.SpanContext) (*storage.Page, storage.AvailMask, uint64, error) {
+// ship sends client the bytes of item as one step under the page latch
+// (DESIGN.md §3, "One latch per page"): the object alone when objOnly,
+// else the page with the availability mask the client may trust (§4.2.3)
+// — the whole page when item is the page itself, else the mask of
+// availMaskLocked, taken before the clone so that a writer that commits in
+// between is already in the bytes. Either way the copy is recorded before
+// the latch is released, and the reply carries its install count: callback
+// rounds must reach every client that holds bytes of the page, whatever
+// the client's cache did with the page while the request was outstanding.
+func (p *Peer) ship(item storage.ItemID, client string, objOnly bool, sc obs.SpanContext) (accessResp, error) {
 	pageID := item.PageID()
 	e := p.ct.entry(pageID)
 	e.latch.Lock()
 	defer e.latch.Unlock()
-	avail := ^storage.AvailMask(0)
-	if item.Level == storage.LevelObject {
-		avail = p.availMaskLocked(e, pageID, item, client)
+	var r accessResp
+	if objOnly {
+		data, err := p.srvObjectBytes(item, sc)
+		if err != nil {
+			return r, err
+		}
+		r.ObjData = data
+	} else {
+		avail := ^storage.AvailMask(0)
+		if item.Level == storage.LevelObject {
+			avail = p.availMaskLocked(e, pageID, item, client)
+		}
+		page, err := p.srvFetchPage(pageID, sc)
+		if err != nil {
+			return r, err
+		}
+		if p.obs.Active() {
+			p.obs.EmitSpan(obs.EvPageShip, sc.Under(), pageID.String(), 0, client, "")
+		}
+		r.Page, r.Avail = page, avail&storage.AllAvailable(page.NumObjects())
 	}
-	page, err := p.srvFetchPage(pageID, sc)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if p.obs.Active() {
-		p.obs.EmitSpan(obs.EvPageShip, sc.Under(), pageID.String(), 0, client, "")
-	}
-	return page, avail & storage.AllAvailable(page.NumObjects()), p.ct.addCopyLocked(e, pageID, client), nil
+	r.Install = p.ct.addCopyLocked(e, pageID, client)
+	return r, nil
 }
 
 // srvWrite serves a write-permission request: deescalate, lock EX, run the
-// callback operation, and decide adaptivity.
+// callback operation, decide adaptivity, and ship what the client's copy
+// lacks.
 func (p *Peer) srvWrite(from string, sc obs.SpanContext, rq writeReq) (any, error) {
 	remote := from != p.name
 	if remote {
@@ -146,41 +146,35 @@ func (p *Peer) srvWrite(from string, sc obs.SpanContext, rq writeReq) (any, erro
 		return nil, err
 	}
 
-	var resp writeResp
+	adaptive := false
 	switch {
 	case obj.Level == storage.LevelPage:
 		// PS or explicit EX page lock: the page-level EX lock itself is the
 		// standing write permission for the whole page.
-		resp.Adaptive = true
+		adaptive = true
 	case p.policy.EscalateOnWrite(pageID):
 		if p.grantAdaptive(rq.Tx, pageID, from) {
 			p.stats.Inc(sim.CtrAdaptiveGrants)
 			if p.obs.Active() {
 				p.obs.EmitSpan(obs.EvEscalation, sc.Under(), pageID.String(), 0, from, "adaptive page lock granted")
 			}
-			resp.Adaptive = true
+			adaptive = true
 		}
 	}
 
-	if remote {
-		if !rq.HavePage {
-			var err error
-			resp.Page, resp.Avail, resp.Install, err = p.shipPage(obj, from, sc)
-			if err != nil {
-				return nil, err
-			}
-		} else if !rq.HaveObj && obj.Level == storage.LevelObject {
-			data, err := p.srvObjectBytes(obj, sc)
-			if err != nil {
-				return nil, err
-			}
-			resp.ObjData = data
-			if p.policy.TransferUnit() == consistency.UnitObject {
-				// OS: shipping the object establishes a cached copy.
-				resp.Install = p.ct.addCopy(pageID, from)
-			}
-		}
+	var resp accessResp
+	var err error
+	switch {
+	case !remote:
+	case !rq.HavePage:
+		resp, err = p.ship(obj, from, false, sc)
+	case !rq.HaveObj && obj.Level == storage.LevelObject:
+		resp, err = p.ship(obj, from, true, sc)
 	}
+	if err != nil {
+		return nil, err
+	}
+	resp.Adaptive = adaptive
 	return resp, nil
 }
 
@@ -220,7 +214,7 @@ func (p *Peer) srvLock(from string, sc obs.SpanContext, rq lockReq) (any, error)
 			}
 		}
 	}
-	return lockResp{}, nil
+	return nil, nil
 }
 
 // srvPrepare is 2PC phase one at an owner: force the records to the log
@@ -241,7 +235,7 @@ func (p *Peer) srvPrepare(sc obs.SpanContext, rq prepareReq) (any, error) {
 		p.slog.Prepare(rq.Tx, rq.Coord)
 		p.stats.Inc(sim.Ctr2PCPrepares)
 	}
-	return prepareResp{}, nil
+	return nil, nil
 }
 
 // srvDecide records a cross-shard transaction's fate at this peer, acting
@@ -255,7 +249,7 @@ func (p *Peer) srvDecide(rq decideReq) (any, error) {
 	if err := p.slog.Decide(rq.Tx, rq.Commit); err != nil {
 		return nil, err
 	}
-	return decideResp{}, nil
+	return nil, nil
 }
 
 // srvStatus answers a participant's recovery query about a prepared
@@ -271,7 +265,7 @@ func (p *Peer) srvStatus(rq statusReq) (any, error) {
 // srvFinish is 2PC phase two (commit) or an abort at an owner.
 func (p *Peer) srvFinish(sc obs.SpanContext, rq finishReq) (any, error) {
 	p.settle(rq.Tx, rq.Commit, sc)
-	return finishResp{}, nil
+	return nil, nil
 }
 
 // settle ends a transaction at this owner, the one place its shipped
@@ -311,7 +305,7 @@ func (p *Peer) settle(txid lock.TxID, commit bool, sc obs.SpanContext) bool {
 func (p *Peer) srvRelease(rq releaseReq) (any, error) {
 	p.markFinished(rq.Tx)
 	p.locks.ReleaseAll(rq.Tx)
-	return releaseResp{}, nil
+	return nil, nil
 }
 
 // srvDeescalate tears down adaptive page locks held by transactions from
@@ -397,7 +391,7 @@ func (p *Peer) foreignObjectLocks(pageID storage.ItemID, client string, self loc
 // (1) X is not the requested object, and either (2) X is EX-locked by a
 // transaction homed at another client, or (3) a callback operation on X by
 // such a transaction is pending. The caller holds e's latch. Bits beyond
-// the page's objects stay set; shipPage clips them.
+// the page's objects stay set; ship clips them.
 func (p *Peer) availMaskLocked(e *pageEntry, pageID, reqObj storage.ItemID, client string) storage.AvailMask {
 	mask := ^storage.AvailMask(0)
 	p.locks.ForEachLockWithin(pageID, func(info lock.Info) bool {

@@ -148,21 +148,15 @@ func readCallbackBlocked(r *codec.Reader) any {
 const (
 	bodyNone byte = iota
 	bodyReadReq
-	bodyReadResp
 	bodyWriteReq
-	bodyWriteResp
+	bodyAccessResp
 	bodyLockReq
-	bodyLockResp
 	bodyPrepareReq
-	bodyPrepareResp
 	bodyDecideReq
-	bodyDecideResp
 	bodyStatusReq
 	bodyStatusResp
 	bodyFinishReq
-	bodyFinishResp
 	bodyReleaseReq
-	bodyReleaseResp
 	bodyDeescReq
 	bodyDeescResp
 )
@@ -177,21 +171,14 @@ func appendBody(w *codec.Writer, body any) {
 		w.U8(bodyReadReq)
 		w.Tx(b.Tx)
 		w.Item(b.Obj)
-		w.Bool(b.WholePage)
-	case readResp:
-		w.U8(bodyReadResp)
-		appendPage(w, b.Page)
-		w.U64(uint64(b.Avail))
-		w.U64(b.Install)
-		w.Bytes(b.ObjData)
 	case writeReq:
 		w.U8(bodyWriteReq)
 		w.Tx(b.Tx)
 		w.Item(b.Obj)
 		w.Bool(b.HavePage)
 		w.Bool(b.HaveObj)
-	case writeResp:
-		w.U8(bodyWriteResp)
+	case accessResp:
+		w.U8(bodyAccessResp)
 		w.Bool(b.Adaptive)
 		appendPage(w, b.Page)
 		w.U64(uint64(b.Avail))
@@ -202,21 +189,15 @@ func appendBody(w *codec.Writer, body any) {
 		w.Tx(b.Tx)
 		w.Item(b.Item)
 		appendMode(w, b.Mode)
-	case lockResp:
-		w.U8(bodyLockResp)
 	case prepareReq:
 		w.U8(bodyPrepareReq)
 		w.Tx(b.Tx)
 		appendRecords(w, b.Records)
 		w.String(b.Coord)
-	case prepareResp:
-		w.U8(bodyPrepareResp)
 	case decideReq:
 		w.U8(bodyDecideReq)
 		w.Tx(b.Tx)
 		w.Bool(b.Commit)
-	case decideResp:
-		w.U8(bodyDecideResp)
 	case statusReq:
 		w.U8(bodyStatusReq)
 		w.Tx(b.Tx)
@@ -227,13 +208,9 @@ func appendBody(w *codec.Writer, body any) {
 		w.U8(bodyFinishReq)
 		w.Tx(b.Tx)
 		w.Bool(b.Commit)
-	case finishResp:
-		w.U8(bodyFinishResp)
 	case releaseReq:
 		w.U8(bodyReleaseReq)
 		w.Tx(b.Tx)
-	case releaseResp:
-		w.U8(bodyReleaseResp)
 	case deescReq:
 		w.U8(bodyDeescReq)
 		w.Item(b.Page)
@@ -250,38 +227,26 @@ func readBody(r *codec.Reader) any {
 	case bodyNone:
 		return nil
 	case bodyReadReq:
-		return readReq{Tx: r.Tx(), Obj: r.Item(), WholePage: r.Bool()}
-	case bodyReadResp:
-		return readResp{Page: readPage(r), Avail: storage.AvailMask(r.U64()), Install: r.U64(), ObjData: r.Bytes()}
+		return readReq{Tx: r.Tx(), Obj: r.Item()}
 	case bodyWriteReq:
 		return writeReq{Tx: r.Tx(), Obj: r.Item(), HavePage: r.Bool(), HaveObj: r.Bool()}
-	case bodyWriteResp:
-		return writeResp{Adaptive: r.Bool(), Page: readPage(r), Avail: storage.AvailMask(r.U64()),
+	case bodyAccessResp:
+		return accessResp{Adaptive: r.Bool(), Page: readPage(r), Avail: storage.AvailMask(r.U64()),
 			Install: r.U64(), ObjData: r.Bytes()}
 	case bodyLockReq:
 		return lockReq{Tx: r.Tx(), Item: r.Item(), Mode: readMode(r)}
-	case bodyLockResp:
-		return lockResp{}
 	case bodyPrepareReq:
 		return prepareReq{Tx: r.Tx(), Records: readRecords(r), Coord: r.Name()}
-	case bodyPrepareResp:
-		return prepareResp{}
 	case bodyDecideReq:
 		return decideReq{Tx: r.Tx(), Commit: r.Bool()}
-	case bodyDecideResp:
-		return decideResp{}
 	case bodyStatusReq:
 		return statusReq{Tx: r.Tx()}
 	case bodyStatusResp:
 		return statusResp{Commit: r.Bool()}
 	case bodyFinishReq:
 		return finishReq{Tx: r.Tx(), Commit: r.Bool()}
-	case bodyFinishResp:
-		return finishResp{}
 	case bodyReleaseReq:
 		return releaseReq{Tx: r.Tx()}
-	case bodyReleaseResp:
-		return releaseResp{}
 	case bodyDeescReq:
 		return deescReq{Page: r.Item()}
 	case bodyDeescResp:

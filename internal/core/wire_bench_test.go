@@ -57,8 +57,8 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		msg  transport.Message
 	}{
 		{"writeReq", request(writeReq{Tx: tx, Obj: obj, HavePage: true, HaveObj: true})},
-		{"writeResp", reply(writeResp{Adaptive: true, Avail: 0xFFFFF, Install: 3}, false)},
-		{"readResp-4KBpage", reply(readResp{Page: page, Avail: 0xFFFFF, Install: 3}, true)},
+		{"accessResp", reply(accessResp{Adaptive: true, Avail: 0xFFFFF, Install: 3}, false)},
+		{"accessResp-4KBpage", reply(accessResp{Page: page, Avail: 0xFFFFF, Install: 3}, true)},
 		{"prepareReq-180records", request(prepareReq{Tx: tx, Records: records})},
 		{"callbackReq", transport.Message{From: "srv", To: "c2", Kind: kindCallback,
 			Payload: &callbackReq{OpID: 7, Server: "srv", Tx: tx, Item: obj, Page: pageID(17), Span: span}}},

@@ -17,14 +17,14 @@ import (
 var (
 	requestBodies = []any{readReq{}, writeReq{}, lockReq{}, prepareReq{}, decideReq{},
 		statusReq{}, finishReq{}, releaseReq{}, deescReq{}}
-	replyBodies = []any{readResp{}, writeResp{}, lockResp{}, prepareResp{}, decideResp{},
-		statusResp{}, finishResp{}, releaseResp{}, deescResp{}}
+	replyBodies = []any{accessResp{}, statusResp{}, deescResp{}}
 )
 
 // fill sets every field reachable from v to a non-zero value: structs
-// field by field, pointers to a filled value, slices to two filled
-// elements. Integers stay in 1..5 so lock modes and item levels are valid;
-// interface fields are left for the caller.
+// field by field, pointers to a filled value, byte slices to three
+// non-zero bytes, other slices to two filled elements. Integers stay in
+// 1..5 so lock modes and item levels are valid; interface fields are left
+// for the caller.
 func fill(t testing.TB, v reflect.Value, n *int) {
 	*n++
 	switch v.Kind() {
@@ -38,7 +38,7 @@ func fill(t testing.TB, v reflect.Value, n *int) {
 		v.SetString(fmt.Sprintf("s%d", *n))
 	case reflect.Slice:
 		if v.Type().Elem().Kind() == reflect.Uint8 {
-			v.SetBytes([]byte{byte(*n), 0xA5, 7})
+			v.SetBytes([]byte{byte(1 + *n%255), 0xA5, 7})
 			return
 		}
 		s := reflect.MakeSlice(v.Type(), 2, 2)
@@ -129,14 +129,23 @@ func wireSamples(t testing.TB) []transport.Message {
 	return msgs
 }
 
+// edgeSamples are payloads of the vocabulary that leave fields zero on
+// purpose: nil bodies (a purge flush, an acknowledgement, an error reply)
+// and an object ship, whose reply carries no page.
+func edgeSamples() []transport.Message {
+	return []transport.Message{
+		{From: "c1", To: "srv", Kind: kindPurgeFlush, Payload: &rpcEnvelope{ReqID: 3}},
+		{From: "srv", To: "c1", Kind: kindReply, Payload: &rpcReply{ReqID: 4}},
+		{From: "srv", To: "c1", Kind: kindReply, Payload: &rpcReply{ReqID: 3, Code: errOther, Detail: "x"}},
+		{From: "srv", To: "c1", Kind: kindReply, Payload: &rpcReply{ReqID: 5, Body: accessResp{Install: 2, ObjData: []byte{1, 2}}}},
+	}
+}
+
 // TestWireCodecRoundTrip sends every vocabulary type, every field set,
 // through the TCP fabric's codec and requires the very value back. A field
 // the codec forgets decodes as its zero value and fails the comparison.
 func TestWireCodecRoundTrip(t *testing.T) {
-	samples := wireSamples(t)
-	samples = append(samples, // nil bodies: a purge flush, an error reply
-		transport.Message{From: "c1", To: "srv", Kind: kindPurgeFlush, Payload: &rpcEnvelope{ReqID: 3}},
-		transport.Message{From: "srv", To: "c1", Kind: kindReply, Payload: &rpcReply{ReqID: 3, Code: errOther, Detail: "x"}})
+	samples := append(wireSamples(t), edgeSamples()...)
 	var wire bytes.Buffer
 	enc := transport.NewStreamEncoder()
 	dec := transport.NewStreamDecoder(&wire)
@@ -181,7 +190,7 @@ func heapAllocated() uint64 {
 // changes no value; and whatever it accepts re-encodes to the very bytes
 // it read, so the encoding is canonical.
 func FuzzDecodeWire(f *testing.F) {
-	for _, m := range wireSamples(f) {
+	for _, m := range append(wireSamples(f), edgeSamples()...) {
 		p := m.Payload.(transport.WirePayload)
 		var w codec.Writer
 		p.AppendWire(&w)

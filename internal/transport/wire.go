@@ -58,8 +58,10 @@ const (
 	// cannot decode (and vice versa). Version 3 dropped the coalesced-notice
 	// fields from the request envelope. Version 4 opens every post-hello
 	// frame with a format byte and carries core's messages, and the hello,
-	// in a binary encoding a v3 peer cannot read.
-	wireVersion = 4
+	// in a binary encoding a v3 peer cannot read. Version 5 renumbers core's
+	// body tags: one reply for reads and writes, and nil bodies for bare
+	// acknowledgements.
+	wireVersion = 5
 
 	// wireHeaderSize is the fixed frame header: length + version + crc.
 	wireHeaderSize = 4 + 1 + 4

@@ -120,12 +120,13 @@ func (p binPayload) AppendWire(w *codec.Writer) {
 
 // TestFrameVersionPinned pins the wire version: a frame stamped with an
 // earlier version is refused by the header check alone, before a single
-// payload byte is read — let alone shown to a decoder. Version 3 matters
-// most: its frames are bare gob segments, which a version-4 decoder would
-// otherwise read as a format byte followed by garbage.
+// payload byte is read — let alone shown to a decoder. Version 3's frames
+// are bare gob segments, which a later decoder would otherwise read as a
+// format byte followed by garbage; version 4's core bodies carry tags that
+// version 5 renumbered, so they would decode as the wrong message.
 func TestFrameVersionPinned(t *testing.T) {
-	if wireVersion != 4 {
-		t.Fatalf("wireVersion = %d, want 4 (bump deliberately, with the peers)", wireVersion)
+	if wireVersion != 5 {
+		t.Fatalf("wireVersion = %d, want 5 (bump deliberately, with the peers)", wireVersion)
 	}
 	for old := byte(1); old < wireVersion; old++ {
 		stale := appendFrame(nil, []byte("a payload only an older peer can read"))
