@@ -52,9 +52,6 @@ func NewPool(capacity int) *Pool {
 	}
 }
 
-// Capacity reports the configured capacity.
-func (p *Pool) Capacity() int { return p.capacity }
-
 // Len reports the number of resident pages.
 func (p *Pool) Len() int {
 	p.mu.Lock()

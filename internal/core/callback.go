@@ -14,8 +14,10 @@ import (
 	"adaptivecc/internal/transport"
 )
 
-// cbEvent is one message routed to a running callback operation.
+// cbEvent is one message routed to a running callback operation, with the
+// client that sent it.
 type cbEvent struct {
+	from    string
 	ack     *callbackAck
 	blocked *callbackBlocked
 }
@@ -67,7 +69,7 @@ func (op *cbOp) waitingClients() []string {
 }
 
 // blockedKey dedups callback-blocked replies: a client reports each item
-// it blocks on at most once per operation, so a second (Client, Item)
+// it blocks on at most once per operation, so a second (client, item)
 // event is a duplicate delivery and must not re-run the downgrade dance.
 type blockedKey struct {
 	client string
@@ -143,14 +145,11 @@ func (p *Peer) runCallbackOp(txid lock.TxID, item, pageID storage.ItemID, reques
 // an explicit EX file (or volume) lock is granted.
 func (p *Peer) runFileCallbackOp(txid lock.TxID, file storage.ItemID, requester string, sc obs.SpanContext) error {
 	for {
-		names := p.ct.fileClientsOf(file, requester)
-		if len(names) == 0 {
+		// File removals are unguarded: the EX file lock already blocks
+		// re-ships of the file's pages at the server.
+		clients := p.ct.fileClientsOf(file, requester)
+		if len(clients) == 0 {
 			return nil
-		}
-		clients := make(map[string]uint64, len(names))
-		for _, c := range names {
-			clients[c] = 0 // file removals are unguarded: the EX file lock
-			// already blocks re-ships of the file's pages at the server.
 		}
 		if _, err := p.callbackRound(txid, file, file, file, clients, sc); err != nil {
 			return err
@@ -181,7 +180,7 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 		rsc = p.obs.StartSpan(txid.String(), sc)
 	}
 	op := &cbOp{
-		id: p.newOpID(), tx: txid, item: item, sc: rsc,
+		id: p.newReqID(), tx: txid, item: item, sc: rsc,
 		events:  make(chan cbEvent, len(clients)*4),
 		waiting: make(map[string]bool, len(clients)),
 	}
@@ -214,7 +213,7 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 		}
 		_ = p.sendFF(transport.Message{
 			From: p.name, To: c, Kind: kindCallback,
-			Payload: &callbackReq{OpID: op.id, Server: p.name, Tx: txid, Item: item, Page: pageID, ObjectGrain: objGrain, Span: rsc},
+			Payload: &callbackReq{OpID: op.id, Tx: txid, Item: item, Page: pageID, ObjectGrain: objGrain, Span: rsc},
 		})
 	}
 
@@ -249,9 +248,9 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 			switch {
 			case ev.ack != nil:
 				if p.cfg.DeadClientStalls > 0 {
-					p.noteCbAlive(ev.ack.Client)
+					p.noteCbAlive(ev.from)
 				}
-				if !op.clearWaiting(ev.ack.Client) {
+				if !op.clearWaiting(ev.from) {
 					break // duplicate delivery (or raced a crash's synthetic ack)
 				}
 				if p.obs.Active() {
@@ -259,7 +258,7 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 					if ev.ack.Invalidated {
 						note = "invalidated"
 					}
-					p.obs.EmitSpan(obs.EvCallbackAcked, rsc.Under(), item.String(), 0, ev.ack.Client, note)
+					p.obs.EmitSpan(obs.EvCallbackAcked, rsc.Under(), item.String(), 0, ev.from, note)
 				}
 				if ev.ack.Invalidated {
 					// The removal is guarded by the install count recorded
@@ -267,13 +266,13 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 					// re-shipped to the client meanwhile (our locks were
 					// downgraded), the fresh copy stays and the next round
 					// calls the client back again.
-					p.dropCopies(scope, ev.ack.Client, clients[ev.ack.Client])
+					p.dropCopies(scope, ev.from, clients[ev.from])
 				}
 			case ev.blocked != nil:
 				if p.cfg.DeadClientStalls > 0 {
-					p.noteCbAlive(ev.blocked.Client)
+					p.noteCbAlive(ev.from)
 				}
-				k := blockedKey{ev.blocked.Client, ev.blocked.Item}
+				k := blockedKey{ev.from, ev.blocked.Item}
 				if blockedSeen[k] {
 					break // duplicate delivery: the dance already ran
 				}
@@ -283,7 +282,7 @@ func (p *Peer) callbackRound(txid lock.TxID, item, pageID, scope storage.ItemID,
 					p.policy.Note(consistency.EvCallbackBlocked, pageID)
 				}
 				if p.obs.Active() {
-					p.obs.EmitSpan(obs.EvCallbackBlocked, rsc.Under(), ev.blocked.Item.String(), 0, ev.blocked.Client, "")
+					p.obs.EmitSpan(obs.EvCallbackBlocked, rsc.Under(), ev.blocked.Item.String(), 0, ev.from, "")
 				}
 				p.handleBlocked(op, ev.blocked, convCh, &convOut)
 			}
@@ -455,8 +454,9 @@ func downgradeFor(cur lock.Mode, conflicts []lock.Mode) lock.Mode {
 
 // handleCallback is the client-side callback thread (§4.1.1 footnote 2):
 // it runs in its own goroutine, may block on local locks (reporting the
-// conflict to the server first), invalidates the page or object, and acks.
-func (p *Peer) handleCallback(rq callbackReq) {
+// conflict to the server first), invalidates the page or object, and acks
+// to server, the peer that sent rq.
+func (p *Peer) handleCallback(server string, rq callbackReq) {
 	var hsc obs.SpanContext
 	if p.obs.Active() {
 		hsc = p.obs.StartSpan(rq.Tx.String(), rq.Span)
@@ -464,14 +464,14 @@ func (p *Peer) handleCallback(rq callbackReq) {
 	if p.obs.Active() {
 		start := time.Now()
 		defer func() {
-			p.obs.EmitSpan(obs.EvCallbackHandled, hsc, rq.Item.String(), time.Since(start), rq.Server, "")
+			p.obs.EmitSpan(obs.EvCallbackHandled, hsc, rq.Item.String(), time.Since(start), server, "")
 		}()
 	}
 	if rq.Item.Level == storage.LevelFile || rq.Item.Level == storage.LevelVolume {
-		p.handleFileCallback(rq, hsc)
+		p.handleFileCallback(server, rq, hsc)
 		return
 	}
-	cbid := cbThreadID(rq.Server, rq.OpID)
+	cbid := cbThreadID(server, rq.OpID)
 	defer p.locks.ReleaseAll(cbid)
 
 	page := rq.Page
@@ -487,7 +487,7 @@ func (p *Peer) handleCallback(rq callbackReq) {
 	if !p.pool.Contains(page) {
 		invalidated := !p.vetoLocked(page, rq.Item, pageLevel)
 		p.cs.mu.Unlock()
-		p.sendAck(rq, invalidated)
+		p.sendAck(server, rq, invalidated)
 		return
 	}
 	p.cs.mu.Unlock()
@@ -498,20 +498,20 @@ func (p *Peer) handleCallback(rq callbackReq) {
 		if pageLevel || !p.policy.ObjectFallback() {
 			// An explicit EX page lock — or a protocol with no object grain
 			// to fall back to (PS) — must take the whole page.
-			if p.cbLock(rq, cbid, page, lock.EX, hsc) {
-				p.purgePage(rq, page, pageLevel)
+			if p.cbLock(server, rq, cbid, page, lock.EX, hsc) {
+				p.purgePage(server, rq, page, pageLevel)
 			}
 			return
 		}
 		if p.locks.Lock(cbid, page, lock.EX, lock.Options{NoWait: true, SkipAncestors: true}) == nil {
-			p.purgePage(rq, page, pageLevel)
+			p.purgePage(server, rq, page, pageLevel)
 			return
 		}
 	}
 
 	// Object-level invalidation: IX on the page (may block on a local-only
 	// SH page lock — hierarchical callbacks), then EX on the object.
-	if !p.cbLock(rq, cbid, page, lock.IX, hsc) || !p.cbLock(rq, cbid, rq.Item, lock.EX, hsc) {
+	if !p.cbLock(server, rq, cbid, page, lock.IX, hsc) || !p.cbLock(server, rq, cbid, rq.Item, lock.EX, hsc) {
 		return
 	}
 
@@ -519,18 +519,18 @@ func (p *Peer) handleCallback(rq callbackReq) {
 	stillCached := p.pool.SetAvail(page, slot, false)
 	p.vetoLocked(page, rq.Item, false)
 	p.cs.mu.Unlock()
-	p.sendAck(rq, !stillCached)
+	p.sendAck(server, rq, !stillCached)
 }
 
 // purgePage drops the page from the client cache under an EX page
 // lock, handling the pending-read race.
-func (p *Peer) purgePage(rq callbackReq, page storage.ItemID, pageLevel bool) {
+func (p *Peer) purgePage(server string, rq callbackReq, page storage.ItemID, pageLevel bool) {
 	p.cs.mu.Lock()
 	invalidated := !p.vetoLocked(page, rq.Item, pageLevel)
 	p.pool.Remove(page)
 	p.cs.dropLocked(page)
 	p.cs.mu.Unlock()
-	p.sendAck(rq, invalidated)
+	p.sendAck(server, rq, invalidated)
 }
 
 // vetoLocked records a callback race (§4.2.4) on page's record when a read
@@ -552,11 +552,11 @@ func (p *Peer) vetoLocked(page, item storage.ItemID, pageLevel bool) bool {
 }
 
 // handleFileCallback purges every cached page of a file (§4.3.1).
-func (p *Peer) handleFileCallback(rq callbackReq, hsc obs.SpanContext) {
-	cbid := cbThreadID(rq.Server, rq.OpID)
+func (p *Peer) handleFileCallback(server string, rq callbackReq, hsc obs.SpanContext) {
+	cbid := cbThreadID(server, rq.OpID)
 	defer p.locks.ReleaseAll(cbid)
 
-	if !p.cbLock(rq, cbid, rq.Item, lock.EX, hsc) {
+	if !p.cbLock(server, rq, cbid, rq.Item, lock.EX, hsc) {
 		return
 	}
 	p.cs.mu.Lock()
@@ -565,7 +565,7 @@ func (p *Peer) handleFileCallback(rq callbackReq, hsc obs.SpanContext) {
 		p.cs.dropLocked(id)
 	}
 	p.cs.mu.Unlock()
-	p.sendAck(rq, true)
+	p.sendAck(server, rq, true)
 }
 
 // cbLock takes the callback thread cbid's lock on item. When a local
@@ -573,13 +573,13 @@ func (p *Peer) handleFileCallback(rq callbackReq, hsc obs.SpanContext) {
 // calling-back server first ("callback-blocked", §4.1–4.2) and only then
 // does the thread wait; a failed wait acks "not invalidated" and reports
 // false.
-func (p *Peer) cbLock(rq callbackReq, cbid lock.TxID, item storage.ItemID, mode lock.Mode, hsc obs.SpanContext) bool {
+func (p *Peer) cbLock(server string, rq callbackReq, cbid lock.TxID, item storage.ItemID, mode lock.Mode, hsc obs.SpanContext) bool {
 	if p.locks.Lock(cbid, item, mode, lock.Options{NoWait: true, SkipAncestors: true}) == nil {
 		return true
 	}
-	p.sendBlocked(rq, item, mode, cbid)
+	p.sendBlocked(server, rq, item, mode, cbid)
 	if err := p.locks.Lock(cbid, item, mode, lock.Options{SkipAncestors: true, Span: hsc}); err != nil {
-		p.sendAck(rq, false)
+		p.sendAck(server, rq, false)
 		return false
 	}
 	return true
@@ -587,7 +587,7 @@ func (p *Peer) cbLock(rq callbackReq, cbid lock.TxID, item storage.ItemID, mode 
 
 // sendBlocked reports a local lock conflict to the calling-back server so
 // the conflict can be replicated there before this thread blocks.
-func (p *Peer) sendBlocked(rq callbackReq, item storage.ItemID, mode lock.Mode, cbid lock.TxID) {
+func (p *Peer) sendBlocked(server string, rq callbackReq, item storage.ItemID, mode lock.Mode, cbid lock.TxID) {
 	var reps []lockReplica
 	for _, h := range p.locks.Holders(item) {
 		if h.Tx == cbid || isCallbackThread(h.Tx) {
@@ -595,21 +595,21 @@ func (p *Peer) sendBlocked(rq callbackReq, item storage.ItemID, mode lock.Mode, 
 		}
 		if !lock.Compatible(h.Mode, mode) {
 			reps = append(reps, lockReplica{Tx: h.Tx, Item: item, Mode: capReplicaMode(h.Mode)})
-			p.noteReplicated(h.Tx, rq.Server)
+			p.noteReplicated(h.Tx, server)
 		}
 	}
 	_ = p.sendFF(transport.Message{
-		From: p.name, To: rq.Server, Kind: kindCallbackBlocked,
-		Payload: callbackBlocked{OpID: rq.OpID, Client: p.name, Item: item, Conflicts: reps},
+		From: p.name, To: server, Kind: kindCallbackBlocked,
+		Payload: callbackBlocked{OpID: rq.OpID, Item: item, Conflicts: reps},
 	})
 }
 
 // sendAck completes this client's part of a callback operation. The ack is
 // sent at once: the writer's EX request is held at the server until every
 // caching client has acknowledged (§4).
-func (p *Peer) sendAck(rq callbackReq, invalidated bool) {
+func (p *Peer) sendAck(server string, rq callbackReq, invalidated bool) {
 	_ = p.sendFF(transport.Message{
-		From: p.name, To: rq.Server, Kind: kindCallbackAck,
-		Payload: callbackAck{OpID: rq.OpID, Client: p.name, Invalidated: invalidated},
+		From: p.name, To: server, Kind: kindCallbackAck,
+		Payload: callbackAck{OpID: rq.OpID, Invalidated: invalidated},
 	})
 }

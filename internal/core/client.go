@@ -485,30 +485,10 @@ func (t *Tx) hasWritePermission(obj, pageID storage.ItemID) bool {
 	return t.writePerm[obj]
 }
 
-// requestWritePermission performs the server round trip of Fig. 3. Its
-// start step decides, in the section that registers the request, what the
-// request claims to hold: the page and the object.
+// requestWritePermission performs the server round trip of Fig. 3, started
+// by writeStart.
 func (t *Tx) requestWritePermission(obj, pageID, target storage.ItemID, owner string, sc obs.SpanContext) error {
-	wr, err := t.access(owner, sc, func() (request, any) {
-		p := t.p
-		avail, havePage := p.pool.Avail(pageID)
-		if havePage && target.Level == storage.LevelPage && !avail.FullFor(p.cfg.ObjectsPerPage) {
-			// A page-grain permission covers the whole page: claiming a
-			// partially available copy would make slots available over
-			// bytes that were never shipped (or were undone by an abort).
-			// Re-fetch instead.
-			havePage = false
-		}
-		if p.policy.TransferUnit() == consistency.UnitObject {
-			havePage = true // OS never ships pages; the object travels instead
-		}
-		// The written object is EX-locked at the owner once the reply comes,
-		// so it is the request's slot whatever the grain: no race vetoes it,
-		// and under a page-grain permission it is available after the
-		// install.
-		return request{page: pageID, slot: obj.Slot, read: !havePage, write: true},
-			writeReq{Tx: t.id, Obj: target, HavePage: havePage, HaveObj: avail.Has(obj.Slot)}
-	})
+	wr, err := t.access(owner, sc, func() (request, any) { return t.writeStart(obj, pageID, target) })
 	if err != nil {
 		return err
 	}
@@ -521,6 +501,33 @@ func (t *Tx) requestWritePermission(obj, pageID, target storage.ItemID, owner st
 		t.mu.Unlock()
 	}
 	return nil
+}
+
+// writeStart is the start step of a write request, run in the section of
+// cs.mu that registers it: it decides what the request claims to hold —
+// the page and the object. A request that lacks either may be answered
+// with bytes, so it registers as a read: a callback reaching the client
+// while the page is absent then vetoes instead of acking "invalidated",
+// which would drop the copy the owner records when it ships them.
+func (t *Tx) writeStart(obj, pageID, target storage.ItemID) (request, any) {
+	p := t.p
+	avail, havePage := p.pool.Avail(pageID)
+	if havePage && target.Level == storage.LevelPage && !avail.FullFor(p.cfg.ObjectsPerPage) {
+		// A page-grain permission covers the whole page: claiming a
+		// partially available copy would make slots available over bytes
+		// that were never shipped (or were undone by an abort). Re-fetch
+		// instead.
+		havePage = false
+	}
+	if p.policy.TransferUnit() == consistency.UnitObject {
+		havePage = true // OS never ships pages; the object travels instead
+	}
+	haveObj := avail.Has(obj.Slot)
+	// The written object is EX-locked at the owner once the reply comes, so
+	// it is the request's slot whatever the grain: no race vetoes it, and
+	// under a page-grain permission it is available after the install.
+	return request{page: pageID, slot: obj.Slot, read: !havePage || !haveObj, write: true},
+		writeReq{Tx: t.id, Obj: target, HavePage: havePage, HaveObj: haveObj}
 }
 
 // LockItem acquires an explicit hierarchical lock (paper §4.3): files and

@@ -8,14 +8,13 @@ import (
 	"adaptivecc/internal/storage"
 )
 
-// copyTable is the owner's index of its per-page records (paper §4.1),
-// plus, per file, how many pages of the file each client caches, so that
-// file-level callbacks know whom to contact. Its mutex guards only the two
-// maps and is never held while a page latch is taken.
+// copyTable is the owner's index of its per-page records (paper §4.1);
+// the records are its only account of which client caches what. Its mutex
+// guards only the index: it is never held while a page latch is taken,
+// nor taken under one.
 type copyTable struct {
 	mu    sync.Mutex
 	pages map[storage.ItemID]*pageEntry
-	files map[storage.ItemID]map[string]int
 }
 
 // pageEntry is the owner's consistency state for one page. Every per-page
@@ -24,7 +23,7 @@ type copyTable struct {
 // one critical section, together with the lock-table scan the decision
 // needs (DESIGN.md §3, "One latch per page"). The latch is never held
 // across an RPC, a lock wait or a callback round. Lock order: latch, then
-// a lock-table shard, srvPool.mu or copyTable.mu.
+// a lock-table shard or srvPool.mu.
 type pageEntry struct {
 	latch   sync.Mutex
 	copies  map[string]uint64    // client -> install count of its newest copy
@@ -33,14 +32,7 @@ type pageEntry struct {
 }
 
 func newCopyTable() *copyTable {
-	return &copyTable{
-		pages: make(map[storage.ItemID]*pageEntry),
-		files: make(map[storage.ItemID]map[string]int),
-	}
-}
-
-func fileOf(page storage.ItemID) storage.ItemID {
-	return storage.FileItem(page.Vol, page.File)
+	return &copyTable{pages: make(map[storage.ItemID]*pageEntry)}
 }
 
 // entry returns page's record, creating it on first use. Records are never
@@ -59,38 +51,10 @@ func (ct *copyTable) entry(page storage.ItemID) *pageEntry {
 // addCopyLocked records a ship of page, or of one of its objects, to
 // client and returns the install count the client must remember for purge
 // notices. Peer.ship is its one caller, holding e's latch.
-func (ct *copyTable) addCopyLocked(e *pageEntry, page storage.ItemID, client string) uint64 {
+func (e *pageEntry) addCopyLocked(client string) uint64 {
 	e.ships++
-	if _, had := e.copies[client]; !had {
-		ct.mu.Lock()
-		f := fileOf(page)
-		fc, ok := ct.files[f]
-		if !ok {
-			fc = make(map[string]int)
-			ct.files[f] = fc
-		}
-		fc[client]++
-		ct.mu.Unlock()
-	}
 	e.copies[client] = e.ships
 	return e.ships
-}
-
-// dropLocked deletes client's copy of page. The caller holds e's latch.
-func (ct *copyTable) dropLocked(e *pageEntry, page storage.ItemID, client string) {
-	delete(e.copies, client)
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	f := fileOf(page)
-	if fc, ok := ct.files[f]; ok {
-		fc[client]--
-		if fc[client] <= 0 {
-			delete(fc, client)
-		}
-		if len(fc) == 0 {
-			delete(ct.files, f)
-		}
-	}
 }
 
 // removeCopy deletes client's copy of page. A nonzero install must match
@@ -108,7 +72,7 @@ func (ct *copyTable) removeCopy(page storage.ItemID, client string, install uint
 	if install != 0 && got != install {
 		return true // stale: the client re-fetched the page meanwhile
 	}
-	ct.dropLocked(e, page, client)
+	delete(e.copies, client)
 	return false
 }
 
@@ -159,25 +123,23 @@ func (ct *copyTable) clearPending(obj storage.ItemID) {
 	delete(e.pending, obj.Slot)
 }
 
-// fileClientsOf lists the clients caching at least one page under scope
-// (a file, or a volume covering several files), excluding except.
-func (ct *copyTable) fileClientsOf(scope storage.ItemID, except string) []string {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	seen := make(map[string]bool)
-	for f, fc := range ct.files {
-		if !scope.Contains(f) {
+// fileClientsOf finds the clients caching at least one page under scope
+// (a file, or a volume covering several files), excluding except, by
+// reading each page record under its latch. It maps each to a zero
+// install count: a file callback's removals are unguarded.
+func (ct *copyTable) fileClientsOf(scope storage.ItemID, except string) map[string]uint64 {
+	out := make(map[string]uint64)
+	for page, e := range ct.entries() {
+		if !scope.Contains(page) {
 			continue
 		}
-		for c := range fc {
+		e.latch.Lock()
+		for c := range e.copies {
 			if c != except {
-				seen[c] = true
+				out[c] = 0
 			}
 		}
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
+		e.latch.Unlock()
 	}
 	return out
 }
@@ -193,7 +155,7 @@ func (ct *copyTable) removeCopies(client string, in func(page storage.ItemID) bo
 		}
 		e.latch.Lock()
 		if _, had := e.copies[client]; had {
-			ct.dropLocked(e, page, client)
+			delete(e.copies, client)
 			n++
 		}
 		e.latch.Unlock()

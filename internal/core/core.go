@@ -366,18 +366,10 @@ func (s *System) AddRemoteOwner(name string, vols ...storage.VolumeID) error {
 // before-images (presumed abort). A survivor with a request outstanding at
 // the dead peer gets an error when the attempt's RPCTimeout expires.
 func (s *System) CrashPeer(name string) error {
-	p, ok := s.peers[name]
-	if !ok {
+	if _, ok := s.peers[name]; !ok {
 		return fmt.Errorf("core: unknown peer %q", name)
 	}
-	if !s.net.Crash(name) {
-		return nil // already dead
-	}
-	for _, q := range s.peers {
-		if q != p {
-			q.peerDown(name)
-		}
-	}
+	s.fenceDead(name)
 	return nil
 }
 
@@ -385,8 +377,9 @@ func (s *System) CrashPeer(name string) error {
 // (Config.DeadClientStalls): the transport refuses its traffic from here
 // on — if it is in fact alive it is fenced out, an availability loss but
 // never a consistency one — and every local peer reclaims its leavings.
-// Unlike CrashPeer the name may be a remote process this System never
-// hosted, which is the usual case on a real server.
+// CrashPeer runs it for a local peer; here the name may also be a remote
+// process this System never hosted, which is the usual case on a real
+// server.
 func (s *System) fenceDead(name string) {
 	if !s.net.Crash(name) {
 		return // already fenced

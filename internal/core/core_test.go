@@ -474,26 +474,53 @@ func TestDeadlockVictimAborted(t *testing.T) {
 	_ = tb.Abort()
 }
 
+// TestExplicitFileLockPurgesOtherClients: an EX file lock calls back every
+// client the owner's page records list as caching a page of the file — one
+// page is enough — and no client whose copies were all dropped.
 func TestExplicitFileLockPurgesOtherClients(t *testing.T) {
-	tc := newCluster(t, PSAA, 2, 10)
-	a, b := tc.clients[0], tc.clients[1]
+	for _, c := range []struct {
+		name      string
+		pages     []uint32
+		detach    bool
+		callbacks int64
+	}{
+		{"two-pages", []uint32{1, 2}, false, 1},
+		{"one-page", []uint32{3}, false, 1},
+		{"detached", []uint32{1, 2}, true, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newCluster(t, PSAA, 2, 10)
+			a, b := tc.clients[0], tc.clients[1]
 
-	tb := b.Begin()
-	readVal(t, tb, objID(1, 0))
-	readVal(t, tb, objID(2, 0))
-	mustCommit(t, tb)
-	if b.ClientPool().Len() == 0 {
-		t.Fatal("b cached nothing")
-	}
+			tb := b.Begin()
+			for _, pg := range c.pages {
+				readVal(t, tb, objID(pg, 0))
+			}
+			mustCommit(t, tb)
+			if b.ClientPool().Len() == 0 {
+				t.Fatal("b cached nothing")
+			}
+			stats := tc.sys.Stats()
+			if c.detach {
+				// The flushed purge notices are applied asynchronously.
+				b.Detach()
+				waitForCounter(t, stats, sim.CtrPurgeApplied, stats.Get(sim.CtrPurgeSent), 5*time.Second)
+			}
 
-	ta := a.Begin()
-	if err := ta.LockItem(storage.FileItem(1, 1), lock.EX); err != nil {
-		t.Fatalf("file EX: %v", err)
+			before := stats.Get(sim.CtrCallbacks)
+			ta := a.Begin()
+			if err := ta.LockItem(storage.FileItem(1, 1), lock.EX); err != nil {
+				t.Fatalf("file EX: %v", err)
+			}
+			if got := stats.Get(sim.CtrCallbacks) - before; got != c.callbacks {
+				t.Errorf("file EX sent %d callbacks, want %d", got, c.callbacks)
+			}
+			if got := b.ClientPool().Len(); got != 0 {
+				t.Errorf("b still caches %d pages after file callback", got)
+			}
+			mustCommit(t, ta)
+		})
 	}
-	if got := b.ClientPool().Len(); got != 0 {
-		t.Errorf("b still caches %d pages after file callback", got)
-	}
-	mustCommit(t, ta)
 }
 
 func TestExplicitFileLockBlockedByActiveReader(t *testing.T) {

@@ -303,7 +303,7 @@ func scenarioRaces(t *testing.T, add func(*sim.Stats)) {
 	cachePage(t, a, 1)
 	startRead(a, pageID(1), 0)
 	foreign := lock.TxID{Site: "cx", Seq: 1}
-	a.handleCallback(callbackReq{OpID: 7001, Server: "srv", Tx: foreign, Item: objID(1, 2), Page: pageID(1)})
+	a.handleCallback("srv", callbackReq{OpID: 7001, Tx: foreign, Item: objID(1, 2), Page: pageID(1)})
 
 	cachePage(t, a, 4)
 	if _, err := tc.srv.ship(objID(4, 0), a.name, false, obs.SpanContext{}); err != nil { // the re-fetch bumps the install count

@@ -206,15 +206,16 @@ type deescResp struct {
 }
 
 // callbackReq asks a client to invalidate Item (an object — possibly the
-// page's dummy object — or, under PS, the whole page). Span is the
+// page's dummy object — or, under PS, the whole page). The calling-back
+// server is the carrying Message's From, as for the ack and blocked
+// replies below; OpID comes from its request ID space. Span is the
 // server-side callback-round span; the client's handling span is parented
 // under it so the fan-out appears as one tree across sites.
 type callbackReq struct {
-	OpID   uint64
-	Server string
-	Tx     lock.TxID // the calling-back transaction
-	Item   storage.ItemID
-	Page   storage.ItemID
+	OpID uint64
+	Tx   lock.TxID // the calling-back transaction
+	Item storage.ItemID
+	Page storage.ItemID
 	// ObjectGrain demotes the callback to object grain: the client must
 	// skip the page-first (whole-page purge) attempt even when its policy
 	// would normally make one. Set by the server's policy (PS-AH on pages
@@ -228,7 +229,6 @@ type callbackReq struct {
 // Invalidated reports that the whole page is (now) absent at the client.
 type callbackAck struct {
 	OpID        uint64
-	Client      string
 	Invalidated bool
 }
 
@@ -237,7 +237,6 @@ type callbackAck struct {
 // callback blocked on: the page (hierarchical callbacks) or the object.
 type callbackBlocked struct {
 	OpID      uint64
-	Client    string
 	Item      storage.ItemID
 	Conflicts []lockReplica // the local locks that block the callback
 }

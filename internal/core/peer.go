@@ -52,7 +52,6 @@ type Peer struct {
 	nextReq    uint64
 	pendingRPC map[uint64]chan rpcReply
 	replyChans []chan rpcReply // free list for call()'s reply channels
-	nextOp     uint64
 	cbOps      map[uint64]*cbOp
 	cbStalls   map[string]int // client -> consecutive silent round stalls
 
@@ -67,13 +66,13 @@ type Peer struct {
 	// would otherwise report healthy-looking throughput.
 	lastErr error
 
-	// reqSeen dedups re-delivered requests by (sender, ReqID): a nil value
-	// marks a request still being served (re-deliveries are suppressed
-	// without a reply), a non-nil value caches the reply so a retry whose
-	// original reply was lost gets it re-sent. cbSeen dedups re-delivered
-	// callback requests by (server, opID). Both are bounded, guarded by mu.
+	// reqSeen dedups re-delivered requests, purge flushes and callbacks by
+	// (sender, ID): every one a peer sends takes its ID from nextReq. A nil
+	// value marks a request still being served, or a flush or callback
+	// (re-deliveries are suppressed without a reply); a non-nil value
+	// caches a request's reply so a retry whose original reply was lost
+	// gets it re-sent. Bounded, guarded by mu.
 	reqSeen *bounded.Map[dedupKey, *rpcReply]
-	cbSeen  *bounded.Map[cbKey, struct{}]
 }
 
 // accessCounters holds the cells of the counters Tx.Read and Tx.Write bump
@@ -83,21 +82,11 @@ type accessCounters struct {
 	objectReads, localHits, objectWrites, escalationSaved, logRecords *atomic.Int64
 }
 
-// dedupKey identifies a request across re-deliveries.
+// dedupKey identifies a request, flush or callback across re-deliveries.
 type dedupKey struct {
 	from string
 	req  uint64
 }
-
-// cbKey identifies a callback request across re-deliveries.
-type cbKey struct {
-	server string
-	op     uint64
-}
-
-// noReply marks a dedup entry as fully processed for fire-and-forget
-// envelopes (purge flushes), which have no reply to cache.
-var noReply = &rpcReply{}
 
 // ErrRPCTimeout is returned by a call whose every attempt went unanswered
 // within Config.RPCTimeout. The caller must abort its transaction.
@@ -116,12 +105,11 @@ const (
 	waitCeilRPCs  = 30
 )
 
-// finishedSize bounds the tombstone set; reqSeenSize and cbSeenSize bound
-// the dedup sets.
+// finishedSize bounds the tombstone set; reqSeenSize bounds the dedup
+// table.
 const (
 	finishedSize = 8192
-	reqSeenSize  = 8192
-	cbSeenSize   = 4096
+	reqSeenSize  = 12288
 )
 
 func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols []*storage.Volume) *Peer {
@@ -160,7 +148,6 @@ func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols 
 		cbStalls:   make(map[string]int),
 		finished:   bounded.New[lock.TxID, struct{}](finishedSize),
 		reqSeen:    bounded.New[dedupKey, *rpcReply](reqSeenSize),
-		cbSeen:     bounded.New[cbKey, struct{}](cbSeenSize),
 	}
 	if s.obsSet != nil {
 		p.obs = s.obsSet.NewRegistry(name)
@@ -204,9 +191,6 @@ func (p *Peer) Locks() *lock.Manager { return p.locks }
 
 // ClientPool exposes the client-role buffer pool (tests and diagnostics).
 func (p *Peer) ClientPool() *buffer.Pool { return p.pool }
-
-// ServerPool exposes the server-role buffer pool (tests and diagnostics).
-func (p *Peer) ServerPool() *buffer.Pool { return p.srvPool }
 
 // Detach gracefully disconnects a client-role peer: every cached page is
 // evicted and the resulting purge notices are flushed to the volume
@@ -310,7 +294,7 @@ func (p *Peer) handle(m transport.Message) {
 			// its reply — the reply may be what got lost; if it is still
 			// in flight, its reply will answer the retry too.
 			p.stats.Inc(sim.CtrDupSuppressed)
-			if cached != nil && cached != noReply {
+			if cached != nil {
 				_ = p.sendFF(transport.Message{
 					From: p.name, To: m.From, Kind: kindReply,
 					CarriesPage: replyCarriesPage(cached.Body), Payload: cached,
@@ -360,20 +344,20 @@ func (p *Peer) handle(m transport.Message) {
 		if !ok {
 			return
 		}
-		if p.cbDedup(req.Server, req.OpID) {
+		if seen, _ := p.dedupCheck(m.From, req.OpID); seen {
 			// Duplicate callback delivery: the first copy will (or already
 			// did) answer; a second ack would corrupt the round's count.
 			p.stats.Inc(sim.CtrDupSuppressed)
 			return
 		}
-		p.handleCallback(*req)
+		p.handleCallback(m.From, *req)
 
 	case kindCallbackAck:
 		ack, ok := m.Payload.(callbackAck)
 		if !ok {
 			return
 		}
-		p.routeCallbackEvent(ack.OpID, cbEvent{ack: &ack})
+		p.routeCallbackEvent(ack.OpID, cbEvent{from: m.From, ack: &ack})
 
 	case kindCallbackBlocked:
 		bl, ok := m.Payload.(callbackBlocked)
@@ -381,7 +365,7 @@ func (p *Peer) handle(m transport.Message) {
 			return
 		}
 		p.stats.Inc(sim.CtrCallbackBlocked)
-		p.routeCallbackEvent(bl.OpID, cbEvent{blocked: &bl})
+		p.routeCallbackEvent(bl.OpID, cbEvent{from: m.From, blocked: &bl})
 
 	case kindPurgeFlush:
 		env, ok := m.Payload.(*rpcEnvelope)
@@ -395,7 +379,6 @@ func (p *Peer) handle(m transport.Message) {
 			return
 		}
 		p.processPiggyback(m.From, env.Pig)
-		p.dedupComplete(m.From, env.ReqID, noReply)
 	}
 }
 
@@ -503,15 +486,14 @@ func (p *Peer) flushPurges(owner string) {
 	p.stats.Add(sim.CtrPurgeSent, int64(len(pig)))
 	_ = p.sendFF(transport.Message{
 		From: p.name, To: owner, Kind: kindPurgeFlush,
-		Payload: &rpcEnvelope{ReqID: p.flushReqID(), Pig: pig},
+		Payload: &rpcEnvelope{ReqID: p.newReqID(), Pig: pig},
 	})
 }
 
-// flushReqID allocates the ReqID of a fire-and-forget flush, so a
-// duplicated delivery is suppressed by the owner's dedup table
-// (re-applying a notice would double-count installs and re-redo log
-// records).
-func (p *Peer) flushReqID() uint64 {
+// newReqID allocates the ID of a fire-and-forget message — a purge flush or
+// a callback — from the space requests draw theirs from, so the receiver's
+// dedup table suppresses a duplicated delivery by (sender, ID).
+func (p *Peer) newReqID() uint64 {
 	p.mu.Lock()
 	p.nextReq++
 	id := p.nextReq
@@ -565,14 +547,6 @@ func (p *Peer) unregisterOp(op *cbOp) {
 	p.mu.Unlock()
 }
 
-// newOpID allocates a callback operation ID.
-func (p *Peer) newOpID() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.nextOp++
-	return p.nextOp
-}
-
 // liveTx looks up a live local transaction; nil once it has finished.
 func (p *Peer) liveTx(id lock.TxID) *Tx {
 	p.mu.Lock()
@@ -621,8 +595,9 @@ func (p *Peer) isFinished(txid lock.TxID) bool {
 	return p.finished.Has(txid)
 }
 
-// dedupCheck records a request as in flight, or reports it already seen —
-// with the cached reply if its first execution has completed.
+// dedupCheck records a request, flush or callback as seen, or reports it
+// already seen — with the cached reply if it is a request whose first
+// execution has completed.
 func (p *Peer) dedupCheck(from string, id uint64) (seen bool, cached *rpcReply) {
 	key := dedupKey{from, id}
 	p.mu.Lock()
@@ -640,18 +615,6 @@ func (p *Peer) dedupComplete(from string, id uint64, reply *rpcReply) {
 	p.mu.Lock()
 	p.reqSeen.Update(dedupKey{from, id}, reply)
 	p.mu.Unlock()
-}
-
-// cbDedup reports (and records) whether a callback request was seen before.
-func (p *Peer) cbDedup(server string, opID uint64) bool {
-	key := cbKey{server, opID}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cbSeen.Has(key) {
-		return true
-	}
-	p.cbSeen.Put(key, struct{}{})
-	return false
 }
 
 // noteCbStall records one zero-progress callback-round stall implicating
@@ -693,7 +656,7 @@ func (p *Peer) peerDown(dead string) {
 	for _, op := range ops {
 		if slices.Contains(op.waitingClients(), dead) {
 			select {
-			case op.events <- cbEvent{ack: &callbackAck{OpID: op.id, Client: dead, Invalidated: true}}:
+			case op.events <- cbEvent{from: dead, ack: &callbackAck{OpID: op.id, Invalidated: true}}:
 			default:
 			}
 		}

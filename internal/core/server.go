@@ -117,7 +117,7 @@ func (p *Peer) ship(item storage.ItemID, client string, objOnly bool, sc obs.Spa
 		}
 		r.Page, r.Avail = page, avail&storage.AllAvailable(page.NumObjects())
 	}
-	r.Install = p.ct.addCopyLocked(e, pageID, client)
+	r.Install = e.addCopyLocked(client)
 	return r, nil
 }
 

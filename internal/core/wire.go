@@ -106,7 +106,6 @@ func (*callbackReq) WireTag() byte { return tagCallbackReq }
 
 func (c *callbackReq) AppendWire(w *codec.Writer) {
 	w.U64(c.OpID)
-	w.String(c.Server)
 	w.Tx(c.Tx)
 	w.Item(c.Item)
 	w.Item(c.Page)
@@ -115,33 +114,31 @@ func (c *callbackReq) AppendWire(w *codec.Writer) {
 }
 
 func readCallbackReq(r *codec.Reader) any {
-	return &callbackReq{OpID: r.U64(), Server: r.Name(), Tx: r.Tx(), Item: r.Item(), Page: r.Item(),
-		ObjectGrain: r.Bool(), Span: readSpan(r)}
+	return &callbackReq{OpID: r.U64(), Tx: r.Tx(), Item: r.Item(), Page: r.Item(), ObjectGrain: r.Bool(),
+		Span: readSpan(r)}
 }
 
 func (callbackAck) WireTag() byte { return tagCallbackAck }
 
 func (a callbackAck) AppendWire(w *codec.Writer) {
 	w.U64(a.OpID)
-	w.String(a.Client)
 	w.Bool(a.Invalidated)
 }
 
 func readCallbackAck(r *codec.Reader) any {
-	return callbackAck{OpID: r.U64(), Client: r.Name(), Invalidated: r.Bool()}
+	return callbackAck{OpID: r.U64(), Invalidated: r.Bool()}
 }
 
 func (callbackBlocked) WireTag() byte { return tagCallbackBlocked }
 
 func (b callbackBlocked) AppendWire(w *codec.Writer) {
 	w.U64(b.OpID)
-	w.String(b.Client)
 	w.Item(b.Item)
 	appendLocks(w, b.Conflicts)
 }
 
 func readCallbackBlocked(r *codec.Reader) any {
-	return callbackBlocked{OpID: r.U64(), Client: r.Name(), Item: r.Item(), Conflicts: readLocks(r)}
+	return callbackBlocked{OpID: r.U64(), Item: r.Item(), Conflicts: readLocks(r)}
 }
 
 // Body tags of envelopes and replies; bodyNone is a nil body.

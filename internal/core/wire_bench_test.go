@@ -61,9 +61,9 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		{"accessResp-4KBpage", reply(accessResp{Page: page, Avail: 0xFFFFF, Install: 3}, true)},
 		{"prepareReq-180records", request(prepareReq{Tx: tx, Records: records})},
 		{"callbackReq", transport.Message{From: "srv", To: "c2", Kind: kindCallback,
-			Payload: &callbackReq{OpID: 7, Server: "srv", Tx: tx, Item: obj, Page: pageID(17), Span: span}}},
+			Payload: &callbackReq{OpID: 7, Tx: tx, Item: obj, Page: pageID(17), Span: span}}},
 		{"callbackAck", transport.Message{From: "c2", To: "srv", Kind: kindCallbackAck,
-			Payload: callbackAck{OpID: 7, Client: "c2", Invalidated: true}}},
+			Payload: callbackAck{OpID: 7, Invalidated: true}}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -185,34 +184,6 @@ func TestPrometheusExposition(t *testing.T) {
 	WritePrometheus(&b2)
 	if b2.String() != out {
 		t.Error("exposition output is not deterministic")
-	}
-}
-
-func TestLoggerLeveling(t *testing.T) {
-	var buf bytes.Buffer
-	SetLogOutput(&buf)
-	defer func() {
-		SetLogOutput(&buf) // keep tests quiet; level restored below
-		SetLevel(LevelOff)
-	}()
-
-	SetLevel(LevelOff)
-	Debug("hidden", "k", "v")
-	if buf.Len() != 0 {
-		t.Fatalf("LevelOff emitted output: %q", buf.String())
-	}
-	if LogEnabled(slog.LevelDebug) {
-		t.Fatal("debug enabled at LevelOff")
-	}
-
-	SetLevel(slog.LevelDebug)
-	if !LogEnabled(slog.LevelDebug) {
-		t.Fatal("debug not enabled")
-	}
-	Debug("visible", "site", "srv")
-	out := buf.String()
-	if !strings.Contains(out, "visible") || !strings.Contains(out, "site=srv") {
-		t.Fatalf("structured record missing fields: %q", out)
 	}
 }
 

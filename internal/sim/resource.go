@@ -26,9 +26,8 @@ type Resource struct {
 	tail chan struct{} // closed when the most recent user finishes
 	debt int64         // accumulated scaled demand not yet slept, ns
 
-	busy  atomic.Int64 // accumulated scaled demand, ns
-	uses  atomic.Int64
-	queue atomic.Int64 // current queue length including the holder
+	busy atomic.Int64 // accumulated scaled demand, ns
+	uses atomic.Int64
 }
 
 // defaultQuantum is used when the cost table does not set one.
@@ -73,7 +72,6 @@ func (r *Resource) Use(d time.Duration) {
 	r.tail = done
 	r.mu.Unlock()
 
-	r.queue.Add(1)
 	if prev != nil {
 		<-prev // FIFO: wait for the previous user
 	}
@@ -90,7 +88,6 @@ func (r *Resource) Use(d time.Duration) {
 		}
 	}
 	close(done)
-	r.queue.Add(-1)
 }
 
 // BusyTime reports total scaled demand charged to the resource.
@@ -98,10 +95,6 @@ func (r *Resource) BusyTime() time.Duration { return time.Duration(r.busy.Load()
 
 // Uses reports how many times the resource has been used.
 func (r *Resource) Uses() int64 { return r.uses.Load() }
-
-// QueueLen reports the instantaneous number of queued users (including the
-// current holder). It is advisory and only meaningful with a nonzero scale.
-func (r *Resource) QueueLen() int64 { return r.queue.Load() }
 
 // Utilization reports the fraction of the elapsed wall-clock interval the
 // resource was busy. Callers supply the interval they measured over.

@@ -94,17 +94,6 @@ func (v *Volume) File(file uint32) (*FileInfo, bool) {
 	return info, ok
 }
 
-// Files returns the infos of all files on this volume.
-func (v *Volume) Files() []*FileInfo {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]*FileInfo, 0, len(v.files))
-	for _, f := range v.files {
-		out = append(out, f)
-	}
-	return out
-}
-
 // ReadPage fetches a deep copy of a page from stable storage, charging one
 // disk read.
 func (v *Volume) ReadPage(id ItemID) (*Page, error) {

@@ -60,8 +60,9 @@ const (
 	// frame with a format byte and carries core's messages, and the hello,
 	// in a binary encoding a v3 peer cannot read. Version 5 renumbers core's
 	// body tags: one reply for reads and writes, and nil bodies for bare
-	// acknowledgements.
-	wireVersion = 5
+	// acknowledgements. Version 6 drops the sender's name from core's
+	// callback request, ack and blocked reply: it is the frame's From.
+	wireVersion = 6
 
 	// wireHeaderSize is the fixed frame header: length + version + crc.
 	wireHeaderSize = 4 + 1 + 4

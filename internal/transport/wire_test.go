@@ -123,10 +123,12 @@ func (p binPayload) AppendWire(w *codec.Writer) {
 // payload byte is read — let alone shown to a decoder. Version 3's frames
 // are bare gob segments, which a later decoder would otherwise read as a
 // format byte followed by garbage; version 4's core bodies carry tags that
-// version 5 renumbered, so they would decode as the wrong message.
+// version 5 renumbered, so they would decode as the wrong message; version
+// 5's callback messages carry a sender name that version 6 no longer
+// reads, so every later field would shift.
 func TestFrameVersionPinned(t *testing.T) {
-	if wireVersion != 5 {
-		t.Fatalf("wireVersion = %d, want 5 (bump deliberately, with the peers)", wireVersion)
+	if wireVersion != 6 {
+		t.Fatalf("wireVersion = %d, want 6 (bump deliberately, with the peers)", wireVersion)
 	}
 	for old := byte(1); old < wireVersion; old++ {
 		stale := appendFrame(nil, []byte("a payload only an older peer can read"))
