@@ -306,16 +306,6 @@ func (p *Pool) SetDirtySlot(id storage.ItemID, slot uint16, dirty bool) {
 	}
 }
 
-// ClearDirty clears the whole dirty mask of a page (after updates have been
-// shipped to the owner).
-func (p *Pool) ClearDirty(id storage.ItemID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if f, ok := p.frames[id]; ok {
-		f.dirty = 0
-	}
-}
-
 // Merge incorporates an incoming page copy into a resident frame per the
 // paper's §4.2.3 rules, object by object:
 //   - objects dirty locally keep their local bytes;

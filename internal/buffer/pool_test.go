@@ -119,7 +119,7 @@ func TestReadWriteObjectAvailability(t *testing.T) {
 	if !d.Has(0) {
 		t.Error("dirty bit not set")
 	}
-	pool.ClearDirty(pid(1))
+	pool.SetDirtySlot(pid(1), 0, false)
 	d, _ = pool.Dirty(pid(1))
 	if d != 0 {
 		t.Error("dirty mask not cleared")
@@ -323,7 +323,7 @@ func TestReadObjectViewIsStable(t *testing.T) {
 		if err := pool.WriteObject(pid(1), slot, []byte("v1")); err != nil {
 			t.Fatal(err)
 		}
-		pool.ClearDirty(pid(1))
+		pool.SetDirtySlot(pid(1), slot, false)
 	})
 	step("InstallObject", "v1", "v2", func() {
 		if err := pool.InstallObject(pid(1), slot, []byte("v2")); err != nil {

@@ -114,13 +114,6 @@ func (cs *clientState) victimsLocked(evs []buffer.Eviction) []victim {
 	return out
 }
 
-// queuePurge enqueues a purge notice for owner.
-func (cs *clientState) queuePurge(owner string, n purgeNotice) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.purgeQ[owner] = append(cs.purgeQ[owner], n)
-}
-
 // takePurges drains the queued notices for owner (to piggyback on an
 // outgoing message).
 func (cs *clientState) takePurges(owner string) []purgeNotice {

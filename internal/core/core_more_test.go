@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -225,9 +226,93 @@ func TestRedoReadsPageBackFromDisk(t *testing.T) {
 
 func TestAbortAfterEarlyLogShipping(t *testing.T) {
 	// A dirty page evicted before commit ships its log records early; if
-	// the transaction then aborts, the server must undo them.
-	tc := newCluster(t, PSAA, 1, 40, func(c *Config) {
-		c.ClientPoolPages = 2
+	// the transaction then aborts, the server must undo them. The flush is
+	// a request the eviction waits for, and Abort waits for every flush
+	// carrying its records, so the undo follows the redo with no pause,
+	// even when the owner's redo is delayed by 200 ms.
+	for _, widen := range []bool{false, true} {
+		name := "plain"
+		if widen {
+			name = "widened-redo"
+		}
+		t.Run(name, func(t *testing.T) {
+			w := newFlushWidener(200 * time.Millisecond)
+			tc := newCluster(t, PSAA, 1, 40, func(c *Config) {
+				c.ClientPoolPages = 2
+				c.Obs = obs.Config{Enabled: true, Sink: w.sink}
+			})
+			a := tc.clients[0]
+
+			seed := a.Begin()
+			writeVal(t, seed, objID(0, 0), "committed")
+			mustCommit(t, seed)
+
+			w.armed.Store(widen)
+			x := a.Begin()
+			writeVal(t, x, objID(0, 0), "early-dead")
+			// Evict page 0 (dirty) by touching many others.
+			for pg := uint32(1); pg < 8; pg++ {
+				readVal(t, x, objID(pg, 0))
+			}
+			if err := x.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			if widen {
+				w.settled(t)
+			}
+
+			y := a.Begin()
+			if got := readVal(t, y, objID(0, 0)); got != "committed" {
+				t.Errorf("value after abort with early shipping = %q, want committed", got)
+			}
+			mustCommit(t, y)
+		})
+	}
+}
+
+// flushWidener is an obs sink that, once armed, sleeps d in the next
+// EvWALAppend: the owner's redo of a purge flush's records, which follows
+// the event. entered is closed as the sleep starts and done as it ends.
+type flushWidener struct {
+	d             time.Duration
+	armed         atomic.Bool
+	entered, done chan struct{}
+}
+
+func newFlushWidener(d time.Duration) *flushWidener {
+	return &flushWidener{d: d, entered: make(chan struct{}), done: make(chan struct{})}
+}
+
+func (w *flushWidener) sink(ev obs.Event) {
+	if ev.Kind == obs.EvWALAppend && w.armed.CompareAndSwap(true, false) {
+		close(w.entered)
+		time.Sleep(w.d)
+		close(w.done)
+	}
+}
+
+// settled waits until the widened sleep is over. The owner redoes the
+// records right after it, so a read sent afterwards finds them redone
+// unless an undo followed.
+func (w *flushWidener) settled(t *testing.T) {
+	t.Helper()
+	select {
+	case <-w.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no purge flush was redone")
+	}
+}
+
+// TestCrossTxEarlyFlushBeforeAbort: on one client, transaction x's fetch
+// evicts transaction b's dirty page, so x's goroutine flushes b's records,
+// and the owner's redo of them is delayed. b aborts while the flush is in
+// flight; its abort must wait for the flush, or the owner undoes before it
+// redoes and the aborted value sticks.
+func TestCrossTxEarlyFlushBeforeAbort(t *testing.T) {
+	w := newFlushWidener(200 * time.Millisecond)
+	tc := newCluster(t, PSAA, 1, 10, func(c *Config) {
+		c.ClientPoolPages = 1
+		c.Obs = obs.Config{Enabled: true, Sink: w.sink}
 	})
 	a := tc.clients[0]
 
@@ -235,21 +320,32 @@ func TestAbortAfterEarlyLogShipping(t *testing.T) {
 	writeVal(t, seed, objID(0, 0), "committed")
 	mustCommit(t, seed)
 
+	b := a.Begin()
+	writeVal(t, b, objID(0, 0), "b-dead")
+	w.armed.Store(true)
 	x := a.Begin()
-	writeVal(t, x, objID(0, 0), "early-dead")
-	// Evict page 0 (dirty) by touching many others.
-	for pg := uint32(1); pg < 8; pg++ {
-		readVal(t, x, objID(pg, 0))
+	read := make(chan error, 1)
+	go func() {
+		_, err := x.Read(objID(1, 0)) // evicts page 0, dirty with b's write
+		read <- err
+	}()
+	select {
+	case <-w.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the eviction flushed no records")
 	}
-	time.Sleep(50 * time.Millisecond) // let the early flush land
-	if err := x.Abort(); err != nil {
+	if err := b.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, x)
+	w.settled(t)
 
 	y := a.Begin()
 	if got := readVal(t, y, objID(0, 0)); got != "committed" {
-		t.Errorf("value after abort with early shipping = %q, want committed", got)
+		t.Errorf("value after b's abort = %q, want committed", got)
 	}
 	mustCommit(t, y)
 }

@@ -547,14 +547,15 @@ func scenarioDetach(t *testing.T, add func(*sim.Stats)) {
 		mustCommit(t, x)
 	}
 	stats := tc.sys.Stats()
+	// The flush is a request: Detach returns once the owner has applied
+	// it, so the counters balance with no wait.
 	a.Detach()
-	waitForCounter(t, stats, sim.CtrPurgeSent, 4, 5*time.Second)
 	sent := stats.Get(sim.CtrPurgeSent)
-	// The flush is fire-and-forget; the owner applies asynchronously but
-	// must catch up to everything sent.
-	waitForCounter(t, stats, sim.CtrPurgeApplied, sent, 5*time.Second)
+	if sent < 4 {
+		t.Errorf("detach sent %d purge notices, want >= 4", sent)
+	}
 	if applied := stats.Get(sim.CtrPurgeApplied); applied != sent {
-		t.Errorf("purge notices applied=%d > sent=%d after detach", applied, sent)
+		t.Errorf("purge notices applied=%d, sent=%d after detach", applied, sent)
 	}
 	add(stats)
 }

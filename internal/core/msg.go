@@ -18,7 +18,6 @@ const (
 	kindCallback        = "cb.req"
 	kindCallbackAck     = "cb.ack"
 	kindCallbackBlocked = "cb.blocked"
-	kindPurgeFlush      = "purge"
 )
 
 // errCode serializes protocol errors across peers.
@@ -81,7 +80,8 @@ type lockReplica struct {
 // purgeNotice tells an owner that a page dropped out of a client cache. It
 // carries the install count for purge-race detection, the local locks that
 // must be replicated when the page was in use, and early-shipped log
-// records for dirty objects that were evicted before commit.
+// records for dirty objects that were evicted before commit. A notice with
+// records travels only in a purge flush (see noticeEvictions).
 type purgeNotice struct {
 	Page    storage.ItemID
 	Install uint64
@@ -90,10 +90,10 @@ type purgeNotice struct {
 }
 
 // rpcEnvelope frames every client->server request, with piggybacked purge
-// notices. The sender is the carrying Message's From. Span is the
-// sender-side RPC span: the receiver parents its serve span under it,
-// joining the two sites' trace lanes into one causal tree. It is the zero
-// value when observability is off.
+// notices; a purge flush is an envelope with a nil Body. The sender is the
+// carrying Message's From. Span is the sender-side RPC span: the receiver
+// parents its serve span under it, joining the two sites' trace lanes into
+// one causal tree. It is the zero value when observability is off.
 type rpcEnvelope struct {
 	ReqID uint64
 	Span  obs.SpanContext
@@ -102,7 +102,7 @@ type rpcEnvelope struct {
 }
 
 // rpcReply frames the response. A request answered by success or failure
-// alone — lock, prepare, decide, finish, release — has a nil Body.
+// alone — lock, prepare, decide, finish, release, flush — has a nil Body.
 type rpcReply struct {
 	ReqID  uint64
 	Code   errCode
@@ -263,6 +263,8 @@ func reqName(body any) string {
 		return "release"
 	case deescReq:
 		return "deesc"
+	case nil:
+		return "flush"
 	default:
 		return fmt.Sprintf("%T", body)
 	}

@@ -39,6 +39,8 @@ func (p *Peer) serveRequest(from string, sc obs.SpanContext, body any) (any, err
 		return p.srvRelease(rq)
 	case deescReq:
 		return p.clientDeescalate(from, rq)
+	case nil:
+		return nil, nil // a purge flush: handle applied its notices
 	default:
 		return nil, fmt.Errorf("core: unknown request %T", body)
 	}

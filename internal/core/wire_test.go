@@ -134,7 +134,7 @@ func wireSamples(t testing.TB) []transport.Message {
 // and an object ship, whose reply carries no page.
 func edgeSamples() []transport.Message {
 	return []transport.Message{
-		{From: "c1", To: "srv", Kind: kindPurgeFlush, Payload: &rpcEnvelope{ReqID: 3}},
+		{From: "c1", To: "srv", Kind: kindRequest, Payload: &rpcEnvelope{ReqID: 3}},
 		{From: "srv", To: "c1", Kind: kindReply, Payload: &rpcReply{ReqID: 4}},
 		{From: "srv", To: "c1", Kind: kindReply, Payload: &rpcReply{ReqID: 3, Code: errOther, Detail: "x"}},
 		{From: "srv", To: "c1", Kind: kindReply, Payload: &rpcReply{ReqID: 5, Body: accessResp{Install: 2, ObjData: []byte{1, 2}}}},

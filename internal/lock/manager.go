@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"sync"
@@ -25,6 +26,22 @@ func (t TxID) String() string { return t.Site + ":" + strconv.FormatUint(t.Seq, 
 
 // Zero reports whether the ID is the zero value.
 func (t TxID) Zero() bool { return t == TxID{} }
+
+// callbackSite prefixes the site of every callback thread's identity.
+const callbackSite = "#cb/"
+
+// CallbackThread is the lock-table identity of the callback thread that
+// runs server's callback op at a client. The thread acts for the
+// calling-back transaction but has its own ID, so exactly the locks it
+// acquired are released when it finishes (that transaction may hold locks
+// at the same peer independently).
+func CallbackThread(server string, op uint64) TxID {
+	return TxID{Site: callbackSite + server, Seq: op}
+}
+
+// IsCallbackThread reports whether t belongs to a callback thread rather
+// than a transaction.
+func (t TxID) IsCallbackThread() bool { return strings.HasPrefix(t.Site, callbackSite) }
 
 // Sentinel errors returned by Lock.
 var (

@@ -267,12 +267,6 @@ func confirm(bad func() bool) bool {
 	return true
 }
 
-// isCallbackThread reports whether tx is a server-internal callback
-// thread ("#cb/..." site). Callback threads take page locks without
-// ancestors by design (they act under the blocked requester's authority),
-// so the ancestor invariant does not apply to them.
-func isCallbackThread(tx lock.TxID) bool { return strings.HasPrefix(tx.Site, "#cb/") }
-
 // Sweep runs the state-based invariants (single-ex, avail-copies,
 // adaptive-solo, lock-ancestors) over every attached view once. It is
 // safe to call while the system runs and exact once the system has
@@ -315,7 +309,9 @@ func (a *Auditor) sweepLockTable(v View) {
 		if in.Adaptive && in.Item.Level == storage.LevelPage && v.Owns(in.Item) {
 			adCands = append(adCands, adaptiveCand{tx: in.Tx, page: in.Item})
 		}
-		if !isCallbackThread(in.Tx) && in.Item.Level > storage.LevelVolume {
+		// Callback threads take page locks without ancestors by design
+		// (they act under the blocked requester's authority).
+		if !in.Tx.IsCallbackThread() && in.Item.Level > storage.LevelVolume {
 			ancCands = append(ancCands, in)
 		}
 		return true

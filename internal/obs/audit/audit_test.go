@@ -245,7 +245,7 @@ func TestLockAncestorsViolation(t *testing.T) {
 }
 
 func TestLockAncestorsAccepts(t *testing.T) {
-	cb := tx("#cb/srv", 1)
+	cb := lock.CallbackThread("srv", 1)
 	sh := tx("c2", 4)
 	v := &fakeView{site: "srv", owner: true}
 	// A full IX chain, a callback thread without ancestors (by design),

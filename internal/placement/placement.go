@@ -5,10 +5,9 @@
 // swappable layer so a database can be partitioned across N page servers.
 // Two implementations are provided:
 //
-//   - Table: a directory-driven map populated while the deployment is
-//     wired (volume, file, and page grain, most specific wins). This is
-//     the extraction of the old owners map — a Table holding only
-//     volume-grain entries routes exactly as the pre-placement system.
+//   - Table: a directory-driven map of volume owners, populated while the
+//     deployment is wired. This is the extraction of the old owners map,
+//     and routes exactly as the pre-placement system.
 //   - Hash: a static hash over the item's page coordinates modulo a fixed
 //     shard list, for fleets that want placement to be pure computation
 //     with no directory state.
@@ -68,36 +67,16 @@ type Map interface {
 	Shards() []string
 }
 
-// fileKey addresses a file-grain placement entry.
-type fileKey struct {
-	Vol  storage.VolumeID
-	File uint32
-}
-
-// pageKey addresses a page-grain placement entry.
-type pageKey struct {
-	Vol  storage.VolumeID
-	File uint32
-	Page uint32
-}
-
 // Table is the directory-driven placement map: explicit assignments at
-// volume, file, or page grain, resolved most-specific-first. The zero
-// value is not usable; call NewTable. Populate during topology
-// construction only — lookups take no lock.
+// volume grain. The zero value is not usable; call NewTable. Populate
+// during topology construction only — lookups take no lock.
 type Table struct {
-	vols  map[storage.VolumeID]string
-	files map[fileKey]string
-	pages map[pageKey]string
+	vols map[storage.VolumeID]string
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table {
-	return &Table{
-		vols:  make(map[storage.VolumeID]string),
-		files: make(map[fileKey]string),
-		pages: make(map[pageKey]string),
-	}
+	return &Table{vols: make(map[storage.VolumeID]string)}
 }
 
 // SetVolume assigns every item of a volume to owner (the coarse grain the
@@ -106,54 +85,24 @@ func (t *Table) SetVolume(vol storage.VolumeID, owner string) {
 	t.vols[vol] = owner
 }
 
-// SetFile assigns a file within a volume to owner, overriding the
-// volume-grain entry.
-func (t *Table) SetFile(vol storage.VolumeID, file uint32, owner string) {
-	t.files[fileKey{vol, file}] = owner
-}
-
-// SetPage assigns a single page to owner, overriding file- and
-// volume-grain entries.
-func (t *Table) SetPage(vol storage.VolumeID, file, page uint32, owner string) {
-	t.pages[pageKey{vol, file, page}] = owner
-}
-
 // VolumeOwner reports the volume-grain assignment, if any.
 func (t *Table) VolumeOwner(vol storage.VolumeID) (string, bool) {
 	o, ok := t.vols[vol]
 	return o, ok
 }
 
-// Owner resolves the most specific assignment covering the item.
-// Volume-level items resolve at volume grain only: a finer-grain override
-// never changes who owns the volume lock.
+// Owner resolves the owner of the item's volume.
 func (t *Table) Owner(item storage.ItemID) (string, error) {
-	if item.Level >= storage.LevelPage && len(t.pages) != 0 {
-		if o, ok := t.pages[pageKey{item.Vol, item.File, item.Page}]; ok {
-			return o, nil
-		}
-	}
-	if item.Level >= storage.LevelFile && len(t.files) != 0 {
-		if o, ok := t.files[fileKey{item.Vol, item.File}]; ok {
-			return o, nil
-		}
-	}
 	if o, ok := t.vols[item.Vol]; ok {
 		return o, nil
 	}
 	return "", fmt.Errorf("%w: volume %d has no owner", ErrUnplaced, item.Vol)
 }
 
-// Shards lists the distinct owners appearing anywhere in the table, sorted.
+// Shards lists the distinct owners in the table, sorted.
 func (t *Table) Shards() []string {
 	set := make(map[string]bool)
 	for _, o := range t.vols {
-		set[o] = true
-	}
-	for _, o := range t.files {
-		set[o] = true
-	}
-	for _, o := range t.pages {
 		set[o] = true
 	}
 	out := make([]string, 0, len(set))

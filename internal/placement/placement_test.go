@@ -96,8 +96,6 @@ func TestRekeyingSelfConsistency(t *testing.T) {
 		tb := NewTable()
 		tb.SetVolume(1, "s1")
 		tb.SetVolume(2, "s2")
-		tb.SetFile(1, 2, "s3")
-		tb.SetPage(1, 1, 17, "s2")
 		return tb
 	}
 	t1, t2 := build(), build()
@@ -116,35 +114,6 @@ func TestRekeyingSelfConsistency(t *testing.T) {
 	}
 }
 
-func TestTableMostSpecificWins(t *testing.T) {
-	tb := NewTable()
-	tb.SetVolume(1, "coarse")
-	tb.SetFile(1, 2, "file-owner")
-	tb.SetPage(1, 2, 9, "page-owner")
-
-	cases := []struct {
-		item storage.ItemID
-		want string
-	}{
-		{storage.VolumeItem(1), "coarse"},
-		{storage.FileItem(1, 1), "coarse"},
-		{storage.FileItem(1, 2), "file-owner"},
-		{storage.PageItem(1, 2, 8), "file-owner"},
-		{storage.PageItem(1, 2, 9), "page-owner"},
-		{storage.ObjectItem(1, 2, 9, 3), "page-owner"},
-		{storage.ObjectItem(1, 1, 9, 3), "coarse"},
-	}
-	for _, c := range cases {
-		got, err := tb.Owner(c.item)
-		if err != nil {
-			t.Fatalf("Owner(%v): %v", c.item, err)
-		}
-		if got != c.want {
-			t.Errorf("Owner(%v) = %q, want %q", c.item, got, c.want)
-		}
-	}
-}
-
 func TestTableUnplacedVolumeIsTypedError(t *testing.T) {
 	tb := NewTable()
 	tb.SetVolume(1, "s1")
@@ -157,7 +126,7 @@ func TestShardsEnumeration(t *testing.T) {
 	tb := NewTable()
 	tb.SetVolume(2, "beta")
 	tb.SetVolume(1, "alpha")
-	tb.SetPage(1, 1, 3, "gamma")
+	tb.SetVolume(3, "gamma")
 	got := tb.Shards()
 	want := []string{"alpha", "beta", "gamma"}
 	if len(got) != len(want) {

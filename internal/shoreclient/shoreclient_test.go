@@ -142,11 +142,8 @@ func TestGracefulDetachObservability(t *testing.T) {
 	if sent < 4 {
 		t.Fatalf("detach sent %d purge notices, want >= 4", sent)
 	}
-	// Purge flushes are fire-and-forget: wait for the server to apply
-	// every notice the client sent before judging the balance.
-	waitUntil(t, 5*time.Second, "purge notices to be applied", func() bool {
-		return srvStats.Get(sim.CtrPurgeApplied) >= sent
-	})
+	// A purge flush is a request: Detach returned once the server had
+	// applied every notice the client sent.
 	if applied := srvStats.Get(sim.CtrPurgeApplied); applied != sent {
 		t.Errorf("purge balance broken: client sent %d, server applied %d", sent, applied)
 	}

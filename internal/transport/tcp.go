@@ -42,6 +42,14 @@ import (
 	"adaptivecc/internal/sim"
 )
 
+// tcpWriteTimeout bounds each frame write, so a wedged peer cannot stall a
+// writer forever; tcpKeepAlive is the TCP keepalive period of every
+// socket the fabric dials.
+const (
+	tcpWriteTimeout = 10 * time.Second
+	tcpKeepAlive    = 15 * time.Second
+)
+
 // TCPOptions configures a TCP fabric. The zero value listens on an
 // ephemeral loopback port with sane timeouts.
 type TCPOptions struct {
@@ -54,11 +62,6 @@ type TCPOptions struct {
 	// DialTimeout bounds one dial attempt and the hello exchange
 	// (default 5s).
 	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write so a wedged peer cannot stall
-	// a writer forever (default 10s).
-	WriteTimeout time.Duration
-	// KeepAlive is the TCP keepalive period (default 15s).
-	KeepAlive time.Duration
 	// ReconnectMin/ReconnectMax bound the keeper's exponential redial
 	// backoff (defaults 20ms and 1s).
 	ReconnectMin time.Duration
@@ -71,12 +74,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.KeepAlive <= 0 {
-		o.KeepAlive = 15 * time.Second
 	}
 	if o.ReconnectMin <= 0 {
 		o.ReconnectMin = 20 * time.Millisecond
@@ -399,7 +396,7 @@ func (t *TCP) keep(p *tcpPath, addr string) {
 // dialPath opens and tracks one socket for a path: dial, send the hello,
 // start the reader.
 func (t *TCP) dialPath(p *tcpPath, addr string) (*tcpConn, error) {
-	d := net.Dialer{Timeout: t.opts.DialTimeout, KeepAlive: t.opts.KeepAlive}
+	d := net.Dialer{Timeout: t.opts.DialTimeout, KeepAlive: tcpKeepAlive}
 	nc, err := d.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -594,7 +591,7 @@ func (p *tcpPath) ship(msg Message) {
 		t.dropConn(conn)
 		return
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
 	reg := p.reg.Load()
 	timed := reg.Active()
 	var start time.Time

@@ -62,7 +62,10 @@ const (
 	// body tags: one reply for reads and writes, and nil bodies for bare
 	// acknowledgements. Version 6 drops the sender's name from core's
 	// callback request, ack and blocked reply: it is the frame's From.
-	wireVersion = 6
+	// Version 7 drops core's fire-and-forget purge flush: a flush is a
+	// request, and a v6 peer's flush would be dropped unread, with the log
+	// records it carries.
+	wireVersion = 7
 
 	// wireHeaderSize is the fixed frame header: length + version + crc.
 	wireHeaderSize = 4 + 1 + 4

@@ -125,10 +125,11 @@ func (p binPayload) AppendWire(w *codec.Writer) {
 // format byte followed by garbage; version 4's core bodies carry tags that
 // version 5 renumbered, so they would decode as the wrong message; version
 // 5's callback messages carry a sender name that version 6 no longer
-// reads, so every later field would shift.
+// reads, so every later field would shift; version 6's purge flush is a
+// message kind version 7 drops unread, records and all.
 func TestFrameVersionPinned(t *testing.T) {
-	if wireVersion != 6 {
-		t.Fatalf("wireVersion = %d, want 6 (bump deliberately, with the peers)", wireVersion)
+	if wireVersion != 7 {
+		t.Fatalf("wireVersion = %d, want 7 (bump deliberately, with the peers)", wireVersion)
 	}
 	for old := byte(1); old < wireVersion; old++ {
 		stale := appendFrame(nil, []byte("a payload only an older peer can read"))
