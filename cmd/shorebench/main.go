@@ -14,7 +14,6 @@
 //	shorebench -fig 6 -critpath          # commit critical-path breakdown
 //	shorebench -fig 6 -audit             # online protocol-invariant auditor
 //	shorebench -fig 6 -traceout t.json   # write a Chrome/Perfetto trace
-//	shorebench -fig 6 -groupcommit         # WAL group commit
 //	shorebench -all -metrics :8377       # live expvar + Prometheus surface
 package main
 
@@ -82,7 +81,6 @@ func run(args []string) error {
 		auditOn    = fs.Bool("audit", false, "run the online protocol-invariant auditor; exit nonzero on violations (implies -obs)")
 		metricsAt  = fs.String("metrics", "", "serve live metrics at this address (/metrics Prometheus text, /debug/vars expvar); implies -obs")
 		traceOut   = fs.String("traceout", "", "write a Chrome trace-event JSON file of the run (open in Perfetto); implies -obs")
-		groupCmt   = fs.Bool("groupcommit", false, "absorb concurrent WAL forces into shared disk writes (bounded wait window)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -126,7 +124,6 @@ func run(args []string) error {
 	plat.Observe = *obsOn
 	plat.CritPath = *critPath
 	plat.Audit = *auditOn
-	plat.GroupCommit = *groupCmt
 
 	if *metricsAt != "" {
 		bound, err := export.Serve(*metricsAt, "", nil, "shorebench", nil, false)

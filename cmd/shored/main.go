@@ -10,7 +10,6 @@
 //	shored -addr 127.0.0.1:0 -addr-file a    # ephemeral port, written to file a
 //	shored -protocol ps -pages 4800          # protocol and database size
 //	shored -metrics :8377                    # Prometheus /metrics + expvar
-//	shored -groupcommit                      # WAL group commit
 //	shored -shard 1/2 -pages 1200            # shard 1 of a 2-server fleet (pages 0-599)
 //
 // With -shard i/N the server is one shard of an N-server fleet: it serves
@@ -74,7 +73,6 @@ func run(args []string) error {
 		seed       = fs.Int64("seed", 1, "path-selection seed")
 		rpcTimeout = fs.Duration("rpc-timeout", 500*time.Millisecond, "request attempt timeout (retry/dedup recovers socket loss)")
 		deadStalls = fs.Int("dead-client-stalls", 3, "consecutive silent callback-round stalls before a client is declared dead and its state reclaimed (0 disables)")
-		groupCmt   = fs.Bool("groupcommit", false, "absorb concurrent WAL forces into shared disk writes")
 		obsOn      = fs.Bool("obs", false, "enable observability: latency histograms and trace rings")
 		metricsAt  = fs.String("metrics", "", "serve live introspection at this address (/metrics Prometheus text, /debug/vars expvar, /debug/obs/snapshot, /debug/pprof); implies -obs")
 		metricsOut = fs.String("metrics-addr-file", "", "write the bound introspection address to this file (for -metrics :0)")
@@ -155,7 +153,6 @@ func run(args []string) error {
 		FixedTimeout:     5 * time.Second,
 		RPCTimeout:       *rpcTimeout,
 		DeadClientStalls: *deadStalls,
-		GroupCommit:      *groupCmt,
 		Obs:              obs.Config{Enabled: *obsOn},
 		Transport:        transport.TCPFactory(transport.TCPOptions{ListenAddr: *addr, Remotes: remotes}),
 	}

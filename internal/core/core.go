@@ -89,18 +89,6 @@ type Config struct {
 	// (the simplified algorithm of §4.3.1). For the ablation benchmark.
 	PropagateSHPage bool
 
-	// GroupCommit absorbs concurrent WAL forces at each owner into one
-	// log-disk write (group commit). Off by default.
-	GroupCommit bool
-	// GroupCommitWindow is how long a group-commit leader waits for
-	// companion committers before forcing. Default 1ms when GroupCommit is
-	// set.
-	GroupCommitWindow time.Duration
-
-	// Faults, when non-nil, is installed on the network at NewSystem. Nil
-	// (the default) leaves the fabric reliable; more plans can be injected
-	// at runtime through System.Net.
-	Faults *transport.FaultPlan
 	// RPCTimeout bounds each request/reply attempt (default 500ms). Every
 	// other deadline of the RPC discipline is derived from it: a timed-out
 	// request is resent 6 times with exponential backoff capped at
@@ -163,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NumPaths == 0 {
 		c.NumPaths = 3
-	}
-	if c.GroupCommit && c.GroupCommitWindow == 0 {
-		c.GroupCommitWindow = time.Millisecond
 	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 500 * time.Millisecond
@@ -232,9 +217,6 @@ func NewSystemFabric(cfg Config) (*System, error) {
 		net = f
 	} else {
 		net = transport.NewNetwork(cfg.Costs, stats, cfg.NumPaths, cfg.Seed)
-	}
-	if cfg.Faults != nil {
-		net.InjectFaults(*cfg.Faults)
 	}
 	s := &System{
 		cfg:    cfg,

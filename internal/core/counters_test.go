@@ -410,10 +410,8 @@ func scenarioLockAborts(t *testing.T, add func(*sim.Stats)) {
 // (retry, RPC timeout, duplicate suppression) deterministic.
 func scenarioMessageFaults(t *testing.T, add func(*sim.Stats)) {
 	// Drop everything: the read's RPC times out, is retried, and fails.
-	drop := newCluster(t, PS, 1, 4, func(c *Config) {
-		c.RPCTimeout = 10 * time.Millisecond
-		c.Faults = &transport.FaultPlan{Seed: 41, DropProb: 1}
-	})
+	drop := newCluster(t, PS, 1, 4, func(c *Config) { c.RPCTimeout = 10 * time.Millisecond })
+	drop.sys.Net().InjectFaults(transport.FaultPlan{Seed: 41, DropProb: 1})
 	x := drop.clients[0].Begin()
 	if _, err := x.Read(objID(0, 0)); err == nil {
 		t.Fatal("read succeeded with every message dropped")
@@ -422,9 +420,8 @@ func scenarioMessageFaults(t *testing.T, add func(*sim.Stats)) {
 
 	// Duplicate everything: the dedup tables must suppress the copies and
 	// the transaction must still commit exactly once.
-	dup := newCluster(t, PS, 1, 4, resilientCfg, func(c *Config) {
-		c.Faults = &transport.FaultPlan{Seed: 42, DupProb: 1}
-	})
+	dup := newCluster(t, PS, 1, 4, resilientCfg)
+	dup.sys.Net().InjectFaults(transport.FaultPlan{Seed: 42, DupProb: 1})
 	y := dup.clients[0].Begin()
 	writeVal(t, y, objID(0, 0), "dup")
 	mustCommit(t, y)
@@ -434,9 +431,8 @@ func scenarioMessageFaults(t *testing.T, add func(*sim.Stats)) {
 	add(dup.sys.Stats())
 
 	// Delay everything: traffic reorders but the run completes.
-	delay := newCluster(t, PS, 1, 4, resilientCfg, func(c *Config) {
-		c.Faults = &transport.FaultPlan{Seed: 43, DelayProb: 1, Delay: time.Millisecond}
-	})
+	delay := newCluster(t, PS, 1, 4, resilientCfg)
+	delay.sys.Net().InjectFaults(transport.FaultPlan{Seed: 43, DelayProb: 1, Delay: time.Millisecond})
 	z := delay.clients[0].Begin()
 	readVal(t, z, objID(0, 0))
 	mustCommit(t, z)
@@ -501,10 +497,13 @@ func scenarioWriteBackError(t *testing.T, add func(*sim.Stats)) {
 	add(tc.sys.Stats())
 }
 
-// scenarioBatching runs a cluster with WAL group commit enabled, driving
-// the group-commit force/join counters.
+// scenarioBatching runs a cluster whose disks take real time, driving the
+// group-commit force/join counters: while one log write is in progress, a
+// second force waits to lead the next write and later ones join it.
 func scenarioBatching(t *testing.T, add func(*sim.Stats)) {
-	tc := newCluster(t, PSAA, 2, 10, func(c *Config) { c.GroupCommit = true })
+	tc := newCluster(t, PSAA, 2, 10, func(c *Config) {
+		c.Costs = sim.CostTable{Scale: 1, DiskIO: 2 * time.Millisecond, Quantum: time.Microsecond}
+	})
 	a := tc.clients[0]
 	stats := tc.sys.Stats()
 
@@ -512,14 +511,14 @@ func scenarioBatching(t *testing.T, add func(*sim.Stats)) {
 	writeVal(t, w, objID(9, 0), "v")
 	mustCommit(t, w)
 
-	// w's commit forced records through the group committer (a cohort of
-	// one still counts as a led force). Drive the log directly for a
-	// multi-member cohort: two concurrent forces, one leads and sleeps the
-	// window out, the other joins its disk write.
+	// w's commit forced records through the group committer (a lone force
+	// counts as a led one). Drive the log directly for a multi-member
+	// cohort: four concurrent forces on the slow disk, where two that
+	// arrive during another's write share the next one.
 	waitForCounter(t, stats, sim.CtrWALGroupForces, 1, 5*time.Second)
 	for i := 0; i < 20 && stats.Get(sim.CtrWALGroupJoins) == 0; i++ {
 		var wg sync.WaitGroup
-		for j := 0; j < 2; j++ {
+		for j := 0; j < 4; j++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

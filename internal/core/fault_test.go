@@ -322,21 +322,16 @@ func runShardCrashCell(t *testing.T, proto Protocol, txsPerClient int) {
 }
 
 // runFaultCell runs one matrix cell. A tuned cell shortens the timeouts
-// (resilientCfg) and hands its fault plan to Config.Faults; an untuned one
-// builds the cluster from newCluster's plain Config and injects the plan
-// into the running fabric. extra options follow the tuning.
+// (resilientCfg); an untuned one builds the cluster from newCluster's plain
+// Config. Either way the fault plan is injected into the fabric once the
+// cluster is built. extra options follow the tuning.
 func runFaultCell(t *testing.T, kind string, proto Protocol, txsPerClient int, tuned bool, extra ...func(*Config)) {
 	var opts []func(*Config)
 	plan := faultPlanFor(kind)
 	if tuned {
-		opts = append(opts, resilientCfg, func(c *Config) { c.Faults = plan })
+		opts = append(opts, resilientCfg)
 	}
 	opts = append(opts, extra...)
-	// FAULT_GROUPCOMMIT=on runs the cell with WAL group commit enabled:
-	// shared log forces must survive the same faults as the base protocol.
-	if os.Getenv("FAULT_GROUPCOMMIT") == "on" {
-		opts = append(opts, func(c *Config) { c.GroupCommit = true })
-	}
 	// FAULT_TRANSPORT=tcp runs the cell over the real TCP fabric on
 	// loopback: the same fault decisions, plus real socket teardown on
 	// crash. Retry/dedup and presumed-abort reclamation must hold on
@@ -367,7 +362,7 @@ func runFaultCell(t *testing.T, kind string, proto Protocol, txsPerClient int, t
 	// Page 4 is reserved for the crash cell's pinned transaction; the
 	// oracle's workers touch pages 0-3 only.
 	tc := newCluster(t, proto, 3, 5, opts...)
-	if !tuned && plan != nil {
+	if plan != nil {
 		tc.sys.Net().InjectFaults(*plan)
 	}
 	stats := tc.sys.Stats()

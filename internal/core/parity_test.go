@@ -244,11 +244,10 @@ func TestProtocolFingerprintParity(t *testing.T) {
 	}
 }
 
-// semanticParityCounters are the counters group commit (and the transport
-// swap) may never change: what the protocol decided (commits, aborts, data
-// touched, records shipped, pages moved). The shape counters (messages,
-// disk writes, lock waits) are deliberately excluded — sharing log-disk
-// writes is group commit's job.
+// semanticParityCounters are the counters the transport swap may never
+// change: what the protocol decided (commits, aborts, data touched, records
+// shipped, pages moved). The shape counters (messages, disk writes, lock
+// waits) are deliberately excluded.
 var semanticParityCounters = []string{
 	sim.CtrCommits,
 	sim.CtrAborts,
@@ -257,34 +256,4 @@ var semanticParityCounters = []string{
 	sim.CtrLocalHits,
 	sim.CtrLogRecords,
 	sim.CtrPageTransfers,
-}
-
-// TestBatchingSemanticParity runs the reference script with WAL group
-// commit switched on and compares it against the default run. The batched
-// run must make the exact same protocol decisions (semantic counters
-// identical) with no more messages than the unbatched one: group commit
-// shares log-disk writes and sends nothing. Together with
-// TestProtocolFingerprintParity — which pins the DEFAULT configuration to
-// the goldens — this proves the optimization is off by default and
-// semantically inert when on.
-func TestBatchingSemanticParity(t *testing.T) {
-	batchCfg := func(c *Config) { c.GroupCommit = true }
-	for _, proto := range []Protocol{PSOA, PSAA} {
-		proto := proto
-		t.Run(proto.String(), func(t *testing.T) {
-			base := runParityScript(t, proto)
-			batched := runParityScript(t, proto, batchCfg)
-			for _, c := range semanticParityCounters {
-				if batched[c] != base[c] {
-					t.Errorf("counter %s = %d batched, %d unbatched", c, batched[c], base[c])
-				}
-			}
-			if batched[sim.CtrMessages] > base[sim.CtrMessages] {
-				t.Errorf("batching grew the message count: %d batched > %d unbatched",
-					batched[sim.CtrMessages], base[sim.CtrMessages])
-			}
-			t.Logf("%s: %d -> %d messages with group commit on",
-				proto, base[sim.CtrMessages], batched[sim.CtrMessages])
-		})
-	}
 }

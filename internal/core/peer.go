@@ -168,13 +168,10 @@ func newPeer(s *System, name string, serverPoolPages, clientPoolPages int, vols 
 	if len(vols) > 0 {
 		logDisk := storage.NewDisk("logdisk-"+name, cfg.Costs, s.stats)
 		p.slog = wal.NewStableLog(logDisk)
-		if cfg.GroupCommit {
-			p.slog.EnableGroupCommit(cfg.GroupCommitWindow, s.stats)
-			if p.obs.Active() {
-				p.slog.SetForceObserver(func(cohort int) {
-					p.obs.ObserveValue(obs.HistWALBatch, int64(cohort))
-				})
-			}
+		if p.obs.Active() {
+			p.slog.SetForceObserver(func(cohort int) {
+				p.obs.ObserveValue(obs.HistWALBatch, int64(cohort))
+			})
 		}
 	}
 	return p
@@ -664,7 +661,7 @@ func (p *Peer) peerDown(dead string) {
 			continue
 		}
 		commit := prepared && p.slog.ResolveStatus(txid) == wal.DecisionCommit
-		if !p.settle(txid, commit, obs.SpanContext{}) && prepared {
+		if !p.settle(txid, commit) && prepared {
 			p.stats.Inc(sim.Ctr2PCPresumedAborts)
 		}
 		reclaimed = true
@@ -749,7 +746,7 @@ func (p *Peer) resolvePrepared(pt wal.PreparedTx) {
 	if !p.slog.IsPrepared(pt.Tx) {
 		return // a finish arrived while we asked around
 	}
-	if !p.settle(pt.Tx, sr.Commit, obs.SpanContext{}) {
+	if !p.settle(pt.Tx, sr.Commit) {
 		p.stats.Inc(sim.Ctr2PCPresumedAborts)
 	}
 }

@@ -34,7 +34,7 @@ func (p *Peer) serveRequest(from string, sc obs.SpanContext, body any) (any, err
 	case statusReq:
 		return p.srvStatus(rq)
 	case finishReq:
-		return p.srvFinish(sc, rq)
+		return p.srvFinish(rq)
 	case releaseReq:
 		return p.srvRelease(rq)
 	case deescReq:
@@ -265,8 +265,8 @@ func (p *Peer) srvStatus(rq statusReq) (any, error) {
 }
 
 // srvFinish is 2PC phase two (commit) or an abort at an owner.
-func (p *Peer) srvFinish(sc obs.SpanContext, rq finishReq) (any, error) {
-	p.settle(rq.Tx, rq.Commit, sc)
+func (p *Peer) srvFinish(rq finishReq) (any, error) {
+	p.settle(rq.Tx, rq.Commit)
 	return nil, nil
 }
 
@@ -277,21 +277,14 @@ func (p *Peer) srvFinish(sc obs.SpanContext, rq finishReq) (any, error) {
 // peer recorded as coordinator wins over an abort — a survivor may guess
 // abort for a transaction whose home died after the decide round. settle
 // reports whether the transaction committed.
-func (p *Peer) settle(txid lock.TxID, commit bool, sc obs.SpanContext) bool {
+func (p *Peer) settle(txid lock.TxID, commit bool) bool {
 	if !commit && p.slog != nil && p.slog.DecisionOf(txid) == wal.DecisionCommit {
 		commit = true
 	}
 	p.markFinished(txid)
 	if p.slog != nil {
 		if commit {
-			var start time.Time
-			if p.obs.Active() {
-				start = time.Now()
-			}
-			fi := p.slog.CommitForce(txid)
-			if p.cfg.GroupCommit && p.obs.Active() {
-				p.emitGroupCommit(sc, txid.String(), time.Since(start), fi, "commit force")
-			}
+			p.slog.Commit(txid)
 		} else {
 			for _, rec := range p.slog.Abort(txid) {
 				p.undoOne(rec)
@@ -505,7 +498,7 @@ func (p *Peer) appendAndRedo(recs []wal.Record, sc obs.SpanContext) {
 	if p.obs.Active() {
 		ioStart = time.Now()
 	}
-	_, fi := p.slog.AppendForce(recs)
+	p.slog.Append(recs)
 	if p.obs.Active() {
 		d := time.Since(ioStart)
 		p.obs.Observe(obs.HistDiskIO, d)
@@ -513,41 +506,12 @@ func (p *Peer) appendAndRedo(recs []wal.Record, sc obs.SpanContext) {
 		if wsc.Trace == "" {
 			wsc.Trace = recs[0].Tx.String()
 		}
-		if p.cfg.GroupCommit {
-			// With group commit on, the force is traced as the shared
-			// group-commit leaf (same WAL phase bucket) instead of a plain
-			// WAL append: the cohort note identifies the batched committers
-			// that shared the disk write.
-			p.emitGroupCommitCtx(wsc, d, fi, fmt.Sprintf("%d records forced", len(recs)))
-		} else {
-			p.obs.EmitSpan(obs.EvWALAppend, wsc, recs[0].Object.String(), d, "",
-				fmt.Sprintf("%d records forced", len(recs)))
-		}
+		p.obs.EmitSpan(obs.EvWALAppend, wsc, recs[0].Object.String(), d, "",
+			fmt.Sprintf("%d records forced", len(recs)))
 	}
 	for _, r := range recs {
 		p.installBytes(r.Object, r.After, true, sc)
 	}
-}
-
-// emitGroupCommit traces one group-commit force as a leaf under sc,
-// falling back to tx for the trace identity when the caller has no span.
-func (p *Peer) emitGroupCommit(sc obs.SpanContext, tx string, d time.Duration, fi wal.ForceInfo, what string) {
-	wsc := sc.Under()
-	if wsc.Trace == "" {
-		wsc.Trace = tx
-	}
-	p.emitGroupCommitCtx(wsc, d, fi, what)
-}
-
-// emitGroupCommitCtx emits the group-commit leaf span: one per batched
-// committer, all naming the shared disk write through the cohort note.
-func (p *Peer) emitGroupCommitCtx(wsc obs.SpanContext, d time.Duration, fi wal.ForceInfo, what string) {
-	role := "joined"
-	if fi.Led {
-		role = "led"
-	}
-	p.obs.EmitSpan(obs.EvGroupCommit, wsc, "", d, "",
-		fmt.Sprintf("%s: %s cohort of %d", what, role, fi.Cohort))
 }
 
 // undoOne applies a record's before-image during abort processing.

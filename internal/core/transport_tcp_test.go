@@ -26,8 +26,7 @@ func tcpCfg(c *Config) {
 
 // TestTCPSemanticParity is the acceptance gate for the transport swap: the
 // reference script over real sockets must reproduce the simulated run's
-// semantic counter fingerprint exactly — the same counters the
-// group-commit parity test (TestBatchingSemanticParity) pins. The
+// semantic counter fingerprint exactly (semanticParityCounters). The
 // fault-free script loses no frames, so the full message and page-transfer
 // counts must match too, not just the protocol decisions.
 func TestTCPSemanticParity(t *testing.T) {

@@ -67,9 +67,6 @@ type Platform struct {
 	// cluster and reports its verdict in Result.AuditViolations. Implies
 	// Observe.
 	Audit bool
-	// GroupCommit absorbs concurrent log forces at each owner into shared
-	// disk writes within a bounded wait window. Off by default.
-	GroupCommit bool
 	// Shards splits the client-server database across this many owner
 	// servers ("srv1".."srvN", volume i at shard i), each holding an equal
 	// contiguous slice of the pages and an equal share of the server
@@ -187,17 +184,7 @@ func buildCluster(exp Experiment, plat Platform) (*cluster, error) {
 		UseTimeouts:     true,
 		FixedTimeout:    exp.FixedTimeout,
 		PropagateSHPage: exp.PropagateSHPage,
-		Faults:          exp.Faults,
 		Obs:             obs.Config{Enabled: plat.observing()},
-		GroupCommit:     plat.GroupCommit,
-	}
-	// The group-commit window is a paper-time quantity: 1ms at paper speed
-	// (the network message cost), scaled like every other cost so group
-	// commit absorbs the same number of forces at any TimeScale. Left at
-	// the core default it would dwarf a scaled-down run's message costs and
-	// throttle it.
-	if plat.GroupCommit {
-		cfg.GroupCommitWindow = scaledWindow(time.Millisecond, plat.TimeScale)
 	}
 	var aud *audit.Auditor
 	if plat.Audit {
@@ -212,6 +199,13 @@ func buildCluster(exp Experiment, plat Platform) (*cluster, error) {
 	}
 	dbPages := plat.DatabasePages
 	clientPool := int(float64(dbPages) * plat.ClientBufFrac)
+	newSystem := func() *core.System {
+		sys := core.NewSystem(cfg)
+		if exp.Faults != nil {
+			sys.Net().InjectFaults(*exp.Faults)
+		}
+		return sys
+	}
 
 	switch exp.Mode {
 	case ClientServer:
@@ -221,7 +215,7 @@ func buildCluster(exp Experiment, plat Platform) (*cluster, error) {
 		}
 		cfg.ClientPoolPages = clientPool
 		cfg.ServerPoolPages = int(float64(dbPages) * plat.ServerBufFrac / float64(shards))
-		sys := core.NewSystem(cfg)
+		sys := newSystem()
 		for s := 1; s <= shards; s++ {
 			cnt, err := placement.EqualSlice(dbPages, shards, s-1)
 			if err != nil {
@@ -264,7 +258,7 @@ func buildCluster(exp Experiment, plat Platform) (*cluster, error) {
 		for _, e := range extents {
 			owned[e.peer] += e.count
 		}
-		sys := core.NewSystem(cfg)
+		sys := newSystem()
 		c := &cluster{sys: sys, plat: plat, costs: costs, aud: aud}
 
 		vols := make([]*storage.Volume, n)
@@ -296,17 +290,6 @@ func buildCluster(exp Experiment, plat Platform) (*cluster, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown mode %v", exp.Mode)
 	}
-}
-
-// scaledWindow converts a paper-time batching window to wall clock at the
-// given TimeScale, floored at 150µs so a very fast run still batches
-// instead of degenerating into per-item timer churn.
-func scaledWindow(paper time.Duration, timeScale float64) time.Duration {
-	w := time.Duration(float64(paper) * timeScale)
-	if w < 150*time.Microsecond {
-		w = 150 * time.Microsecond
-	}
-	return w
 }
 
 // extent assigns a run of global pages to a peer.

@@ -12,7 +12,7 @@
 //	network    EvRPC (round trip minus the server-side serve span = wire
 //	           plus queueing time)
 //	disk       EvDiskIO
-//	wal        EvWALAppend, EvGroupCommit (group-commit force waits)
+//	wal        EvWALAppend (log forces)
 //	other      everything else (client/server compute: EvClientOp,
 //	           EvServe, EvCommit, ...)
 //
@@ -76,7 +76,7 @@ func phaseOf(k obs.EventKind) Phase {
 		return PhaseNetwork
 	case obs.EvDiskIO:
 		return PhaseDisk
-	case obs.EvWALAppend, obs.EvGroupCommit:
+	case obs.EvWALAppend:
 		return PhaseWAL
 	default:
 		return PhaseOther

@@ -33,7 +33,6 @@ const (
 	EvCallbackHandled                      // client-side handling of one callback (span)
 	EvCommit                               // Tx.Commit (span)
 	EvDiskIO                               // one page read from a volume (span)
-	EvGroupCommit                          // a group-committed log force (span, shared leaf)
 )
 
 // String names the kind as it appears in trace exports.
@@ -79,8 +78,6 @@ func (k EventKind) String() string {
 		return "tx.commit"
 	case EvDiskIO:
 		return "disk.io"
-	case EvGroupCommit:
-		return "wal.group_commit"
 	default:
 		return "unknown"
 	}
@@ -97,7 +94,7 @@ func (k EventKind) Category() string {
 		return "adaptive"
 	case EvPageShip:
 		return "transfer"
-	case EvWALAppend, EvGroupCommit:
+	case EvWALAppend:
 		return "wal"
 	case EvRetry, EvTimeout:
 		return "resilience"

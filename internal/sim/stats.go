@@ -56,7 +56,7 @@ const (
 	CtrCrashDrops      = "crash_drops"       // sends refused because an endpoint was crashed
 
 	// WAL group commit (internal/wal).
-	CtrWALGroupForces = "wal_group_forces" // log forces actually issued by the group committer
+	CtrWALGroupForces = "wal_group_forces" // log-disk writes issued by the group committer
 	CtrWALGroupJoins  = "wal_group_joins"  // log forces absorbed into another committer's force
 
 	// TCP fabric connection lifecycle (internal/transport).

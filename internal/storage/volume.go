@@ -35,6 +35,9 @@ func (d *Disk) Write() {
 // Resource exposes the underlying resource for utilization reporting.
 func (d *Disk) Resource() *sim.Resource { return d.res }
 
+// Stats exposes the counter set the disk charges its I/O to.
+func (d *Disk) Stats() *sim.Stats { return d.stats }
+
 // Volume is the stable storage of one disk volume: the authoritative copy
 // of every page it holds, behind a simulated disk. A volume is owned by
 // exactly one peer server, which is the only site that reads or writes it.

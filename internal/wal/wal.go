@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adaptivecc/internal/bounded"
@@ -57,9 +58,11 @@ const decidedSize = 8192
 
 // StableLog is the owner-side log: an append-only record sequence on its
 // own log disk, plus the per-transaction record lists retained for undo
-// until the transaction's fate is decided.
+// until the transaction's fate is decided. Every force of the log disk
+// goes through its one group committer.
 type StableLog struct {
 	disk *storage.Disk
+	gf   groupForcer
 
 	mu       sync.Mutex
 	nextLSN  uint64
@@ -67,7 +70,6 @@ type StableLog struct {
 	size     int
 	img      *LogImage // serialized image of the log disk; nil unless enabled
 	nextCkpt uint64
-	gf       *groupForcer // nil unless EnableGroupCommit was called
 
 	// 2PC state. prepared tracks in-doubt participant transactions (forced
 	// records whose fate rests elsewhere); decided is the coordinator-side
@@ -85,131 +87,123 @@ type ForceInfo struct {
 	Led    bool
 }
 
-// groupForcer absorbs concurrent log forces into one disk write. The first
-// force to arrive becomes the batch leader: it opens a window, sleeps it
-// out, then issues a single disk write on behalf of everyone who joined in
-// the meantime. Correctness leans on the StableLog discipline that records
-// (and the log image) are appended under l.mu *before* the force is
-// requested — so by the time the leader writes, the batch's records are
-// all in the log and one write covers them.
+// groupForcer is a windowless group committer. A force that finds no disk
+// write in progress writes at once. Forces that arrive during a write form
+// the next batch: its first member waits for that write to end, then
+// issues one write on behalf of everyone who joined by then. Nothing waits
+// on a timer, so a lone force costs exactly one write, and a queued force
+// waits only for a write already on the FIFO log disk, which it would have
+// queued behind anyway. Correctness leans on the StableLog discipline that
+// records (and the log image) are appended under l.mu *before* the force
+// is requested — so a write that begins after a force's call covers that
+// force's records.
 type groupForcer struct {
-	window   time.Duration
-	stats    *sim.Stats
+	forces, joins *atomic.Int64 // the disk's wal_group_* counters
+
+	mu       sync.Mutex
+	writing  bool             // a disk write is in progress
+	next     *forceBatch      // forces waiting to share the next write; nil when none
 	observer func(cohort int) // nil unless SetForceObserver was called
-
-	mu      sync.Mutex
-	pending *forceBatch // batch currently open for joiners; nil when none
 }
 
+// forceBatch is the set of forces that share the write after the one in
+// progress.
 type forceBatch struct {
-	done   chan struct{} // closed by the leader after its disk write
-	cohort int           // guarded by groupForcer.mu until done is closed
+	cohort int           // guarded by groupForcer.mu until the batch's write begins
+	turn   chan struct{} // closed when the write in progress ends: the batch writes next
+	done   chan struct{} // closed after the batch's write
 }
 
-// force satisfies one log force request, either by leading a new batch or
-// by waiting out the current leader's write.
+// force satisfies one log force request: by writing at once, by leading
+// the next batch, or by joining it.
 func (g *groupForcer) force(disk *storage.Disk) ForceInfo {
 	g.mu.Lock()
-	if b := g.pending; b != nil {
+	if !g.writing {
+		g.writing = true
+		g.mu.Unlock()
+		return g.write(disk, 1)
+	}
+	if b := g.next; b != nil {
 		b.cohort++
 		g.mu.Unlock()
 		<-b.done
-		if g.stats != nil {
-			g.stats.Inc(sim.CtrWALGroupJoins)
-		}
-		return ForceInfo{Cohort: b.cohort, Led: false}
+		g.joins.Add(1)
+		return ForceInfo{Cohort: b.cohort}
 	}
-	b := &forceBatch{done: make(chan struct{}), cohort: 1}
-	g.pending = b
+	b := &forceBatch{cohort: 1, turn: make(chan struct{}), done: make(chan struct{})}
+	g.next = b
 	g.mu.Unlock()
-	if g.window > 0 {
-		time.Sleep(g.window)
-	}
+	<-b.turn
 	g.mu.Lock()
-	g.pending = nil // no more joiners; the write below covers the batch
+	g.next = nil // later forces form a new batch behind this write
 	cohort := b.cohort
 	g.mu.Unlock()
-	disk.Write()
+	fi := g.write(disk, cohort)
 	close(b.done)
-	if g.stats != nil {
-		g.stats.Inc(sim.CtrWALGroupForces)
+	return fi
+}
+
+// write issues one disk write covering cohort forces, then hands the disk
+// to the waiting batch, if there is one.
+func (g *groupForcer) write(disk *storage.Disk, cohort int) ForceInfo {
+	disk.Write()
+	g.forces.Add(1) // before the handoff: the count runs in write order
+	g.mu.Lock()
+	if g.next != nil {
+		close(g.next.turn) // writing stays set: the batch's leader holds it now
+	} else {
+		g.writing = false
 	}
-	if g.observer != nil {
-		g.observer(cohort)
+	observer := g.observer
+	g.mu.Unlock()
+	if observer != nil {
+		observer(cohort)
 	}
 	return ForceInfo{Cohort: cohort, Led: true}
 }
 
-// EnableGroupCommit turns on group commit: concurrent forces of this log
-// are absorbed into one disk write, each leader waiting up to window for
-// companions. Call before the log sees concurrent traffic. A nil stats
-// disables the force/join counters.
-func (l *StableLog) EnableGroupCommit(window time.Duration, stats *sim.Stats) {
-	l.mu.Lock()
-	l.gf = &groupForcer{window: window, stats: stats}
-	l.mu.Unlock()
-}
-
-// SetForceObserver registers a callback invoked by each batch leader with
-// the cohort its disk write retired — the WAL batch-size histogram feed,
-// letting the group-commit window be tuned from metrics. No-op before
-// EnableGroupCommit; fn runs on the leader's goroutine after the write,
-// so it must be cheap and thread-safe. nil clears it.
+// SetForceObserver registers a callback invoked after each log-disk write
+// with the cohort of forces it covered — the WAL batch-size histogram
+// feed. fn runs on the writing goroutine, so it must be cheap and
+// thread-safe. nil clears it.
 func (l *StableLog) SetForceObserver(fn func(cohort int)) {
-	l.mu.Lock()
-	if l.gf != nil {
-		l.gf.observer = fn
-	}
-	l.mu.Unlock()
+	l.gf.mu.Lock()
+	l.gf.observer = fn
+	l.gf.mu.Unlock()
 }
 
-// force issues one log force outside the mutex, routing through the group
-// committer when enabled. Callers pass the gf pointer they loaded while
-// still holding l.mu, so enabling group commit mid-run is race-free.
-func (l *StableLog) force(gf *groupForcer) ForceInfo {
+// Force flushes the log to its disk through the group committer. Every
+// log force runs it, outside l.mu; a server also runs it as the shutdown
+// barrier after draining in-flight work, so everything appended before
+// the call is stable.
+func (l *StableLog) Force() ForceInfo {
 	if l.disk == nil {
 		return ForceInfo{Cohort: 1, Led: true}
 	}
-	if gf == nil {
-		l.disk.Write()
-		return ForceInfo{Cohort: 1, Led: true}
-	}
-	return gf.force(l.disk)
-}
-
-// Force flushes the log to its disk unconditionally — the shutdown
-// barrier a server runs after draining in-flight work, so everything
-// appended before the call is stable regardless of group-commit windows.
-func (l *StableLog) Force() ForceInfo {
-	l.mu.Lock()
-	gf := l.gf
-	l.mu.Unlock()
-	return l.force(gf)
+	return l.gf.force(l.disk)
 }
 
 // NewStableLog returns an empty stable log writing to disk.
 func NewStableLog(disk *storage.Disk) *StableLog {
-	return &StableLog{
+	l := &StableLog{
 		disk:     disk,
 		nextLSN:  1,
 		active:   make(map[lock.TxID][]Record),
 		prepared: make(map[lock.TxID]PreparedTx),
 		decided:  bounded.New[lock.TxID, Decision](decidedSize),
 	}
+	if disk != nil {
+		l.gf.forces = disk.Stats().Counter(sim.CtrWALGroupForces)
+		l.gf.joins = disk.Stats().Counter(sim.CtrWALGroupJoins)
+	}
+	return l
 }
 
 // Append assigns LSNs to records, retains them for possible undo, and
-// charges one log-disk write for the batch (group force).
+// forces the log once for the batch.
 func (l *StableLog) Append(recs []Record) []Record {
-	out, _ := l.AppendForce(recs)
-	return out
-}
-
-// AppendForce is Append plus a report of how the trailing log force was
-// satisfied (the group-commit cohort it shared a disk write with).
-func (l *StableLog) AppendForce(recs []Record) ([]Record, ForceInfo) {
 	if len(recs) == 0 {
-		return nil, ForceInfo{}
+		return nil
 	}
 	l.mu.Lock()
 	out := make([]Record, len(recs))
@@ -223,9 +217,9 @@ func (l *StableLog) AppendForce(recs []Record) ([]Record, ForceInfo) {
 		}
 	}
 	l.size += len(recs)
-	gf := l.gf
 	l.mu.Unlock()
-	return out, l.force(gf)
+	l.Force()
+	return out
 }
 
 // Commit releases the undo information of tx and charges the commit-record
@@ -243,9 +237,8 @@ func (l *StableLog) CommitForce(tx lock.TxID) ForceInfo {
 	if l.img != nil {
 		l.img.AppendCommit(tx)
 	}
-	gf := l.gf
 	l.mu.Unlock()
-	return l.force(gf)
+	return l.Force()
 }
 
 // Abort removes and returns tx's shipped records in reverse order, ready
@@ -280,9 +273,8 @@ func (l *StableLog) Prepare(tx lock.TxID, coord string) ForceInfo {
 			l.img.AppendPrepare(tx, coord)
 		}
 	}
-	gf := l.gf
 	l.mu.Unlock()
-	return l.force(gf)
+	return l.Force()
 }
 
 // PreparedTxs snapshots the in-doubt transactions, oldest first.
@@ -331,9 +323,8 @@ func (l *StableLog) Decide(tx lock.TxID, commit bool) error {
 		return nil
 	}
 	l.recordDecisionLocked(tx, want)
-	gf := l.gf
 	l.mu.Unlock()
-	l.force(gf)
+	l.Force()
 	return nil
 }
 
@@ -357,9 +348,8 @@ func (l *StableLog) ResolveStatus(tx lock.TxID) Decision {
 		return d
 	}
 	l.recordDecisionLocked(tx, DecisionAbort)
-	gf := l.gf
 	l.mu.Unlock()
-	l.force(gf)
+	l.Force()
 	return DecisionAbort
 }
 
